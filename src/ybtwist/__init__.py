@@ -2,8 +2,9 @@
 
 Finite group tables and skew braces, the sigma/tau maps they induce, the
 n^2-dimensional twist algebra with its universal R-matrix, combinatorial
-matrix solutions, and rational RTT identities -- everything in exact
-arithmetic, with every identity decided by coefficient comparison.
+matrix solutions, and RTT identities as pole-cleared polynomial matrices --
+everything in exact arithmetic, with every identity decided by coefficient
+comparison.
 """
 
 from .algebra import (
@@ -61,10 +62,9 @@ from .matrices import (
     solution_matrix,
     twist_matrix,
 )
-from .rational import BivarPoly, Rational
+from .rational import BivarPoly
 from .reports import CheckResult, PropertyReport
 from .yangian import (
-    RationalMatrix,
     adjudicate_twisted_coproduct,
     antipode_series,
     check_augmented_relations,

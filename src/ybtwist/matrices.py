@@ -2,7 +2,8 @@
 
 Combinatorial (0/1, one entry per row and column) matrices are kept as
 position sets; anything that may leave that class falls back to a sparse
-dictionary of exact rational entries.  Tensor-leg embeddings are done by
+dictionary of exact entries: integers, ``Fraction``s, or ``BivarPoly``
+polynomials in the spectral parameters.  Tensor-leg embeddings are done by
 index arithmetic, never by materializing Kronecker factors.
 """
 
@@ -23,7 +24,12 @@ def _prune(entries: dict) -> dict:
 
 
 class ExactMatrix:
-    """Sparse square matrix with int/Fraction entries."""
+    """Sparse square matrix with exact entries: int, Fraction or BivarPoly.
+
+    Entries only need ring arithmetic with each other and with ``0``, and
+    ``v != 0`` for exactly the zero entries, so one kernel serves every
+    coefficient ring and mixes integer and polynomial matrices freely.
+    """
 
     __slots__ = ("dim", "entries")
 
@@ -176,6 +182,17 @@ def swap_legs(m: ExactMatrix, n: int) -> ExactMatrix:
         c1, c2 = divmod(col, n)
         out[(r2 * n + r1, c2 * n + c1)] = v
     return ExactMatrix(m.dim, out)
+
+
+def _first_entry_diff(a: ExactMatrix, b: ExactMatrix) -> dict | None:
+    """The first (row, col) where two matrices differ, with both entries, or None."""
+    if a == b:
+        return None
+    for key in sorted(set(a.entries) | set(b.entries)):
+        va, vb = a.entries.get(key, 0), b.entries.get(key, 0)
+        if va != vb:
+            return {"entry": key, "lhs": str(va), "rhs": str(vb)}
+    return None
 
 
 def _digits(x: int, n: int, k: int) -> tuple[int, ...]:
@@ -336,14 +353,8 @@ def check_matrix_ybe(mat) -> PropertyReport:
     lhs = r12 * r13 * r23
     rhs = r23 * r13 * r12
     report = PropertyReport("matrix_ybe")
-    if lhs == rhs:
-        report.add("ybe", True)
-    else:
-        diff = sorted(set(lhs.entries) | set(rhs.entries))
-        w = next(k for k in diff if lhs.entries.get(k, 0) != rhs.entries.get(k, 0))
-        report.add("ybe", False, witness={"entry": w,
-                                          "lhs": str(lhs.entries.get(w, 0)),
-                                          "rhs": str(rhs.entries.get(w, 0))})
+    w = _first_entry_diff(lhs, rhs)
+    report.add("ybe", w is None, witness=w)
     return report
 
 

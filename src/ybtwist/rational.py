@@ -1,16 +1,23 @@
-"""Exact bivariate polynomial fractions for the two spectral parameters.
+"""Exact bivariate polynomials in the two spectral parameters.
 
 Polynomials map (i, j) exponent pairs of the variables (written u and v in
-reprs) to Fraction coefficients.  Fractions of polynomials are kept
-gcd-reduced with the denominator scaled to a unit leading coefficient, so
-two equal values always have equal dictionaries and equality is syntactic.
+reprs) to exact coefficients: integers stay integers, and ``Fraction``s
+appear only where a caller supplies them.  Zero terms are never stored, so
+two equal polynomials always have equal dictionaries and equality is
+syntactic.  A polynomial combines with plain numbers, and compares equal
+to a number exactly when it is that constant (to ``0`` when it is zero), so
+the sparse ``ExactMatrix`` kernel carries polynomial entries unchanged.  The
+R, L, R^F and L^F operators of the RTT layer have known scalar poles;
+multiplied by them they become polynomial matrices, and no rational-function
+field is needed.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-Monomial = tuple[int, int]
+#: scalars a polynomial combines with, as constant polynomials
+_SCALARS = (int, Fraction)
 
 
 def _prune(terms: dict) -> dict:
@@ -18,16 +25,16 @@ def _prune(terms: dict) -> dict:
 
 
 class BivarPoly:
-    """Polynomial in two variables over the rationals."""
+    """Polynomial in two variables with exact (int or Fraction) coefficients."""
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: dict | None = None):
-        self.terms = _prune({k: Fraction(v) for k, v in (terms or {}).items()})
+        self.terms = _prune(terms or {})
 
     @classmethod
     def const(cls, v) -> BivarPoly:
-        return cls({(0, 0): Fraction(v)})
+        return cls({(0, 0): v})
 
     @classmethod
     def var(cls, index: int) -> BivarPoly:
@@ -45,22 +52,39 @@ class BivarPoly:
     def is_constant(self) -> bool:
         return all(k == (0, 0) for k in self.terms)
 
-    def __add__(self, other: BivarPoly) -> BivarPoly:
+    def __add__(self, other) -> BivarPoly:
+        if isinstance(other, _SCALARS):
+            other = BivarPoly.const(other)
+        elif not isinstance(other, BivarPoly):
+            return NotImplemented
         out = dict(self.terms)
         for k, v in other.terms.items():
             out[k] = out.get(k, 0) + v
         return BivarPoly(out)
 
-    def __sub__(self, other: BivarPoly) -> BivarPoly:
+    __radd__ = __add__
+
+    def __sub__(self, other) -> BivarPoly:
+        if isinstance(other, _SCALARS):
+            other = BivarPoly.const(other)
+        elif not isinstance(other, BivarPoly):
+            return NotImplemented
         out = dict(self.terms)
         for k, v in other.terms.items():
             out[k] = out.get(k, 0) - v
         return BivarPoly(out)
 
+    def __rsub__(self, other) -> BivarPoly:
+        return -self + other
+
     def __neg__(self) -> BivarPoly:
         return BivarPoly({k: -v for k, v in self.terms.items()})
 
-    def __mul__(self, other: BivarPoly) -> BivarPoly:
+    def __mul__(self, other) -> BivarPoly:
+        if isinstance(other, _SCALARS):
+            return self.scale(other)
+        if not isinstance(other, BivarPoly):
+            return NotImplemented
         out: dict = {}
         for (i1, j1), v1 in self.terms.items():
             for (i2, j2), v2 in other.terms.items():
@@ -68,18 +92,22 @@ class BivarPoly:
                 out[key] = out.get(key, 0) + v1 * v2
         return BivarPoly(out)
 
+    __rmul__ = __mul__
+
     def scale(self, c) -> BivarPoly:
         return BivarPoly({k: v * c for k, v in self.terms.items()})
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, BivarPoly) and self.terms == other.terms
+        if isinstance(other, BivarPoly):
+            return self.terms == other.terms
+        if isinstance(other, _SCALARS):
+            return self.terms == ({(0, 0): other} if other else {})
+        return NotImplemented
 
     def __hash__(self):
+        if self.is_constant:
+            return hash(self.terms.get((0, 0), 0))
         return hash(tuple(sorted(self.terms.items())))
-
-    def leading(self) -> tuple[Monomial, Fraction]:
-        key = max(self.terms)
-        return key, self.terms[key]
 
     def evaluate(self, x, y) -> Fraction:
         x, y = Fraction(x), Fraction(y)
@@ -93,259 +121,3 @@ class BivarPoly:
             mono = "".join(s for s, e in (("u", i), ("v", j)) for s in [f"{s}^{e}" if e > 1 else s] if e)
             bits.append(f"{v}{'*' + mono if mono else ''}")
         return " + ".join(bits)
-
-
-# Univariate helpers over Q: polynomials as {exp: Fraction} dicts.
-
-
-def _udeg(p: dict) -> int:
-    return max(p) if p else -1
-
-
-def _uprune(p: dict) -> dict:
-    return {e: c for e, c in p.items() if c != 0}
-
-
-def _uadd(p, q):
-    out = dict(p)
-    for e, c in q.items():
-        out[e] = out.get(e, 0) + c
-    return _uprune(out)
-
-
-def _uscale(p, c):
-    return {e: v * c for e, v in p.items()} if c != 0 else {}
-
-
-def _umul(p, q):
-    out: dict = {}
-    for e1, c1 in p.items():
-        for e2, c2 in q.items():
-            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-    return _uprune(out)
-
-
-def _udivmod(p, q):
-    if not q:
-        raise ZeroDivisionError("univariate division by zero")
-    rem = dict(p)
-    quo: dict = {}
-    dq, lq = _udeg(q), q[_udeg(q)]
-    while rem and _udeg(rem) >= dq:
-        d = _udeg(rem)
-        c = rem[d] / lq
-        quo[d - dq] = c
-        for e, v in q.items():
-            rem[e + d - dq] = rem.get(e + d - dq, 0) - c * v
-        rem = _uprune(rem)
-    return quo, rem
-
-
-def _ugcd(p, q):
-    p, q = _uprune(dict(p)), _uprune(dict(q))
-    while q:
-        _, r = _udivmod(p, q)
-        p, q = q, r
-    if not p:
-        return {}
-    return _uscale(p, 1 / p[_udeg(p)])  # monic
-
-
-# Bivariate gcd: view polynomials in the first variable with univariate
-# coefficients in the second, run a primitive pseudo-remainder sequence.
-
-
-def _to_ux(p: BivarPoly) -> dict:
-    out: dict = {}
-    for (i, j), v in p.terms.items():
-        out.setdefault(i, {})[j] = v
-    return out
-
-
-def _from_ux(ux: dict) -> BivarPoly:
-    return BivarPoly({(i, j): v for i, coeff in ux.items() for j, v in coeff.items()})
-
-
-def _ux_deg(ux: dict) -> int:
-    return max(ux) if ux else -1
-
-
-def _ux_prune(ux: dict) -> dict:
-    return {i: c for i, c in ((i, _uprune(c)) for i, c in ux.items()) if c}
-
-
-def _ux_content(ux: dict) -> dict:
-    g: dict = {}
-    for coeff in ux.values():
-        g = _ugcd(g, coeff)
-    return g
-
-
-def _ux_div_upoly(ux: dict, d: dict) -> dict:
-    out = {}
-    for i, coeff in ux.items():
-        q, r = _udivmod(coeff, d)
-        if r:
-            raise ArithmeticError("inexact content division")
-        out[i] = q
-    return _ux_prune(out)
-
-
-def _ux_primitive(ux: dict) -> dict:
-    ux = _ux_prune(ux)
-    if not ux:
-        return {}
-    return _ux_div_upoly(ux, _ux_content(ux))
-
-
-def _ux_scale_upoly(ux: dict, m: dict) -> dict:
-    return _ux_prune({i: _umul(coeff, m) for i, coeff in ux.items()})
-
-
-def _ux_sub(a: dict, b: dict) -> dict:
-    out = {i: dict(c) for i, c in a.items()}
-    for i, coeff in b.items():
-        out[i] = _uadd(out.get(i, {}), _uscale(coeff, -1))
-    return _ux_prune(out)
-
-
-def _ux_shift(ux: dict, k: int) -> dict:
-    return {i + k: c for i, c in ux.items()}
-
-
-def _prem(a: dict, b: dict) -> dict:
-    """Pseudo-remainder of a by b in the main variable."""
-    a = {i: dict(c) for i, c in a.items()}
-    db = _ux_deg(b)
-    lb = b[db]
-    while a and _ux_deg(a) >= db:
-        da = _ux_deg(a)
-        la = a[da]
-        a = _ux_sub(_ux_scale_upoly(a, lb), _ux_scale_upoly(_ux_shift(b, da - db), la))
-    return a
-
-
-def poly_gcd(p: BivarPoly, q: BivarPoly) -> BivarPoly:
-    """Monic gcd (leading coefficient 1 on the lexicographically top monomial)."""
-    if p.is_zero:
-        return _monic(q)
-    if q.is_zero:
-        return _monic(p)
-    a, b = _to_ux(p), _to_ux(q)
-    content_gcd = _ugcd(_ux_content(a), _ux_content(b))
-    a, b = _ux_primitive(a), _ux_primitive(b)
-    if _ux_deg(a) < _ux_deg(b):
-        a, b = b, a
-    while b:
-        r = _ux_primitive(_prem(a, b))
-        a, b = b, r
-    g = _ux_scale_upoly(a, content_gcd)
-    return _monic(_from_ux(g))
-
-
-def _monic(p: BivarPoly) -> BivarPoly:
-    if p.is_zero:
-        return p
-    _, lead = p.leading()
-    return p.scale(1 / lead)
-
-
-def poly_divexact(p: BivarPoly, d: BivarPoly) -> BivarPoly:
-    """Exact division; raises ArithmeticError if d does not divide p."""
-    if d.is_zero:
-        raise ZeroDivisionError("division by the zero polynomial")
-    if p.is_zero:
-        return BivarPoly()
-    a, b = _to_ux(p), _to_ux(d)
-    db = _ux_deg(b)
-    lb = b[db]
-    quo: dict = {}
-    while a:
-        da = _ux_deg(a)
-        if da < db:
-            raise ArithmeticError("inexact polynomial division")
-        qc, rem = _udivmod(a[da], lb)
-        if rem:
-            raise ArithmeticError("inexact polynomial division")
-        quo[da - db] = qc
-        a = _ux_sub(a, _ux_scale_upoly(_ux_shift(b, da - db), qc))
-    return _from_ux(quo)
-
-
-class Rational:
-    """Reduced fraction of two bivariate polynomials; equality is syntactic."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: BivarPoly, den: BivarPoly | None = None):
-        den = BivarPoly.const(1) if den is None else den
-        if den.is_zero:
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero:
-            self.num, self.den = BivarPoly(), BivarPoly.const(1)
-            return
-        g = poly_gcd(num, den)
-        num = poly_divexact(num, g)
-        den = poly_divexact(den, g)
-        _, lead = den.leading()
-        self.num = num.scale(1 / lead)
-        self.den = den.scale(1 / lead)
-
-    @classmethod
-    def const(cls, v) -> Rational:
-        return cls(BivarPoly.const(v))
-
-    @classmethod
-    def zero(cls) -> Rational:
-        return cls(BivarPoly())
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    def __add__(self, other: Rational) -> Rational:
-        return Rational(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other: Rational) -> Rational:
-        return Rational(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __neg__(self) -> Rational:
-        return Rational(-self.num, self.den)
-
-    def __mul__(self, other: Rational) -> Rational:
-        return Rational(self.num * other.num, self.den * other.den)
-
-    def __truediv__(self, other: Rational) -> Rational:
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero rational function")
-        return Rational(self.num * other.den, self.den * other.num)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Rational) and self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def evaluate(self, x, y) -> Fraction:
-        d = self.den.evaluate(x, y)
-        if d == 0:
-            raise ZeroDivisionError(f"pole at ({x}, {y})")
-        return self.num.evaluate(x, y) / d
-
-    def __repr__(self):
-        if self.den == BivarPoly.const(1):
-            return repr(self.num)
-        return f"({self.num!r})/({self.den!r})"
-
-
-#: Convenience values for the two spectral parameters.
-def lam1() -> Rational:
-    return Rational(BivarPoly.var(0))
-
-
-def lam2() -> Rational:
-    return Rational(BivarPoly.var(1))
-
-
-def rat(v) -> Rational:
-    return Rational.const(v)

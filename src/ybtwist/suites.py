@@ -17,7 +17,8 @@ from .errors import CheckFailed, LimitExceeded, ValidationFailure
 LEVELS = ("map", "matrix", "universal", "yangian")
 
 #: Universal and yangian levels are capped by default: tensor cubes over the
-#: n^2-dimensional algebra and rational-matrix products grow fast past order 4.
+#: n^2-dimensional algebra, and products of polynomial matrices on the n^3
+#: space, grow fast past order 4.
 UNIVERSAL_CEILING = 4
 YANGIAN_CEILING = 4
 SYMBOLIC_LEVEL = 3
@@ -165,7 +166,7 @@ def yangian_suite(brace: SkewBrace, ceiling: int = YANGIAN_CEILING) -> list[dict
     checks: list[dict] = []
     n = brace.n
     if n > ceiling:
-        _skip(checks, "yangian.all", "rational RTT checks and symbolic series",
+        _skip(checks, "yangian.all", "pole-cleared RTT checks and symbolic series",
               f"order {n} above yangian ceiling {ceiling}")
         return checks
     state: dict = {}
@@ -181,15 +182,17 @@ def yangian_suite(brace: SkewBrace, ceiling: int = YANGIAN_CEILING) -> list[dict
     _run(checks, "yangian.displayed_relations",
          "the four low-order exchange relations, evaluated explicitly",
          lambda: yangian.check_displayed_exchange_relations(n))
-    _run(checks, "yangian.unitarity", "R(l) P R(-l) P = (1 - (l1-l2)^{-2}) 1",
+    _run(checks, "yangian.unitarity",
+         "R(l) P R(-l) P = (1 - (l1-l2)^{-2}) 1, poles cleared: (1 - (l1-l2)^2) 1",
          lambda: yangian.unitarity_report(n))
-    _run(checks, "yangian.rtt", "R12 L1 L2 = L2 L1 R12 over the rational function field",
+    _run(checks, "yangian.rtt",
+         "R12 L1 L2 = L2 L1 R12 as polynomial matrices, each factor times its pole",
          lambda: yangian.check_rtt(n))
     _run(checks, "yangian.augmented_relations",
          "w_a L_{b,c} = L_{sigma_a(b),sigma_a(c)} w_a ; idempotent transport/annihilation",
          lambda: yangian.check_augmented_relations(ctx))
     _run(checks, "yangian.twisted_rtt",
-         "R^F = r + P/lambda = F^op R F^{-1} ; twisted RTT identity",
+         "R^F = r + P/lambda = F^op R F^{-1} ; twisted RTT identity, each factor times its pole",
          lambda: yangian.check_twisted_rtt(ctx))
     _run(checks, "yangian.coassociativity", "(Delta x id) Delta = (id x Delta) Delta, symbolic",
          lambda: yangian.coassociativity_report(n, SYMBOLIC_LEVEL))

@@ -2,9 +2,13 @@
 representation, the rational R-matrix, twisted R and L operators, and the
 symbolic coproduct/antipode series of the level generators.
 
-Matrix identities over the spectral parameters are decided in the field of
-bivariate rational functions (syntactic equality of reduced fractions);
-symbolic identities live in the free noncommutative algebra.
+R = 1 + P/(lambda1 - lambda2), L = 1 + P/(lambda - 1), R^F and L^F each have
+one known scalar pole.  Every operator is multiplied by its own pole, so an
+identity between products of them becomes an identity between
+integer-coefficient polynomial matrices (``ExactMatrix`` over ``BivarPoly``)
+with the same non-zero scalar on both sides, and is decided by exact
+coefficient comparison.  Symbolic identities live in the free noncommutative
+algebra.
 """
 
 from __future__ import annotations
@@ -13,163 +17,58 @@ from itertools import product as iproduct
 
 from .algebra import AlgebraContext
 from .errors import LimitExceeded
-from .matrices import ExactMatrix, _digits, _undigits, kron, solution_matrix, twist_matrix
+from .matrices import (ExactMatrix, _first_entry_diff, embed_legs, flip_matrix, kron,
+                       solution_matrix, swap_legs, twist_matrix)
 from .ncpoly import NCPoly, antipode_table, coproduct_gen, gen, tensor_coproduct
-from .rational import BivarPoly, Rational
+from .rational import BivarPoly
 from .reports import PropertyReport
 
 MAX_LEVEL = 4
 
 
-class RationalMatrix:
-    """Sparse square matrix over the bivariate rational-function field."""
-
-    __slots__ = ("dim", "entries")
-
-    def __init__(self, dim: int, entries: dict):
-        self.dim = dim
-        self.entries = {k: v for k, v in entries.items() if not v.is_zero}
-
-    @classmethod
-    def identity(cls, dim: int) -> RationalMatrix:
-        one = Rational.const(1)
-        return cls(dim, {(i, i): one for i in range(dim)})
-
-    @classmethod
-    def from_exact(cls, m: ExactMatrix) -> RationalMatrix:
-        return cls(m.dim, {k: Rational.const(v) for k, v in m.entries.items()})
-
-    def __add__(self, other: RationalMatrix) -> RationalMatrix:
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            out[k] = out[k] + v if k in out else v
-        return RationalMatrix(self.dim, out)
-
-    def __sub__(self, other: RationalMatrix) -> RationalMatrix:
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            out[k] = out[k] - v if k in out else -v
-        return RationalMatrix(self.dim, out)
-
-    def __mul__(self, other) -> RationalMatrix:
-        if not isinstance(other, RationalMatrix):
-            return NotImplemented
-        by_row: dict = {}
-        for (r, c), v in other.entries.items():
-            by_row.setdefault(r, []).append((c, v))
-        acc: dict = {}
-        for (r, k), va in self.entries.items():
-            for c, vb in by_row.get(k, ()):
-                key = (r, c)
-                prod = va * vb
-                acc[key] = acc[key] + prod if key in acc else prod
-        return RationalMatrix(self.dim, acc)
-
-    def scale(self, f: Rational) -> RationalMatrix:
-        return RationalMatrix(self.dim, {k: v * f for k, v in self.entries.items()})
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RationalMatrix)
-            and self.dim == other.dim
-            and self.entries == other.entries
-        )
-
-    def evaluate(self, x, y) -> ExactMatrix:
-        return ExactMatrix(self.dim, {k: v.evaluate(x, y) for k, v in self.entries.items()})
-
-    def __repr__(self):
-        return f"RationalMatrix(dim={self.dim}, nnz={len(self.entries)})"
+def _spacing() -> BivarPoly:
+    """lambda1 - lambda2, the pole of R and R^F."""
+    return BivarPoly.var(0) - BivarPoly.var(1)
 
 
-def _first_entry_diff(a: RationalMatrix, b: RationalMatrix):
-    for key in sorted(set(a.entries) | set(b.entries)):
-        va, vb = a.entries.get(key), b.entries.get(key)
-        if va != vb:
-            return {"entry": key, "lhs": repr(va), "rhs": repr(vb)}
-    return None
+def _flip(n: int) -> ExactMatrix:
+    """The flip P on the n^2 space, with constant-polynomial entries.
+
+    Every entry of a cleared operator is then a ``BivarPoly`` callers can evaluate.
+    """
+    return BivarPoly.const(1) * flip_matrix(n).to_exact()
 
 
-def _perm_rational(n: int, k: int, legs: tuple[int, int]) -> RationalMatrix:
-    """The flip of two legs inside a k-leg space, over the rational field."""
-    one = Rational.const(1)
-    i, j = legs
-    entries = {}
-    for col in iproduct(range(n), repeat=k):
-        row = list(col)
-        row[i], row[j] = row[j], row[i]
-        entries[(_undigits(row, n), _undigits(col, n))] = one
-    return RationalMatrix(n ** k, entries)
-
-
-def embed_rational(m: RationalMatrix, n: int, k: int, legs: tuple[int, ...]) -> RationalMatrix:
-    """Place a rational matrix on the given legs of a k-leg space (identity elsewhere)."""
-    r = len(legs)
-    others = [s for s in range(k) if s not in legs]
-    out: dict = {}
-    for (row, col), v in m.entries.items():
-        rd = _digits(row, n, r)
-        cd = _digits(col, n, r)
-        for fill in iproduct(range(n), repeat=len(others)):
-            fr = [0] * k
-            fc = [0] * k
-            for leg, d1, d2 in zip(legs, rd, cd):
-                fr[leg] = d1
-                fc[leg] = d2
-            for s, d in zip(others, fill):
-                fr[s] = d
-                fc[s] = d
-            out[(_undigits(fr, n), _undigits(fc, n))] = v
-    return RationalMatrix(n ** k, out)
-
-
-def swap_rational(m: RationalMatrix, n: int) -> RationalMatrix:
-    out = {}
-    for (row, col), v in m.entries.items():
-        r1, r2 = divmod(row, n)
-        c1, c2 = divmod(col, n)
-        out[(r2 * n + r1, c2 * n + c1)] = v
-    return RationalMatrix(m.dim, out)
+def _l_cleared(n: int, var: int, shift: int = 1) -> ExactMatrix:
+    """(lambda_var - shift) L = (lambda_var - shift) 1 + P on the (auxiliary, quantum) legs."""
+    return (BivarPoly.var(var) - shift) * ExactMatrix.identity(n * n) + _flip(n)
 
 
 # ------------------------------------------------------------ the R-matrix
 
 
-def yangian_r(n: int) -> RationalMatrix:
-    """R(lambda1, lambda2) = 1 + P / (lambda1 - lambda2) on the n^2 space."""
+def yangian_r(n: int) -> ExactMatrix:
+    """(lambda1 - lambda2) R = (lambda1 - lambda2) 1 + P on the n^2 space.
+
+    R(lambda1, lambda2) = 1 + P / (lambda1 - lambda2), carrying its pole as a factor.
+    """
     if n < 1:
         raise LimitExceeded("n must be at least 1")
-    u = Rational(BivarPoly.var(0) - BivarPoly.var(1))
-    inv_u = Rational.const(1) / u
-    entries = {(i, i): Rational.const(1) for i in range(n * n)}
-    for a in range(n):
-        for b in range(n):
-            key = (a * n + b, b * n + a)
-            entries[key] = entries[key] + inv_u if key in entries else inv_u
-    return RationalMatrix(n * n, entries)
+    return _spacing() * ExactMatrix.identity(n * n) + _flip(n)
 
 
 def unitarity_report(n: int) -> PropertyReport:
-    """R(lambda) P R(-lambda) P = (1 - (lambda1 - lambda2)^{-2}) . 1, exactly."""
-    r = yangian_r(n)
-    swapped = swap_rational(_swap_variables(r), n)
-    u = Rational(BivarPoly.var(0) - BivarPoly.var(1))
-    factor = Rational.const(1) - Rational.const(1) / (u * u)
-    expected = RationalMatrix.identity(n * n).scale(factor)
+    """R(lambda) P R(-lambda) P = (1 - (lambda1 - lambda2)^{-2}) . 1, exactly.
+
+    With the poles cleared, u = lambda1 - lambda2: (u 1 + P) P (-u 1 + P) P = (1 - u^2) . 1.
+    """
+    u = _spacing()
+    lhs = yangian_r(n) * swap_legs(-u * ExactMatrix.identity(n * n) + _flip(n), n)
+    expected = (1 - u * u) * ExactMatrix.identity(n * n)
     report = PropertyReport("unitarity")
-    lhs = r * swapped
-    report.add("unitarity", lhs == expected, witness=_first_entry_diff(lhs, expected))
+    w = _first_entry_diff(lhs, expected)
+    report.add("unitarity", w is None, witness=w)
     return report
-
-
-def _swap_variables(m: RationalMatrix) -> RationalMatrix:
-    def swap_poly(p: BivarPoly) -> BivarPoly:
-        return BivarPoly({(j, i): v for (i, j), v in p.terms.items()})
-
-    return RationalMatrix(
-        m.dim,
-        {k: Rational(swap_poly(v.num), swap_poly(v.den)) for k, v in m.entries.items()},
-    )
 
 
 # ------------------------------------------- defining relations, evaluation rep
@@ -262,27 +161,23 @@ def check_displayed_exchange_relations(n: int) -> PropertyReport:
 # --------------------------------------------------------------- RTT identity
 
 
-def _l_matrix(n: int, leg: int, var: int, shift: int = 1) -> RationalMatrix:
-    """Evaluation image of L on (leg, quantum): 1 + P_{leg,2} / (lambda_var - shift)."""
-    pole = Rational(BivarPoly.var(var) - BivarPoly.const(shift))
-    p = _perm_rational(n, 3, (leg, 2))
-    return RationalMatrix.identity(n ** 3) + p.scale(Rational.const(1) / pole)
-
-
 def check_rtt(n: int, corrupt_shift: int | None = None) -> PropertyReport:
-    """R12(l1,l2) L1(l1) L2(l2) = L2(l2) L1(l1) R12(l1,l2) as rational matrices.
+    """R12(l1,l2) L1(l1) L2(l2) = L2(l2) L1(l1) R12(l1,l2), poles cleared.
 
     The third leg is the quantum space in its evaluation image, so both
-    sides are matrices on the n^3 space.  ``corrupt_shift`` replaces the
-    pole of the first L leg (negative control).
+    sides are matrices on the n^3 space.  Every factor carries its pole, so
+    both sides are the rational identity times (l1 - l2)(l1 - 1)(l2 - 1).
+    ``corrupt_shift`` replaces the pole of the first L leg (negative control).
     """
-    r12 = embed_rational(yangian_r(n), n, 3, (0, 1))
-    l1 = _l_matrix(n, 0, 0, corrupt_shift if corrupt_shift is not None else 1)
-    l2 = _l_matrix(n, 1, 1)
+    r12 = embed_legs(yangian_r(n), n, 3, (0, 1))
+    l1 = embed_legs(_l_cleared(n, 0, corrupt_shift if corrupt_shift is not None else 1),
+                    n, 3, (0, 2))
+    l2 = embed_legs(_l_cleared(n, 1), n, 3, (1, 2))
     lhs = r12 * l1 * l2
     rhs = l2 * l1 * r12
     report = PropertyReport("rtt")
-    report.add("rtt", lhs == rhs, witness=_first_entry_diff(lhs, rhs))
+    w = _first_entry_diff(lhs, rhs)
+    report.add("rtt", w is None, witness=w)
     return report
 
 
@@ -348,24 +243,24 @@ def check_augmented_relations(ctx: AlgebraContext, pmax: int = MAX_LEVEL) -> Pro
 # ------------------------------------------------------------ twisted objects
 
 
-def twisted_r_lambda(ctx: AlgebraContext) -> RationalMatrix:
-    """R^F(lambda) = r + P / (lambda1 - lambda2) with r the combinatorial solution."""
+def twisted_r_lambda(ctx: AlgebraContext) -> ExactMatrix:
+    """(lambda1 - lambda2) R^F = (lambda1 - lambda2) r + P, r the combinatorial solution.
+
+    R^F(lambda) = r + P / (lambda1 - lambda2), carrying its pole as a factor.
+    """
     n = ctx.n
-    r = RationalMatrix.from_exact(solution_matrix(ctx).to_exact())
-    u = Rational(BivarPoly.var(0) - BivarPoly.var(1))
-    p = _perm_rational(n, 2, (0, 1))
-    return r + p.scale(Rational.const(1) / u)
+    return _spacing() * solution_matrix(ctx).to_exact() + _flip(n)
 
 
-def twisted_l(ctx: AlgebraContext, var: int = 0, shift: int = 1) -> RationalMatrix:
-    """L^F(lambda) = F^op L(lambda) F^{-1} on the (auxiliary, quantum) pair of legs."""
+def twisted_l(ctx: AlgebraContext, var: int = 0, shift: int = 1) -> ExactMatrix:
+    """(lambda - shift) L^F = F^op ((lambda - shift) 1 + P) F^{-1} on (auxiliary, quantum).
+
+    L^F(lambda) = F^op L(lambda) F^{-1}, carrying the pole of L as a factor;
+    ``var`` names the spectral parameter lambda.
+    """
     n = ctx.n
-    f = RationalMatrix.from_exact(twist_matrix(ctx).to_exact())
-    f_op = swap_rational(f, n)
-    f_inv = RationalMatrix.from_exact(_twist_inv_matrix(ctx))
-    pole = Rational(BivarPoly.var(var) - BivarPoly.const(shift))
-    l = RationalMatrix.identity(n * n) + _perm_rational(n, 2, (0, 1)).scale(Rational.const(1) / pole)
-    return f_op * l * f_inv
+    f_op = swap_legs(twist_matrix(ctx).to_exact(), n)
+    return f_op * _l_cleared(n, var, shift) * _twist_inv_matrix(ctx)
 
 
 def _twist_inv_matrix(ctx: AlgebraContext) -> ExactMatrix:
@@ -377,31 +272,29 @@ def _twist_inv_matrix(ctx: AlgebraContext) -> ExactMatrix:
 
 
 def check_twisted_rtt(ctx: AlgebraContext) -> PropertyReport:
-    """The twisted RTT identity, plus the conjugation form of R^F(lambda).
+    """The twisted RTT identity, plus the conjugation form of R^F(lambda), poles cleared.
 
     Checks, on the n^3 space with the quantum leg in its evaluation image:
-      (a) R^F(lambda) = F^op R(lambda) F^{-1}  (two-leg identity);
-      (b) R^F_12(l1 - l2) L^F_1(l1) L^F_2(l2) = L^F_2(l2) L^F_1(l1) R^F_12(l1 - l2).
+      (a) R^F(lambda) = F^op R(lambda) F^{-1}  (two-leg identity, times l1 - l2);
+      (b) R^F_12(l1 - l2) L^F_1(l1) L^F_2(l2) = L^F_2(l2) L^F_1(l1) R^F_12(l1 - l2)
+          (times (l1 - l2)(l1 - 1)(l2 - 1)).
     """
     n = ctx.n
     report = PropertyReport("twisted_rtt")
 
     rf = twisted_r_lambda(ctx)
-    f = RationalMatrix.from_exact(twist_matrix(ctx).to_exact())
-    f_op = swap_rational(f, n)
-    f_inv = RationalMatrix.from_exact(_twist_inv_matrix(ctx))
-    conj = f_op * yangian_r(n) * f_inv
-    report.add("conjugation_form", rf == conj, witness=_first_entry_diff(rf, conj))
+    f_op = swap_legs(twist_matrix(ctx).to_exact(), n)
+    conj = f_op * yangian_r(n) * _twist_inv_matrix(ctx)
+    w = _first_entry_diff(rf, conj)
+    report.add("conjugation_form", w is None, witness=w)
 
-    rf12 = embed_rational(rf, n, 3, (0, 1))
-    f02, f12 = (embed_rational(f, n, 3, legs) for legs in ((0, 2), (1, 2)))
-    fop02, fop12 = (embed_rational(f_op, n, 3, legs) for legs in ((0, 2), (1, 2)))
-    finv02, finv12 = (embed_rational(f_inv, n, 3, legs) for legs in ((0, 2), (1, 2)))
-    lf1 = fop02 * _l_matrix(n, 0, 0) * finv02
-    lf2 = fop12 * _l_matrix(n, 1, 1) * finv12
+    rf12 = embed_legs(rf, n, 3, (0, 1))
+    lf1 = embed_legs(twisted_l(ctx, 0), n, 3, (0, 2))
+    lf2 = embed_legs(twisted_l(ctx, 1), n, 3, (1, 2))
     lhs = rf12 * lf1 * lf2
     rhs = lf2 * lf1 * rf12
-    report.add("twisted_rtt", lhs == rhs, witness=_first_entry_diff(lhs, rhs))
+    w = _first_entry_diff(lhs, rhs)
+    report.add("twisted_rtt", w is None, witness=w)
     return report
 
 
@@ -422,15 +315,13 @@ def coproduct_table(n: int, max_level: int = 3) -> dict:
 
 def coassociativity_report(n: int, max_level: int = 3) -> PropertyReport:
     """(Delta (x) id) Delta = (id (x) Delta) Delta on every generator, symbolically."""
+    def fails(m, a, b):
+        d = coproduct_gen(m, a, b, n)
+        return tensor_coproduct(d, 0, n) != tensor_coproduct(d, 1, n)
+
     report = PropertyReport("coassociativity")
-    w = None
-    for m in range(1, max_level + 1):
-        for a in range(n):
-            for b in range(n):
-                d = coproduct_gen(m, a, b, n)
-                if tensor_coproduct(d, 0, n) != tensor_coproduct(d, 1, n):
-                    w = (m, a, b)
-                    break
+    w = next((key for key in iproduct(range(1, max_level + 1), range(n), range(n))
+              if fails(*key)), None)
     report.add("coassociativity", w is None, witness=w, detail={"max_level": max_level})
     return report
 

@@ -103,7 +103,7 @@ def test_criterion_5_yangian_layer(braces_up_to_4, z4_radical_ctx):
     for n in (2, 3, 4):
         rep = check_defining_relations(n, 4, 4)
         ok &= rep.ok and rep.checks[0].detail["violations"] == 0
-    # (b) RTT as an exact rational-function identity
+    # (b) RTT as an exact polynomial-matrix identity, every factor times its pole
     for n in (2, 3, 4):
         ok &= check_rtt(n).ok
     # (c) twisted RTT for every brace of order <= 4

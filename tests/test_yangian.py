@@ -1,15 +1,16 @@
-"""RTT identities, the rational R-matrix, and the symbolic coproduct/antipode layer."""
+"""RTT identities as pole-cleared polynomial matrices, and the symbolic
+coproduct/antipode layer."""
 
 from __future__ import annotations
 
 import pytest
 
 import ybtwist as yb
-from ybtwist.matrices import ExactMatrix
+from ybtwist import yangian
+from ybtwist.matrices import ExactMatrix, flip_matrix
 from ybtwist.ncpoly import NCPoly, gen, tensor2
-from ybtwist.rational import BivarPoly, Rational
+from ybtwist.rational import BivarPoly
 from ybtwist.yangian import (
-    RationalMatrix,
     adjudicate_twisted_coproduct,
     antipode_series,
     check_augmented_relations,
@@ -26,20 +27,28 @@ from ybtwist.yangian import (
 )
 
 
+U = BivarPoly.var(0) - BivarPoly.var(1)
+
+
 def test_yang_r_at_unit_spacing():
-    # with lambda1 - lambda2 = 1 the 4x4 matrix is 1 + P
-    r = yangian_r(2).evaluate(2, 1)
+    # with lambda1 - lambda2 = 1 the cleared 4x4 matrix (l1 - l2) R is 1 + P
+    r = yangian_r(2)
+    at = ExactMatrix(4, {k: v.evaluate(2, 1) for k, v in r.entries.items()})
     expected = ExactMatrix(4, {(0, 0): 2, (1, 1): 1, (1, 2): 1,
                                (2, 1): 1, (2, 2): 1, (3, 3): 2})
-    assert r == expected
+    assert at == expected
 
 
 def test_yang_r_constant_term_is_identity():
+    # (l1 - l2) R = (l1 - l2) 1 + P: the (l1 - l2) coefficient is the identity
+    # and the constant term is the flip
     n = 3
-    u = Rational(BivarPoly.var(0) - BivarPoly.var(1))
-    p = RationalMatrix(9, {(a * n + b, b * n + a): Rational.const(1)
-                           for a in range(n) for b in range(n)})
-    assert yangian_r(n) == RationalMatrix.identity(9) + p.scale(Rational.const(1) / u)
+    p = ExactMatrix(9, {(a * n + b, b * n + a): 1 for a in range(n) for b in range(n)})
+    r = yangian_r(n)
+    assert r == U * ExactMatrix.identity(9) + p
+    assert ExactMatrix(9, {k: v.terms.get((1, 0), 0) for k, v in r.entries.items()}) \
+        == ExactMatrix.identity(9)
+    assert ExactMatrix(9, {k: v.terms.get((0, 0), 0) for k, v in r.entries.items()}) == p
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -72,9 +81,11 @@ def test_rtt_exact(n):
 
 
 def test_rtt_negative_control():
-    report = check_rtt(2, corrupt_shift=2)
-    assert not report.ok
-    assert report.checks[0].witness is not None
+    for n in (2, 3, 4):
+        report = check_rtt(n, corrupt_shift=2)
+        assert not report.ok
+        witness = report.checks[0].witness
+        assert witness is not None and witness["lhs"] != witness["rhs"]
 
 
 def test_augmented_relations(trivial2_ctx, z4_radical_ctx):
@@ -103,14 +114,10 @@ def test_twisted_r_is_conjugated_r(trivial2_ctx, z4_radical_ctx):
 
 def test_twisted_r_trivial_reduces_to_untwisted(trivial2_ctx):
     assert twisted_r_lambda(trivial2_ctx) == yangian_r(2)
-    # L^F = L when the twist is the identity
+    # L^F = L when the twist is the identity: (l1 - 1) L = (l1 - 1) 1 + P
     n = trivial2_ctx.n
-    pole = Rational(BivarPoly.var(0) - BivarPoly.const(1))
-    from ybtwist.yangian import _perm_rational
-
-    l_plain = RationalMatrix.identity(n * n) + _perm_rational(n, 2, (0, 1)).scale(
-        Rational.const(1) / pole
-    )
+    pole = BivarPoly.var(0) - 1
+    l_plain = pole * ExactMatrix.identity(n * n) + flip_matrix(n).to_exact()
     assert twisted_l(trivial2_ctx) == l_plain
 
 
@@ -148,6 +155,14 @@ def test_coproduct_displays():
 def test_coassociativity_symbolic():
     assert coassociativity_report(2, 3).ok
     assert coassociativity_report(3, 2).ok
+
+
+def test_coassociativity_witness_is_first(monkeypatch):
+    # a coproduct that fails on every generator must report the first one
+    monkeypatch.setattr(yangian, "tensor_coproduct", lambda d, slot, n: slot)
+    report = coassociativity_report(2, 3)
+    assert not report.ok
+    assert report.checks[0].witness == (1, 0, 0)
 
 
 def test_antipode_displays():
