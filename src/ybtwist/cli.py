@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 
 from . import jsonio, suites
 from .algebra import AlgebraContext
@@ -20,12 +21,10 @@ from .matrices import solution_matrix
 
 
 def _emit(obj, out_path: str | None) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    # streamed chunk by chunk, so a large report is never held as one string
+    with open(out_path, "w", encoding="utf-8") if out_path else nullcontext(sys.stdout) as fh:
+        json.dump(obj, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def _load_json(path: str):
@@ -42,7 +41,10 @@ def _ceilings(args) -> dict:
         cfg = _load_json(args.config)
         if not isinstance(cfg, dict):
             raise ValidationFailure("parse", args.config, "config must be a JSON object")
-        ceilings.update({k: int(v) for k, v in cfg.items()})
+        for key, value in cfg.items():
+            if type(value) is not int:
+                raise ValidationFailure("parse", key, f"config value for {key!r} must be an integer")
+        ceilings.update(cfg)
     return ceilings
 
 

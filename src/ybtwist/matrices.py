@@ -362,114 +362,87 @@ def check_matrix_ybe(mat) -> PropertyReport:
 
 
 def nfold_twist_matrix(ctx: AlgebraContext, k: int) -> tuple[ZOMatrix, PropertyReport]:
-    """Representation-level k-fold twist with the same recursion/closed-form/exchange checks.
+    """Representation-level k-fold twist, k = 3 or 4, with recursion/closed-form/exchange checks.
 
-    All factors are permutation matrices, so products are mapping compositions
-    and the check scales to order 6 at k = 4.
+    Every factor, including the leg swaps and the embedded R-matrix, is a
+    permutation kept as a column -> row list on the n^k basis, so products are
+    mapping compositions and the check scales to order 6 at k = 4.
     """
-    if not 2 <= k <= 4:
+    if k not in (3, 4):
         raise LimitExceeded(f"leg count {k} unsupported (k must be 3 or 4)")
     n = ctx.n
-    if n ** k > 4096:
-        raise LimitExceeded(f"n^{k} = {n ** k} exceeds the matrix-level guard")
+    size = n ** k
+    if size > 4096:
+        raise LimitExceeded(f"n^{k} = {size} exceeds the matrix-level guard")
+    sigma_inv = ctx.sigma_inv
     report = PropertyReport(f"matrix_nfold_twist_k{k}")
 
-    def w_inv_mapping(g: int) -> list[int]:
-        # rho(w_g^{-1}) maps e_c -> e_{sigma_g^{-1}(c)}
-        return list(ctx.sigma_inv[g])
-
-    def twist_mat(j: int) -> ZOMatrix:
-        # the j-fold twist F_{1..j} from its closed form, as a permutation
-        col_to_row = [0] * (n ** j)
+    def twist_map(j: int) -> list[int]:
+        # F_{1..j} from its closed form: column digits (c_1, .., c_j) map to row
+        # digits (c_1, sigma_{p_1}^{-1}(c_2), .., sigma_{p_{j-1}}^{-1}(c_j)) with
+        # p_i = r_1 o .. o r_i the running circle product of the row digits
+        out = []
         for cols in iproduct(range(n), repeat=j):
-            rows = [cols[0]]
-            prefix = cols[0]
+            row = prefix = cols[0]
             for c in cols[1:-1]:
-                rows.append(ctx.sigma_inv[prefix][c])
-                prefix = ctx.circle[prefix][rows[-1]]
-            rows.append(ctx.sigma_inv[prefix][cols[-1]])
-            col_to_row[_undigits(cols, n)] = _undigits(rows, n)
-        return ZOMatrix.from_mapping(col_to_row)
+                r = sigma_inv[prefix][c]
+                row = row * n + r
+                prefix = ctx.circle[prefix][r]
+            out.append(row * n + sigma_inv[prefix][cols[-1]])
+        return out
 
-    # Closed form: row digits (a_1, .., a_{k-1}, b), column digits
-    # (a_1, sigma_{p_1}(a_2), .., sigma_{p_{k-2}}(a_{k-1}), sigma_{p_{k-1}}(b))
-    # with p_j the running circle product a_1 o .. o a_j.  As a mapping we
-    # invert: given column digits, recover rows with sigma_inv.
-    closed = twist_mat(k)
+    def tail_piece() -> list[int]:
+        # F_{1..k-1,k}: idempotents on the first k-1 legs,
+        # rho(w_{(b_1 + .. + b_{k-1})^{-1}}) on the last
+        out = []
+        for h, heads in enumerate(iproduct(range(n), repeat=k - 1)):
+            total = 0
+            for b in heads:
+                total = ctx.add[total][b]
+            out.extend(h * n + d for d in sigma_inv[total])
+        return out
 
-    # Recursion check: F_{2..k} F_{1,2..k} = F_{1..k-1} F_{1..k-1,k}
-    prev = twist_mat(k - 1)
-    left_head = _perm_embed_tail(prev, n, k)      # F_{1..k-1} (x) 1
-    right_head = _perm_embed_head(prev, n, k)     # 1 (x) F_{2..k}
+    def one_slot() -> list[int]:
+        # F_{1,2..k}: e_{a,a} (x) rho(w_{a^{-1}})^{(x)(k-1)}
+        out = []
+        for a in range(n):
+            rest = [0]
+            for _ in range(k - 1):
+                rest = [r * n + d for r in rest for d in sigma_inv[a]]
+            out.extend(a * head + r for r in rest)
+        return out
 
-    tail_piece = _coproduct_image_matrix(ctx, k)  # F_{1..k-1,k}
-    one_slot = _one_slot_matrix(ctx, k)           # F_{1,2..k}
-    lhs = compose(left_head, tail_piece)
-    rhs = compose(right_head, one_slot)
+    def compose_maps(a: list[int], b: list[int]) -> list[int]:
+        return [a[b[c]] for c in range(size)]
+
+    # Recursion check: F_{2..k} F_{1,2..k} = F_{1..k-1} F_{1..k-1,k}.  Factors
+    # are built as call arguments, so each is freed once its product exists.
+    prev = twist_map(k - 1)
+    head = n ** (k - 1)
+    lhs = compose_maps([prev[c // n] * n + c % n for c in range(size)],      # F_{1..k-1} (x) 1
+                       tail_piece())
+    rhs = compose_maps([c - c % head + prev[c % head] for c in range(size)],  # 1 (x) F_{2..k}
+                       one_slot())
     report.add("recursion", lhs == rhs)
-    report.add("closed_form", lhs == closed)
+    report.add("closed_form", lhs == twist_map(k))
 
-    rf = solution_matrix(ctx).to_exact()
-    full = lhs.to_exact()
+    # P_{j,j+1} F P_{j,j+1} = R_{j,j+1} F.  R is a permutation once
+    # derive_sigma_tau has succeeded (x = sigma_a(b) and sigma_x(y) = a recover
+    # (a, b)), so as_mapping() cannot raise here.
+    flip = flip_matrix(n).as_mapping()
+    r = solution_matrix(ctx).as_mapping()
     for j in range(k - 1):
-        swapped = _swap_leg_pair(full, n, k, j)
-        rhs_x = embed_legs(rf, n, k, (j, j + 1)) * full
-        report.add(f"exchange_law_legs_{j + 1}_{j + 2}", swapped == rhs_x)
-    return lhs, report
+        low = n ** (k - 2 - j)  # weight of the digit of leg j + 2
+        swap, emb = _on_leg_pair(flip, n, size, low), _on_leg_pair(r, n, size, low)
+        ok = all(swap[lhs[swap[c]]] == emb[lhs[c]] for c in range(size))
+        report.add(f"exchange_law_legs_{j + 1}_{j + 2}", ok)
+    return ZOMatrix.from_mapping(lhs), report
 
 
-def _perm_embed_tail(m: ZOMatrix, n: int, k: int) -> ZOMatrix:
-    # m on the first k-1 legs, identity on the last
-    base = m.as_mapping()
-    col_to_row = [0] * (n ** k)
-    for c in range(len(base)):
-        for d in range(n):
-            col_to_row[c * n + d] = base[c] * n + d
-    return ZOMatrix.from_mapping(col_to_row)
+def _on_leg_pair(pair_map: list[int], n: int, size: int, low: int) -> list[int]:
+    """A two-leg mapping on the adjacent legs whose lower digit has weight ``low``.
 
-
-def _perm_embed_head(m: ZOMatrix, n: int, k: int) -> ZOMatrix:
-    # identity on the first leg, m on the remaining k-1
-    base = m.as_mapping()
-    size = len(base)
-    col_to_row = [0] * (n ** k)
-    for d in range(n):
-        for c in range(size):
-            col_to_row[d * size + c] = d * size + base[c]
-    return ZOMatrix.from_mapping(col_to_row)
-
-
-def _one_slot_matrix(ctx: AlgebraContext, k: int) -> ZOMatrix:
-    # sum_a e_{a,a} (x) rho(w_{a^{-1}})^{(x)(k-1)}
-    n = ctx.n
-    col_to_row = [0] * (n ** k)
-    for cols in iproduct(range(n), repeat=k):
-        a = cols[0]
-        rows = [a] + [ctx.sigma_inv[a][c] for c in cols[1:]]
-        col_to_row[_undigits(cols, n)] = _undigits(rows, n)
-    return ZOMatrix.from_mapping(col_to_row)
-
-
-def _coproduct_image_matrix(ctx: AlgebraContext, k: int) -> ZOMatrix:
-    # (Delta^{(k-2)} (x) id) of the twist: diagonal idempotents on the first
-    # k-1 legs, rho(w_{(b_1 + .. + b_{k-1})^{-1}}) on the last
-    n = ctx.n
-    col_to_row = [0] * (n ** k)
-    for cols in iproduct(range(n), repeat=k):
-        total = 0
-        for b in cols[:-1]:
-            total = ctx.add[total][b]
-        rows = list(cols[:-1]) + [ctx.sigma_inv[total][cols[-1]]]
-        col_to_row[_undigits(cols, n)] = _undigits(rows, n)
-    return ZOMatrix.from_mapping(col_to_row)
-
-
-def _swap_leg_pair(m: ExactMatrix, n: int, k: int, j: int) -> ExactMatrix:
-    out = {}
-    for (row, col), v in m.entries.items():
-        rd = list(_digits(row, n, k))
-        cd = list(_digits(col, n, k))
-        rd[j], rd[j + 1] = rd[j + 1], rd[j]
-        cd[j], cd[j + 1] = cd[j + 1], cd[j]
-        out[(_undigits(rd, n), _undigits(cd, n))] = v
-    return ExactMatrix(m.dim, out)
+    The other legs carry the identity.
+    """
+    block = n * n * low
+    return [c - c % block + pair_map[c % block // low] * low + c % low for c in range(size)]

@@ -48,6 +48,27 @@ def test_enumerate_ceiling_and_config(tmp_path, capsys):
     assert main(["enumerate", "--order", "4", "--config", cfg]) == 2
 
 
+def test_config_values_must_be_integers(tmp_path, capsys):
+    for value in ("abc", [5], True, 5.0):
+        cfg = write_json(tmp_path / "cfg.json", {"enumeration": value})
+        assert main(["enumerate", "--order", "3", "--config", cfg]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "parse" and err["witness"] == "enumeration"
+    cfg = write_json(tmp_path / "cfg.json", {"enumeration": 5})
+    assert main(["enumerate", "--order", "5", "--config", cfg]) == 0
+
+
+def test_report_bytes_are_sorted_indented_json(z4_radical_file, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["verify", z4_radical_file, "--level", "matrix", "--out", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+    capsys.readouterr()
+    assert main(["verify", z4_radical_file, "--level", "map"]) == 0
+    text = capsys.readouterr().out
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
 def test_verify_trivial_all_green(trivial2_file, tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["verify", trivial2_file, "--level", "all", "--out", str(out)]) == 0

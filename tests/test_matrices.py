@@ -2,17 +2,23 @@
 
 from __future__ import annotations
 
+import pytest
+
 import ybtwist as yb
+from ybtwist import jsonio, matrices
+from ybtwist.algebra import slot_coproduct
 from ybtwist.matrices import (
     ExactMatrix,
     ZOMatrix,
     compose,
+    embed_legs,
     flip_matrix,
     nfold_twist_matrix,
     rho_basis_entry,
     rho_tensor,
     swap_legs,
 )
+from ybtwist.suites import matrix_suite
 
 
 def test_rho_generators(trivial2_ctx, z4_radical_ctx):
@@ -194,6 +200,64 @@ def test_nfold_matrix_agrees_with_universal(z4_radical_ctx):
         assert mat.to_exact() == rho_tensor(z4_radical_ctx, universal)
 
 
+def test_nfold_twist_matrix_leg_count_guard(trivial2_ctx, z4_radical_ctx):
+    # the recursion multiplies against F_{1..k-1}, which needs k - 1 >= 2 legs
+    for ctx in (trivial2_ctx, z4_radical_ctx):
+        for k in (2, 5):
+            with pytest.raises(yb.LimitExceeded):
+                nfold_twist_matrix(ctx, k)
+
+
+def _oracle_twist(ctx, k: int) -> ExactMatrix:
+    # F_{1..j} = (F_{1..j-1} (x) 1) . rho((Delta^{(j-2)} (x) id) F), with dict-backed
+    # ExactMatrix products and embed_legs, not mapping compositions
+    f = rho_tensor(ctx, ctx.twist)
+    tail = ctx.twist
+    for j in range(3, k + 1):
+        tail = slot_coproduct(tail, 0)
+        f = embed_legs(f, ctx.n, j, tuple(range(j - 1))) * rho_tensor(ctx, tail)
+    return f
+
+
+def test_nfold_twist_matrix_exchange_law_oracle(braces_up_to_4, z6_brace):
+    subjects = [b for bs in braces_up_to_4.values() for b in bs] + [z6_brace]
+    for b in subjects:
+        ctx = yb.algebra_from_brace(b)
+        n = ctx.n
+        p = flip_matrix(n).to_exact()
+        r = yb.solution_matrix(ctx).to_exact()
+        for k in (3, 4):
+            mat, report = nfold_twist_matrix(ctx, k)
+            f = _oracle_twist(ctx, k)
+            assert mat.to_exact() == f
+            exchange = [f"exchange_law_legs_{j + 1}_{j + 2}" for j in range(k - 1)]
+            assert [c.name for c in report.checks] == ["recursion", "closed_form", *exchange]
+            assert report.check("recursion").passed and report.check("closed_form").passed
+            for j in range(k - 1):
+                pj = embed_legs(p, n, k, (j, j + 1))
+                rj = embed_legs(r, n, k, (j, j + 1))
+                assert report.check(exchange[j]).passed == (pj * f * pj == rj * f)
+
+
+def test_nfold_twist_matrix_exchange_law_negative_control(z4_radical_ctx, monkeypatch):
+    # with R replaced by the flip, P F P = P F would need F to commute with P
+    monkeypatch.setattr(matrices, "solution_matrix", lambda ctx: flip_matrix(ctx.n))
+    for k in (3, 4):
+        _, report = nfold_twist_matrix(z4_radical_ctx, k)
+        assert report.check("recursion").passed and report.check("closed_form").passed
+        exchange = [c for c in report.checks if c.name.startswith("exchange_law_legs_")]
+        assert len(exchange) == k - 1
+        assert not any(c.passed for c in exchange)
+
+
+def test_matrix_suite_order6_braces_all_pass():
+    found = yb.enumerate_braces(6, skew=False)
+    assert len(found) == 120
+    for b in found:
+        failed = [c["name"] for c in matrix_suite(b) if c["status"] != "pass"]
+        assert not failed, (jsonio.brace_digest(b), failed)
+
+
 def test_swap_legs_is_flip_conjugation():
     m = ExactMatrix(4, {(0, 1): 2, (3, 2): 5})
     p = flip_matrix(2).to_exact()
@@ -201,8 +265,6 @@ def test_swap_legs_is_flip_conjugation():
 
 
 def test_zomatrix_json_round_trip(z4_radical_ctx):
-    from ybtwist import jsonio
-
     sm = yb.solution_matrix(z4_radical_ctx)
     obj = jsonio.encode_zomatrix(sm)
     assert jsonio.decode_zomatrix(obj) == sm
@@ -210,8 +272,6 @@ def test_zomatrix_json_round_trip(z4_radical_ctx):
 
 def test_exact_matrix_json_rows():
     from fractions import Fraction
-
-    from ybtwist import jsonio
 
     m = ExactMatrix(2, {(0, 0): Fraction(1, 2), (1, 0): -3})
     obj = jsonio.encode_exact_matrix(m)
