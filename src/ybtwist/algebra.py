@@ -17,14 +17,11 @@ from itertools import product as iproduct
 
 from .braces import SkewBrace, derive_sigma_tau
 from .errors import CheckFailed, LimitExceeded, ValidationFailure
+from .rational import _prune
 from .reports import PropertyReport
 
 #: (n^2)^k coefficients is the hard cap for tensor constructions.
 MAX_TENSOR_COEFFS = 65536
-
-
-def _prune(coeffs: dict) -> dict:
-    return {k: v for k, v in coeffs.items() if v != 0}
 
 
 class AlgebraContext:

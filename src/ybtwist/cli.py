@@ -31,7 +31,7 @@ def _load_json(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or UTF-8
         raise ValidationFailure("parse", path, f"cannot read {path}: {exc}") from exc
 
 
@@ -64,8 +64,9 @@ def cmd_verify(args) -> int:
     subjects = jsonio.load_subjects(obj)
     report_subjects = []
     totals = {"pass": 0, "fail": 0, "skipped": 0}
+    shared: dict = {}  # n-only yangian verdicts, reused within this run only
     for brace in subjects:
-        checks = suites.run_suites(brace, args.level, ceilings)
+        checks = suites.run_suites(brace, args.level, ceilings, shared)
         for c in checks:
             totals[c["status"]] += 1
         report_subjects.append({
@@ -95,14 +96,23 @@ def cmd_solution(args) -> int:
     return 0
 
 
+def _load_report(path: str) -> dict:
+    """A verify report: a subjects list, integer summary counts, a string level."""
+    report = _load_json(path)
+    summary = report.get("summary", {}) if isinstance(report, dict) else None
+    if (not isinstance(summary, dict) or not isinstance(report.get("subjects"), list)
+            or not isinstance(report.get("level"), (str, type(None)))
+            or any(type(summary.get(k, 0)) is not int for k in ("pass", "fail", "skipped"))):
+        raise ValidationFailure("parse", path, f"{path} is not a verification report")
+    return report
+
+
 def cmd_report_merge(args) -> int:
     subjects = []
     totals = {"pass": 0, "fail": 0, "skipped": 0}
     levels = set()
     for path in args.files:
-        report = _load_json(path)
-        if not isinstance(report, dict) or "subjects" not in report:
-            raise ValidationFailure("parse", path, f"{path} is not a verification report")
+        report = _load_report(path)
         subjects.extend(report["subjects"])
         for key in totals:
             totals[key] += report.get("summary", {}).get(key, 0)

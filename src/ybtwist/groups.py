@@ -21,8 +21,18 @@ DEFAULT_CEILING = 6
 
 
 def as_table(rows) -> Table:
-    """Normalize nested sequences into a square tuple-of-tuples and range-check entries."""
-    table = tuple(tuple(int(v) for v in row) for row in rows)
+    """Normalize a list or tuple of integer rows into a square tuple-of-tuples.
+
+    Anything else (a string or number for the table or a row, a cell that is
+    not an int, booleans included) is a ``parse`` failure; entries are then
+    range-checked.
+    """
+    if not isinstance(rows, (list, tuple)):
+        raise ValidationFailure("parse", None, "table must be a list of rows")
+    for a, row in enumerate(rows):
+        if not isinstance(row, (list, tuple)):
+            raise ValidationFailure("parse", a, f"row {a} must be a list of integers")
+    table = tuple(tuple(row) for row in rows)
     n = len(table)
     if n == 0:
         raise ValidationFailure("bad_order", 0, "table must have at least one row")
@@ -30,6 +40,8 @@ def as_table(rows) -> Table:
         if len(row) != n:
             raise ValidationFailure("bad_shape", a, f"row {a} has length {len(row)}, expected {n}")
         for b, v in enumerate(row):
+            if type(v) is not int:
+                raise ValidationFailure("parse", (a, b), f"entry {v!r} at {(a, b)} is not an integer")
             if not 0 <= v < n:
                 raise ValidationFailure("bad_entry", (a, b), f"entry {v} at {(a, b)} out of range 0..{n - 1}")
     return table

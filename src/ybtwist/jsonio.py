@@ -22,6 +22,12 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _check_declared(obj: dict, key: str, actual: int, message: str) -> None:
+    """A declared size ("n" or "count"), when present, must be an int equal to ``actual``."""
+    if key in obj and (type(obj[key]) is not int or obj[key] != actual):
+        raise ValidationFailure("parse", obj[key], message)
+
+
 def encode_group(g: GroupTable) -> dict:
     return {"n": g.n, "table": [list(row) for row in g.table]}
 
@@ -30,8 +36,7 @@ def decode_group(obj) -> GroupTable:
     if not isinstance(obj, dict) or "table" not in obj:
         raise ValidationFailure("parse", None, "expected an object with a 'table' field")
     g = validate_group(obj["table"])
-    if "n" in obj and int(obj["n"]) != g.n:
-        raise ValidationFailure("parse", obj.get("n"), "declared order does not match table size")
+    _check_declared(obj, "n", g.n, "declared order does not match table size")
     return g
 
 
@@ -49,8 +54,7 @@ def decode_brace(obj) -> SkewBrace:
     add = validate_group(obj["add"])
     mul = validate_group(obj["mul"])
     b = validate_brace(add, mul)
-    if "n" in obj and int(obj["n"]) != b.n:
-        raise ValidationFailure("parse", obj.get("n"), "declared order does not match table size")
+    _check_declared(obj, "n", b.n, "declared order does not match table size")
     return b
 
 
@@ -131,9 +135,10 @@ def encode_catalog(order: int, skew: bool, braces: list[SkewBrace]) -> dict:
 def decode_catalog(obj) -> list[SkewBrace]:
     if not isinstance(obj, dict) or "braces" not in obj:
         raise ValidationFailure("parse", None, "expected a catalog with a 'braces' list")
+    if not isinstance(obj["braces"], list):
+        raise ValidationFailure("parse", None, "catalog 'braces' must be a list")
     braces = [decode_brace(rec) for rec in obj["braces"]]
-    if "count" in obj and int(obj["count"]) != len(braces):
-        raise ValidationFailure("parse", obj.get("count"), "catalog count disagrees with record list")
+    _check_declared(obj, "count", len(braces), "catalog count disagrees with record list")
     return braces
 
 

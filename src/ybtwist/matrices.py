@@ -16,11 +16,8 @@ from math import isqrt
 from .algebra import AlgebraContext, TensorElement
 from .braces import YBMap
 from .errors import CheckFailed, LimitExceeded
+from .rational import _prune
 from .reports import PropertyReport
-
-
-def _prune(entries: dict) -> dict:
-    return {k: v for k, v in entries.items() if v != 0}
 
 
 class ExactMatrix:

@@ -9,12 +9,10 @@ hold in the free algebra itself.
 
 from __future__ import annotations
 
+from .rational import _prune
+
 Gen = tuple[int, int, int]
 Word = tuple[Gen, ...]
-
-
-def _prune(terms: dict) -> dict:
-    return {k: v for k, v in terms.items() if v != 0}
 
 
 class NCPoly:

@@ -21,6 +21,7 @@ _SCALARS = (int, Fraction)
 
 
 def _prune(terms: dict) -> dict:
+    """Drop zero coefficients; every sparse exact container in the package uses it."""
     return {k: v for k, v in terms.items() if v != 0}
 
 

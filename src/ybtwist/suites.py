@@ -2,8 +2,9 @@
 
 Each check carries a stable name, a human-readable statement of the identity
 it decides (the ``anchor``), a pass/fail/skipped status, the first witness on
-failure, and its wall time in milliseconds.  Check names map one-to-one onto
-the public operations of the library.
+failure, and its wall time in milliseconds (a float with microsecond
+resolution).  Check names map one-to-one onto the public operations of the
+library.
 """
 
 from __future__ import annotations
@@ -44,13 +45,29 @@ def _run(checks: list[dict], name: str, anchor: str, fn, detail=None) -> None:
                 status = "fail"
                 first = result.failures()[0]
                 witness = {"check": first.name, "witness": first.witness}
-    millis = int((time.perf_counter() - t0) * 1000)
+    millis = round((time.perf_counter() - t0) * 1000, 3)
     entry = {"name": name, "anchor": anchor, "status": status, "millis": millis}
     if witness is not None:
         entry["witness"] = witness
     if detail is not None:
         entry["detail"] = detail
     checks.append(entry)
+
+
+def _run_n_only(checks: list[dict], shared: dict | None, name: str, anchor: str,
+                n: int, fn) -> None:
+    """Run a check that depends on n alone, once per (name, n) in ``shared``.
+
+    A later subject of the same order gets a copy of the first entry with
+    ``millis`` 0 and ``"reused": True``; status, witness and detail are the
+    same.  Without ``shared`` the check simply runs.
+    """
+    if shared is not None and (name, n) in shared:
+        checks.append({**shared[(name, n)], "millis": 0, "reused": True})
+        return
+    _run(checks, name, anchor, fn)
+    if shared is not None:
+        shared[(name, n)] = checks[-1]
 
 
 def _skip(checks: list[dict], name: str, anchor: str, reason: str) -> None:
@@ -162,7 +179,18 @@ def universal_suite(brace: SkewBrace, ceiling: int = UNIVERSAL_CEILING) -> list[
     return checks
 
 
-def yangian_suite(brace: SkewBrace, ceiling: int = YANGIAN_CEILING) -> list[dict]:
+def yangian_suite(brace: SkewBrace, ceiling: int = YANGIAN_CEILING,
+                  shared: dict | None = None) -> list[dict]:
+    """RTT-layer checks of one brace.
+
+    Six checks are n-only: ``defining_relations``, ``displayed_relations``,
+    ``unitarity``, ``rtt``, ``coassociativity`` and ``antipode_series``.  Their
+    functions take only n (plus the module constants ``yangian.MAX_LEVEL`` and
+    ``SYMBOLIC_LEVEL``), never the brace's sigma/tau, twist or context, so
+    (check name, n) determines the verdict.  With a ``shared`` dict (one per
+    verify run) each is decided once per (name, n) and reused for every later
+    subject of that order; see ``_run_n_only``.
+    """
     checks: list[dict] = []
     n = brace.n
     if n > ceiling:
@@ -176,37 +204,43 @@ def yangian_suite(brace: SkewBrace, ceiling: int = YANGIAN_CEILING) -> list[dict
     if "ctx" not in state:
         return checks
     ctx = state["ctx"]
-    _run(checks, "yangian.defining_relations",
-         "[A^{p+1}, A^m] - [A^p, A^{m+1}] = A^m A^p - A^p A^m in the evaluation image",
-         lambda: yangian.check_defining_relations(n))
-    _run(checks, "yangian.displayed_relations",
-         "the four low-order exchange relations, evaluated explicitly",
-         lambda: yangian.check_displayed_exchange_relations(n))
-    _run(checks, "yangian.unitarity",
-         "R(l) P R(-l) P = (1 - (l1-l2)^{-2}) 1, poles cleared: (1 - (l1-l2)^2) 1",
-         lambda: yangian.unitarity_report(n))
-    _run(checks, "yangian.rtt",
-         "R12 L1 L2 = L2 L1 R12 as polynomial matrices, each factor times its pole",
-         lambda: yangian.check_rtt(n))
+    _run_n_only(checks, shared, "yangian.defining_relations",
+                "[A^{p+1}, A^m] - [A^p, A^{m+1}] = A^m A^p - A^p A^m in the evaluation image",
+                n, lambda: yangian.check_defining_relations(n))
+    _run_n_only(checks, shared, "yangian.displayed_relations",
+                "the four low-order exchange relations, evaluated explicitly",
+                n, lambda: yangian.check_displayed_exchange_relations(n))
+    _run_n_only(checks, shared, "yangian.unitarity",
+                "R(l) P R(-l) P = (1 - (l1-l2)^{-2}) 1, poles cleared: (1 - (l1-l2)^2) 1",
+                n, lambda: yangian.unitarity_report(n))
+    _run_n_only(checks, shared, "yangian.rtt",
+                "R12 L1 L2 = L2 L1 R12 as polynomial matrices, each factor times its pole",
+                n, lambda: yangian.check_rtt(n))
     _run(checks, "yangian.augmented_relations",
          "w_a L_{b,c} = L_{sigma_a(b),sigma_a(c)} w_a ; idempotent transport/annihilation",
          lambda: yangian.check_augmented_relations(ctx))
     _run(checks, "yangian.twisted_rtt",
          "R^F = r + P/lambda = F^op R F^{-1} ; twisted RTT identity, each factor times its pole",
          lambda: yangian.check_twisted_rtt(ctx))
-    _run(checks, "yangian.coassociativity", "(Delta x id) Delta = (id x Delta) Delta, symbolic",
-         lambda: yangian.coassociativity_report(n, SYMBOLIC_LEVEL))
-    _run(checks, "yangian.antipode_series",
-         "sum_k s(A^k) A^{m-k} = sum_k A^k s(A^{m-k}) = 0 in the free algebra",
-         lambda: yangian.antipode_series(n, yangian.MAX_LEVEL)[1])
+    _run_n_only(checks, shared, "yangian.coassociativity",
+                "(Delta x id) Delta = (id x Delta) Delta, symbolic",
+                n, lambda: yangian.coassociativity_report(n, SYMBOLIC_LEVEL))
+    _run_n_only(checks, shared, "yangian.antipode_series",
+                "sum_k s(A^k) A^{m-k} = sum_k A^k s(A^{m-k}) = 0 in the free algebra",
+                n, lambda: yangian.antipode_series(n, yangian.MAX_LEVEL)[1])
     _run(checks, "yangian.twisted_coproduct_adjudication",
          "which displayed summation range reproduces F Delta F^{-1}",
          lambda: yangian.adjudicate_twisted_coproduct(ctx, ADJUDICATION_LEVEL))
     return checks
 
 
-def run_suites(brace: SkewBrace, level: str, ceilings: dict | None = None) -> list[dict]:
-    """Run one named level, or all of them, over a single brace."""
+def run_suites(brace: SkewBrace, level: str, ceilings: dict | None = None,
+               shared: dict | None = None) -> list[dict]:
+    """Run one named level, or all of them, over a single brace.
+
+    ``shared`` is the n-only verdict store of one verify run, passed to
+    ``yangian_suite``; leave it out to decide every check afresh.
+    """
     ceilings = ceilings or {}
     out: list[dict] = []
     selected = LEVELS if level == "all" else (level,)
@@ -218,7 +252,7 @@ def run_suites(brace: SkewBrace, level: str, ceilings: dict | None = None) -> li
         elif lv == "universal":
             out.extend(universal_suite(brace, ceilings.get("universal", UNIVERSAL_CEILING)))
         elif lv == "yangian":
-            out.extend(yangian_suite(brace, ceilings.get("yangian", YANGIAN_CEILING)))
+            out.extend(yangian_suite(brace, ceilings.get("yangian", YANGIAN_CEILING), shared))
         else:
             raise ValidationFailure("bad_level", lv, f"unknown level {lv!r}")
     return out

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ybtwist as yb
 from ybtwist import jsonio
 from ybtwist.cli import main
-from conftest import Z4_RADICAL_MUL_ROWS, cyclic_rows
+from conftest import N_ONLY, Z4_RADICAL_MUL_ROWS, cyclic_rows
 
 
 def write_json(path, obj):
@@ -115,17 +119,44 @@ def test_verify_catalog_round_trip(tmp_path, capsys):
 
 
 def test_verify_is_deterministic_modulo_millis(z4_radical_file, tmp_path, capsys):
-    outs = []
-    for name in ("a.json", "b.json"):
-        out = tmp_path / name
-        assert main(["verify", z4_radical_file, "--level", "map", "--out", str(out)]) == 0
-        capsys.readouterr()
-        report = json.loads(out.read_text())
-        for subject in report["subjects"]:
-            for check in subject["checks"]:
-                check.pop("millis")
-        outs.append(json.dumps(report, sort_keys=True))
-    assert outs[0] == outs[1]
+    # orders 2, 3, 2, 3: the repeats reuse the n-only verdicts of the first two
+    catalog = write_json(tmp_path / "cat.json", jsonio.encode_catalog(
+        3, False, [yb.trivial_brace(n) for n in (2, 3, 2, 3)]))
+    for path, level in ((z4_radical_file, "map"), (catalog, "yangian")):
+        outs = []
+        for name in ("a.json", "b.json"):
+            out = tmp_path / name
+            assert main(["verify", path, "--level", level, "--out", str(out)]) == 0
+            capsys.readouterr()
+            report = json.loads(out.read_text())
+            for subject in report["subjects"]:
+                for check in subject["checks"]:
+                    millis = check.pop("millis")
+                    assert isinstance(millis, float) or millis == 0
+            outs.append(json.dumps(report, sort_keys=True))
+        assert outs[0] == outs[1]
+    subjects = report["subjects"]
+    for i, subject in enumerate(subjects):
+        for check in subject["checks"]:
+            if i >= 2 and check["name"] in N_ONLY:
+                assert check["reused"] is True
+            else:
+                assert "reused" not in check
+    assert _without_reused(subjects[0]) == _without_reused(subjects[2])
+
+
+def _without_reused(subject: dict) -> list[dict]:
+    return [{k: v for k, v in c.items() if k != "reused"} for c in subject["checks"]]
+
+
+def test_millis_is_fractional(z4_radical_file, tmp_path, capsys):
+    out = tmp_path / "rep.json"
+    assert main(["verify", z4_radical_file, "--level", "map", "--out", str(out)]) == 0
+    capsys.readouterr()
+    checks = json.loads(out.read_text())["subjects"][0]["checks"]
+    timed = [c["millis"] for c in checks if c["name"] != "map.involutive"]
+    assert all(isinstance(m, float) and m == round(m, 3) for m in timed)
+    assert any(m > 0 for m in timed)
 
 
 def test_solution_formats(z4_radical_file, trivial2_file, tmp_path, capsys):
@@ -153,6 +184,17 @@ def test_report_merge(z4_radical_file, trivial2_file, tmp_path, capsys):
     assert len(merged["subjects"]) == 2
     a, b = json.loads(rep1.read_text()), json.loads(rep2.read_text())
     assert merged["summary"]["pass"] == a["summary"]["pass"] + b["summary"]["pass"]
+
+
+def test_report_merge_rejects_malformed_reports(tmp_path, capsys):
+    for i, obj in enumerate([[], {"summary": {}}, {"subjects": 5},
+                             {"subjects": [], "summary": 5},
+                             {"subjects": [], "summary": {"pass": "x"}},
+                             {"subjects": [], "level": ["map"]}]):
+        path = write_json(tmp_path / f"r{i}.json", obj)
+        assert main(["report-merge", path]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "parse" and err["witness"] == path
 
 
 def test_check_names_are_a_stable_contract():
@@ -193,3 +235,50 @@ def test_group_json_round_trip(tmp_path):
     assert jsonio.decode_group(jsonio.encode_group(g)).table == g.table
     with pytest.raises(yb.ValidationFailure):
         jsonio.decode_group({"n": 2, "table": [[0, 1], [1, 1]]})
+
+
+@pytest.mark.parametrize("obj, witness", [
+    ({"n": 2, "add": [[0, "a"], [1, 0]], "mul": cyclic_rows(2)}, [0, 1]),
+    ({"n": 2, "add": cyclic_rows(2), "mul": "xx"}, None),
+    ({"version": 1, "braces": 5}, None),
+    ({"n": "2", "add": cyclic_rows(2), "mul": cyclic_rows(2)}, "2"),
+    ({"n": 2, "add": [[0, True], [1, 0]], "mul": cyclic_rows(2)}, [0, 1]),
+    ({"braces": [{"add": [[0]], "mul": [[0]]}], "count": None}, None),
+], ids=["cell", "mul", "braces", "n", "bool_cell", "count"])
+def test_malformed_input_exits_2(obj, witness, tmp_path, capsys):
+    path = write_json(tmp_path / "bad.json", obj)
+    assert main(["verify", path, "--level", "map"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "parse" and err["witness"] == witness
+
+
+def test_unreadable_json_exits_2(tmp_path, capsys):
+    bad_utf8 = tmp_path / "bad.json"
+    bad_utf8.write_bytes(b"\xff\xfe{")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000, encoding="utf-8")
+    for path in (bad_utf8, deep):
+        assert main(["verify", str(path), "--level", "map"]) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "parse"
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-1, 3) | st.floats(allow_nan=False, width=16)
+    | st.text(max_size=2),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(
+        st.sampled_from(["n", "add", "mul", "braces", "count", "x"]), inner, max_size=3),
+    max_leaves=12)
+_TABLE = st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=3), min_size=1, max_size=3)
+_BRACE = st.fixed_dictionaries({"add": _TABLE, "mul": _TABLE})
+
+
+@settings(max_examples=150, deadline=None)
+@given(obj=_JSON | _BRACE | st.builds(lambda b: {"braces": b}, st.lists(_BRACE, max_size=2)))
+def test_any_json_gets_an_exit_code(obj, tmp_path_factory):
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_text(json.dumps(obj), encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["verify", str(path), "--level", "map"])
+    assert code in (0, 1, 2)
