@@ -8,6 +8,7 @@ import pytest
 
 import ybtwist as yb
 from ybtwist.algebra import (
+    AlgebraContext,
     counit_slot,
     map_slot,
     mul_slots,
@@ -202,6 +203,30 @@ def test_twist_conditions_corrupted_twist(z4_radical_ctx):
     assert cocycle.witness is not None and "key" in cocycle.witness
 
 
+def first_diff(t1, t2):
+    # the smallest key on which two coefficient dicts disagree, as _first_diff reports it
+    for key in sorted(set(t1.coeffs) | set(t2.coeffs)):
+        a, b = t1.coeffs.get(key, 0), t2.coeffs.get(key, 0)
+        if a != b:
+            return {"key": key, "lhs": str(a), "rhs": str(b)}
+    return None
+
+
+def test_twist_conditions_coproduct_images_witness(z4_radical_ctx):
+    ctx = z4_radical_ctx
+    corrupted = dict(ctx.twist.coeffs)
+    key = sorted(corrupted)[5]  # h_1 (x) h_1 w_1: the two sides fail at different keys
+    corrupted[key] = -corrupted[key]
+    bad = ctx.tensor(2, corrupted)
+    images = yb.verify_twist_conditions(ctx, twist=bad).check("coproduct_images")
+    assert not images.passed
+    # F_{12,3} and F_{1,23} from the true tables are Delta(F) in the first and second leg
+    first = first_diff(slot_coproduct(ctx.twist, 0), slot_coproduct(bad, 0))
+    second = first_diff(slot_coproduct(ctx.twist, 1), slot_coproduct(bad, 1))
+    assert first and second and first != second
+    assert images.witness == first
+
+
 def test_universal_ybe(trivial2_ctx, z4_radical_ctx):
     assert yb.verify_universal_ybe(trivial2_ctx).ok
     assert yb.verify_universal_ybe(z4_radical_ctx).ok
@@ -230,6 +255,51 @@ def test_hopf_axiom_suites(trivial2_ctx, z4_radical_ctx):
         assert verify_hopf_axioms(ctx, twisted=True).ok
 
 
+def test_quasitriangularity_counit_laws_witness(z4_radical_ctx, monkeypatch):
+    ctx = AlgebraContext(z4_radical_ctx.brace)
+    coeffs = dict(ctx.twisted_r_matrix.coeffs)
+    # one term that survives the counit on the first leg, one on the second only
+    n = ctx.n
+    coeffs[max(k for k in coeffs if k[0] // n == 0)] = 2
+    coeffs[min(k for k in coeffs if k[1] // n == 0 and k[0] // n != 0)] = 3
+    bad = ctx.tensor(2, coeffs)
+    monkeypatch.setitem(ctx._cache, "rf", bad)
+    laws = yb.verify_quasitriangularity(ctx).check("counit_laws")
+    assert not laws.passed
+    first = first_diff(counit_slot(bad, 0), ctx.one())
+    second = first_diff(counit_slot(bad, 1), ctx.one())
+    assert first and second and first != second
+    assert laws.witness == first
+
+
+@pytest.mark.parametrize("twisted", [False, True])
+def test_hopf_axioms_corrupted_coproduct(z4_radical_ctx, monkeypatch, twisted):
+    # a fresh context: the cached twisted images are built from the untwisted ones
+    ctx = AlgebraContext(z4_radical_ctx.brace)
+    name = "_twisted_coproduct_of_basis" if twisted else "_coproduct_of_basis"
+    true_image = getattr(ctx, name)
+    bad = 1 * ctx.n + 1  # h_1 w_1, so the h_a closed forms of Delta_F still hold
+
+    def corrupted(i):
+        image = dict(true_image(i))
+        if i == bad:
+            first = min(image)
+            image[first] = image[first] + 1
+        return image
+
+    monkeypatch.setattr(ctx, name, corrupted)
+    report = verify_hopf_axioms(ctx, twisted=twisted)
+    hom = report.check("coproduct_homomorphism")
+    assert not hom.passed
+    cop = yb.twisted_coproduct if twisted else yb.coproduct
+    expected = next(
+        (i, j) for i in range(ctx.dim) for j in range(ctx.dim)
+        if cop(ctx.basis_element(i) * ctx.basis_element(j))
+        != cop(ctx.basis_element(i)) * cop(ctx.basis_element(j))
+    )
+    assert hom.witness == expected
+
+
 def test_construction_check_rejects_corrupted_tables(z4_radical_ctx):
     # flipping one product-table entry must trip the associativity check
     from ybtwist.algebra import AlgebraContext
@@ -245,6 +315,24 @@ def test_nfold_twist_small(trivial2_ctx, z4_radical_ctx):
     for ctx, k in ((trivial2_ctx, 3), (trivial2_ctx, 4), (z4_radical_ctx, 3), (z4_radical_ctx, 4)):
         _, report = nfold_twist(ctx, k)
         assert report.ok, (ctx.n, k, report.failures())
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_nfold_twist_corrupted_twist(z4_radical_ctx, monkeypatch, k):
+    ctx = AlgebraContext(z4_radical_ctx.brace)
+    ctx.twisted_r_matrix  # built from the true twist before it is corrupted
+    coeffs = dict(ctx.twist.coeffs)
+    key = sorted(coeffs)[2]
+    coeffs[key] = -coeffs[key]
+    monkeypatch.setitem(ctx._cache, "twist", ctx.tensor(2, coeffs))
+    built, report = nfold_twist(ctx, k)
+    # the true twist passes, so its k-fold twist is the closed form
+    closed, _ = nfold_twist(z4_radical_ctx, k)
+    closed_form = report.check("closed_form")
+    assert not closed_form.passed
+    assert closed_form.witness == first_diff(built, closed)
+    recursion = report.check(f"recursion_{k}_fold")
+    assert recursion.passed or set(recursion.witness) == {"key", "lhs", "rhs"}
 
 
 def test_nfold_twist_guards(z4_radical_ctx):

@@ -1,0 +1,169 @@
+"""All-pairs oracle for the tensor product kernels of the twist algebra.
+
+``TensorElement.__mul__`` skips groups of terms whose first-slot product
+vanishes, and ``apply_left``/``apply_right`` multiply an m-tensor into chosen
+legs of a k-tensor without padding it with units.  The oracle here multiplies
+every pair of terms slot by slot straight from ``ctx.prod``, and pads the
+embedded tensor with the unit sum_a h_a on every other leg, so it shares no
+code with the kernels.  Operands are seeded random int and ``Fraction``
+tensors whose slots are drawn partly from the partners each slot has in the
+product table, so that products are rarely empty.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+from itertools import product
+
+import pytest
+
+import ybtwist as yb
+from ybtwist.algebra import AlgebraContext, apply_left, apply_right, embed_two
+
+
+def naive_mul(ctx, x: dict, y: dict) -> dict:
+    dim, prod = ctx.dim, ctx.prod
+    acc: dict = {}
+    for k1, c1 in x.items():
+        for k2, c2 in y.items():
+            slots = [prod[a * dim + b] for a, b in zip(k1, k2)]
+            if min(slots) >= 0:
+                acc[tuple(slots)] = acc.get(tuple(slots), 0) + c1 * c2
+    return {k: v for k, v in acc.items() if v != 0}
+
+
+def padded(ctx, t: dict, legs: tuple, k: int) -> dict:
+    """t placed at ``legs`` of a k-tensor, the unit sum_a h_a on the other legs."""
+    n = ctx.n
+    others = [s for s in range(k) if s not in legs]
+    acc: dict = {}
+    for tkey, c in t.items():
+        for fill in product(range(n), repeat=len(others)):
+            key = [0] * k
+            for leg, s in zip(legs, tkey):
+                key[leg] = s
+            for leg, a in zip(others, fill):
+                key[leg] = a * n
+            acc[tuple(key)] = acc.get(tuple(key), 0) + c
+    return acc
+
+
+def random_coeff(rng):
+    return rng.choice([1, -1, 2, -3, Fraction(1, 2), Fraction(-5, 3), Fraction(7, 4)])
+
+
+def random_tensor(ctx, rng, k: int, terms: int, partner_of=None, near: dict | None = None) -> dict:
+    """Random k-tensor; with ``near``, each slot is a product partner of a slot of
+    one of its keys three times in four."""
+    out: dict = {}
+    near_keys = list(near) if near else []
+    for _ in range(terms):
+        if near_keys:
+            base = rng.choice(near_keys)
+            key = tuple(
+                rng.choice(partner_of[s]) if partner_of[s] and rng.random() < 0.75
+                else rng.randrange(ctx.dim)
+                for s in base
+            )
+        else:
+            key = tuple(rng.randrange(ctx.dim) for _ in range(k))
+        out[key] = out.get(key, 0) + random_coeff(rng)
+    return {key: c for key, c in out.items() if c != 0}
+
+
+def partners(ctx):
+    """right[s]: the q with e_s e_q != 0; left[s]: the p with e_p e_s != 0."""
+    dim, prod = ctx.dim, ctx.prod
+    right = [[q for q in range(dim) if prod[s * dim + q] >= 0] for s in range(dim)]
+    left = [[p for p in range(dim) if prod[p * dim + s] >= 0] for s in range(dim)]
+    return left, right
+
+
+def _order6_nonabelian():
+    for b in yb.enumerate_braces(6):
+        if b.is_brace:
+            continue
+        try:
+            m = yb.derive_sigma_tau(b)
+        except yb.ValidationFailure:
+            continue
+        if any(list(row) != list(range(6)) for row in m.sigma):
+            return b
+    raise AssertionError("no order-6 skew brace with nonabelian addition and nontrivial sigma")
+
+
+@pytest.fixture(scope="module")
+def contexts(braces_up_to_4):
+    braces = [b for n in sorted(braces_up_to_4) for b in braces_up_to_4[n]]
+    assert len(braces) == 13
+    braces.append(_order6_nonabelian())
+    return [AlgebraContext(b) for b in braces]
+
+
+def test_tensor_mul_matches_all_pairs(contexts):
+    rng = random.Random(2024)
+    nonempty = 0
+    for ctx in contexts:
+        left, right = partners(ctx)
+        for k in (2, 3, 4):
+            for _ in range(3):
+                x = random_tensor(ctx, rng, k, 12)
+                y = random_tensor(ctx, rng, k, 12, right, x)
+                got = ctx.tensor(k, x) * ctx.tensor(k, y)
+                assert got.coeffs == naive_mul(ctx, x, y), (ctx.n, k)
+                nonempty += bool(got.coeffs)
+    assert nonempty >= 80
+
+
+def test_apply_left_right_match_unit_padded_product(contexts):
+    rng = random.Random(7)
+    nonempty = 0
+    for ctx in contexts:
+        left, right = partners(ctx)
+        for k in (2, 3, 4):
+            for m in range(1, k + 1):
+                legs = tuple(rng.sample(range(k), m))
+                x = random_tensor(ctx, rng, k, 10)
+                x_t = ctx.tensor(k, x)
+                # t on the right of x: its slots are right partners of x's slots at legs
+                near = {tuple(key[leg] for leg in legs): 1 for key in x}
+                t = random_tensor(ctx, rng, m, 8, right, near)
+                got = apply_right(x_t, ctx.tensor(m, t), legs)
+                assert got.coeffs == naive_mul(ctx, x, padded(ctx, t, legs, k)), (ctx.n, k, legs)
+                nonempty += bool(got.coeffs)
+                # t on the left of x
+                t = random_tensor(ctx, rng, m, 8, left, near)
+                got = apply_left(ctx.tensor(m, t), legs, x_t)
+                assert got.coeffs == naive_mul(ctx, padded(ctx, t, legs, k), x), (ctx.n, k, legs)
+                nonempty += bool(got.coeffs)
+                if m == 2:
+                    pad = embed_two(ctx, ctx.tensor(2, t), k, *legs)
+                    assert pad.coeffs == padded(ctx, t, legs, k)
+                    assert got == pad * x_t
+    assert nonempty >= 150
+
+
+def test_t_tensor_one_and_one_tensor_t(contexts):
+    # (t (x) 1) . x and (1 (x) t) . x, with the unit leg spelled out as sum_a h_a
+    rng = random.Random(11)
+    for ctx in contexts:
+        n = ctx.n
+        left, _ = partners(ctx)
+        for k in (3, 4):
+            x = random_tensor(ctx, rng, k, 10)
+            t = random_tensor(ctx, rng, k - 1, 8, left, {key[:-1]: 1 for key in x})
+            t_one = {key + (a * n,): c for key, c in t.items() for a in range(n)}
+            got = apply_left(ctx.tensor(k - 1, t), tuple(range(k - 1)), ctx.tensor(k, x))
+            assert got.coeffs == naive_mul(ctx, t_one, x)
+            t = random_tensor(ctx, rng, k - 1, 8, left, {key[1:]: 1 for key in x})
+            one_t = {(a * n,) + key: c for key, c in t.items() for a in range(n)}
+            got = apply_left(ctx.tensor(k - 1, t), tuple(range(1, k)), ctx.tensor(k, x))
+            assert got.coeffs == naive_mul(ctx, one_t, x)
+
+
+def test_leg_count_must_match_tensor_order(z4_radical_ctx):
+    ctx = z4_radical_ctx
+    with pytest.raises(yb.ValidationFailure) as exc:
+        apply_left(ctx.twist, (0, 1, 2), ctx.unit_tensor(3))
+    assert exc.value.kind == "order_mismatch"
