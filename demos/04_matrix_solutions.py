@@ -6,7 +6,7 @@ a permutation matrix (one 1 per row and column) solving the matrix YBE.
 """
 
 import ybtwist as yb
-from ybtwist.matrices import compose, flip_matrix, nfold_twist_matrix
+from ybtwist.matrices import flip_matrix, nfold_twist_matrix
 
 z4 = yb.validate_group([[(a + b) % 4 for b in range(4)] for a in range(4)])
 mul = yb.validate_group([[(a + b + 2 * a * b) % 4 for b in range(4)] for a in range(4)])
@@ -22,9 +22,9 @@ print("combinatorial:", yb.check_combinatorial(r))
 print("reversible (R12 R21 = 1):", yb.check_reversibility(r))
 print("matrix Yang-Baxter equation:", yb.check_matrix_ybe(r).ok)
 
-# The braid operator (the map picture) is the flip composed with R.
+# The braid operator (the map picture) is the flip times R.
 braid = yb.braid_matrix(ctx.ybmap)
-assert braid == compose(flip_matrix(4), r)
+assert braid == flip_matrix(4) * r
 print("braid operator = P R:", True)
 
 # The matrix layer scales beyond the universal one: order 6 is immediate.

@@ -51,7 +51,6 @@ from .groups import (
 )
 from .matrices import (
     ExactMatrix,
-    ZOMatrix,
     braid_matrix,
     check_combinatorial,
     check_matrix_ybe,

@@ -108,9 +108,6 @@ class AlgebraContext:
         coeffs = {tuple(a * n for a in key): 1 for key in iproduct(range(n), repeat=k)}
         return TensorElement(self, k, coeffs)
 
-    def basis_pair(self, i: int) -> tuple[int, int]:
-        return divmod(i, self.n)
-
     # ------------------------------------------------------------- lazy pieces
 
     @property
@@ -344,25 +341,6 @@ def multiply(x, y):
     if isinstance(x, TensorElement) and isinstance(y, TensorElement):
         return x * y
     raise ValidationFailure("order_mismatch", (type(x).__name__, type(y).__name__))
-
-
-def tensor_of(*factors: AlgebraElement) -> TensorElement:
-    """Outer product of algebra elements into a tensor of order len(factors)."""
-    ctx = factors[0].ctx
-    keys: list[tuple] = [()]
-    coeffs: list = [1]
-    for f in factors:
-        _same_ctx(factors[0], f)
-        new_keys, new_coeffs = [], []
-        for key, c in zip(keys, coeffs):
-            for i, ci in f.coeffs.items():
-                new_keys.append(key + (i,))
-                new_coeffs.append(c * ci)
-        keys, coeffs = new_keys, new_coeffs
-    acc: dict = {}
-    for key, c in zip(keys, coeffs):
-        acc[key] = acc.get(key, 0) + c
-    return TensorElement(ctx, len(factors), _prune(acc))
 
 
 def coproduct(x: AlgebraElement) -> TensorElement:

@@ -92,7 +92,7 @@ def cmd_solution(args) -> int:
         _emit(jsonio.encode_ybmap(derive_sigma_tau(brace)), args.out)
     else:
         ctx = AlgebraContext(brace)
-        _emit(jsonio.encode_zomatrix(solution_matrix(ctx)), args.out)
+        _emit(jsonio.encode_permutation_matrix(solution_matrix(ctx)), args.out)
     return 0
 
 

@@ -2,20 +2,19 @@
 
 All interchange is UTF-8 JSON with sorted keys; the digest of a brace is the
 SHA-256 of its canonical JSON, so identical tables always hash identically.
-Tensor and matrix coefficients are serialized as exact "p/q" strings.
+A permutation matrix is written as its dimension and the sorted positions of
+its 1 entries.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from fractions import Fraction
 
-from .algebra import AlgebraContext, TensorElement
 from .braces import SkewBrace, YBMap, validate_brace
 from .errors import ValidationFailure
 from .groups import GroupTable, validate_group
-from .matrices import ExactMatrix, ZOMatrix
+from .matrices import ExactMatrix
 
 
 def canonical_json(obj) -> str:
@@ -84,42 +83,9 @@ def decode_ybmap(obj) -> YBMap:
     return m
 
 
-def _coeff_str(c) -> str:
-    f = Fraction(c)
-    return f"{f.numerator}/{f.denominator}"
-
-
-def encode_tensor(t: TensorElement) -> dict:
-    n = t.ctx.n
-    terms = []
-    for key in sorted(t.coeffs):
-        terms.append({
-            "basis": [list(divmod(i, n)) for i in key],
-            "coeff": _coeff_str(t.coeffs[key]),
-        })
-    return {"n": n, "order": t.k, "terms": terms}
-
-
-def decode_tensor(ctx: AlgebraContext, obj) -> TensorElement:
-    n = ctx.n
-    coeffs = {}
-    for term in obj["terms"]:
-        key = tuple(a * n + g for a, g in term["basis"])
-        coeffs[key] = Fraction(term["coeff"])
-    return ctx.tensor(int(obj["order"]), coeffs)
-
-
-def encode_zomatrix(m: ZOMatrix) -> dict:
+def encode_permutation_matrix(m: ExactMatrix) -> dict:
+    """A matrix whose entries are all 1, as {"dim", "entries": sorted [row, col] positions}."""
     return {"dim": m.dim, "entries": [list(pos) for pos in sorted(m.entries)]}
-
-
-def decode_zomatrix(obj) -> ZOMatrix:
-    return ZOMatrix(int(obj["dim"]), frozenset((int(r), int(c)) for r, c in obj["entries"]))
-
-
-def encode_exact_matrix(m: ExactMatrix) -> dict:
-    rows = [[_coeff_str(m.entries.get((r, c), 0)) for c in range(m.dim)] for r in range(m.dim)]
-    return {"dim": m.dim, "rows": rows}
 
 
 def encode_catalog(order: int, skew: bool, braces: list[SkewBrace]) -> dict:

@@ -1,15 +1,15 @@
 """Sparse exact matrices, the fundamental representation, and matrix-level checks.
 
-Combinatorial (0/1, one entry per row and column) matrices are kept as
-position sets; anything that may leave that class falls back to a sparse
-dictionary of exact entries: integers, ``Fraction``s, or ``BivarPoly``
-polynomials in the spectral parameters.  Tensor-leg embeddings are done by
-index arithmetic, never by materializing Kronecker factors.
+Every matrix is one ``ExactMatrix``: a sparse dictionary of exact entries,
+integers, ``Fraction``s or ``BivarPoly`` polynomials in the spectral
+parameters.  A permutation matrix is an ``ExactMatrix`` whose entries are 1;
+where a check composes many of them it works on their column -> row lists.
+Tensor-leg embeddings are done by index arithmetic, never by materializing
+Kronecker factors.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as iproduct
 from math import isqrt
 
@@ -71,8 +71,6 @@ class ExactMatrix:
         return ExactMatrix(self.dim, acc)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, ZOMatrix):
-            other = other.to_exact()
         return isinstance(other, ExactMatrix) and self.dim == other.dim and self.entries == other.entries
 
     def __hash__(self):
@@ -85,56 +83,25 @@ class ExactMatrix:
         return f"ExactMatrix(dim={self.dim}, nnz={len(self.entries)})"
 
 
-@dataclass(frozen=True)
-class ZOMatrix:
-    """0/1 matrix stored as the set of positions holding 1."""
-
-    dim: int
-    entries: frozenset
-
-    def to_exact(self) -> ExactMatrix:
-        return ExactMatrix(self.dim, {pos: 1 for pos in self.entries})
-
-    def __mul__(self, other):
-        if isinstance(other, ZOMatrix):
-            return self.to_exact() * other.to_exact()
-        if isinstance(other, ExactMatrix):
-            return self.to_exact() * other
-        return NotImplemented
-
-    def as_mapping(self) -> list[int]:
-        """Column -> row mapping; requires exactly one entry per column."""
-        col_to_row = [-1] * self.dim
-        for r, c in self.entries:
-            if col_to_row[c] != -1:
-                raise CheckFailed("not_column_functional", c)
-            col_to_row[c] = r
-        if -1 in col_to_row:
-            raise CheckFailed("not_column_functional", col_to_row.index(-1))
-        return col_to_row
-
-    @classmethod
-    def from_mapping(cls, col_to_row) -> ZOMatrix:
-        return cls(len(col_to_row), frozenset((r, c) for c, r in enumerate(col_to_row)))
+def _as_mapping(m: ExactMatrix) -> list[int]:
+    """Column -> row list of a 0/1 matrix; requires exactly one entry per column."""
+    col_to_row = [-1] * m.dim
+    for r, c in m.entries:
+        if col_to_row[c] != -1:
+            raise CheckFailed("not_column_functional", c)
+        col_to_row[c] = r
+    if -1 in col_to_row:
+        raise CheckFailed("not_column_functional", col_to_row.index(-1))
+    return col_to_row
 
 
-def compose(a: ZOMatrix, b: ZOMatrix) -> ZOMatrix:
-    """Product of two permutation-like 0/1 matrices via mapping composition."""
-    ma, mb = a.as_mapping(), b.as_mapping()
-    return ZOMatrix.from_mapping([ma[mb[c]] for c in range(b.dim)])
+def _from_mapping(col_to_row) -> ExactMatrix:
+    return ExactMatrix(len(col_to_row), {(r, c): 1 for c, r in enumerate(col_to_row)})
 
 
-def zo_inverse(a: ZOMatrix) -> ZOMatrix:
-    m = a.as_mapping()
-    inv = [0] * len(m)
-    for c, r in enumerate(m):
-        inv[r] = c
-    return ZOMatrix.from_mapping(inv)
-
-
-def flip_matrix(n: int) -> ZOMatrix:
+def flip_matrix(n: int) -> ExactMatrix:
     """The permutation P with P(x (x) y) = y (x) x on the n^2-dimensional space."""
-    return ZOMatrix(n * n, frozenset((i * n + j, j * n + i) for i in range(n) for j in range(n)))
+    return ExactMatrix(n * n, {(i * n + j, j * n + i): 1 for i in range(n) for j in range(n)})
 
 
 def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
@@ -266,62 +233,46 @@ def rho_is_homomorphism(ctx: AlgebraContext, images=None) -> PropertyReport:
 # ------------------------------------------------------- combinatorial matrices
 
 
-def _solution_entries(m: YBMap) -> frozenset:
+def _solution_entries(m: YBMap) -> dict:
     n = m.n
-    return frozenset(
-        (b * n + a, m.sigma[a][b] * n + m.tau[b][a])
-        for a in range(n)
-        for b in range(n)
-    )
+    return {(b * n + a, m.sigma[a][b] * n + m.tau[b][a]): 1 for a in range(n) for b in range(n)}
 
 
-def twist_matrix(ctx: AlgebraContext) -> ZOMatrix:
+def twist_matrix(ctx: AlgebraContext) -> ExactMatrix:
     """sum_{a,b} e_{a,a} (x) e_{b, sigma_a(b)}, checked against the represented twist."""
     n = ctx.n
-    entries = frozenset(
-        (a * n + b, a * n + ctx.sigma[a][b]) for a in range(n) for b in range(n)
-    )
-    mat = ZOMatrix(n * n, entries)
-    if mat.to_exact() != rho_tensor(ctx, ctx.twist):
+    mat = ExactMatrix(n * n, {(a * n + b, a * n + ctx.sigma[a][b]): 1
+                              for a in range(n) for b in range(n)})
+    if mat != rho_tensor(ctx, ctx.twist):
         raise CheckFailed("representation_mismatch", "twist")
     return mat
 
 
-def solution_matrix(ctx: AlgebraContext) -> ZOMatrix:
+def solution_matrix(ctx: AlgebraContext) -> ExactMatrix:
     """sum_{a,b} e_{b, sigma_a(b)} (x) e_{a, tau_b(a)}, checked against the represented R-matrix."""
-    mat = ZOMatrix(ctx.n * ctx.n, _solution_entries(ctx.ybmap))
-    if mat.to_exact() != rho_tensor(ctx, ctx.twisted_r_matrix):
+    mat = ExactMatrix(ctx.n * ctx.n, _solution_entries(ctx.ybmap))
+    if mat != rho_tensor(ctx, ctx.twisted_r_matrix):
         raise CheckFailed("representation_mismatch", "twisted_r")
     return mat
 
 
-def braid_matrix(m: YBMap) -> ZOMatrix:
+def braid_matrix(m: YBMap) -> ExactMatrix:
     """Matrix of e_a (x) e_b -> e_{sigma_a(b)} (x) e_{tau_b(a)}; must equal P . R."""
     n = m.n
-    entries = frozenset(
-        (m.sigma[a][b] * n + m.tau[b][a], a * n + b)
-        for a in range(n)
-        for b in range(n)
-    )
-    braid = ZOMatrix(n * n, entries)
-    bridge = compose(flip_matrix(n), ZOMatrix(n * n, _solution_entries(m)))
-    if braid != bridge:
+    braid = ExactMatrix(n * n, {(m.sigma[a][b] * n + m.tau[b][a], a * n + b): 1
+                                for a in range(n) for b in range(n)})
+    if braid != flip_matrix(n) * ExactMatrix(n * n, _solution_entries(m)):
         raise CheckFailed("bridge_mismatch")
     return braid
 
 
-def check_combinatorial(mat) -> bool:
+def check_combinatorial(mat: ExactMatrix) -> bool:
     """Exactly one entry per row and per column, every entry equal to 1."""
-    if isinstance(mat, ZOMatrix):
-        entries = {pos: 1 for pos in mat.entries}
-        dim = mat.dim
-    else:
-        entries = mat.entries
-        dim = mat.dim
-    if len(entries) != dim:
+    dim = mat.dim
+    if len(mat.entries) != dim:
         return False
     rows, cols = set(), set()
-    for (r, c), v in entries.items():
+    for (r, c), v in mat.entries.items():
         if v != 1:
             return False
         rows.add(r)
@@ -329,18 +280,16 @@ def check_combinatorial(mat) -> bool:
     return len(rows) == dim and len(cols) == dim
 
 
-def check_reversibility(mat) -> bool:
+def check_reversibility(m: ExactMatrix) -> bool:
     """R . (P R P) = identity on the two-leg space."""
-    m = mat.to_exact() if isinstance(mat, ZOMatrix) else mat
     n = isqrt(m.dim)
     if n * n != m.dim:
         raise LimitExceeded(f"dimension {m.dim} is not a perfect square")
     return m * swap_legs(m, n) == ExactMatrix.identity(m.dim)
 
 
-def check_matrix_ybe(mat) -> PropertyReport:
+def check_matrix_ybe(m: ExactMatrix) -> PropertyReport:
     """R12 R13 R23 = R23 R13 R12 on the three-leg space, entry-exactly."""
-    m = mat.to_exact() if isinstance(mat, ZOMatrix) else mat
     n = isqrt(m.dim)
     if n * n != m.dim:
         raise LimitExceeded(f"dimension {m.dim} is not a perfect square")
@@ -358,7 +307,7 @@ def check_matrix_ybe(mat) -> PropertyReport:
 # ------------------------------------------------------------ n-fold twist
 
 
-def nfold_twist_matrix(ctx: AlgebraContext, k: int) -> tuple[ZOMatrix, PropertyReport]:
+def nfold_twist_matrix(ctx: AlgebraContext, k: int) -> tuple[ExactMatrix, PropertyReport]:
     """Representation-level k-fold twist, k = 3 or 4, with recursion/closed-form/exchange checks.
 
     Every factor, including the leg swaps and the embedded R-matrix, is a
@@ -425,15 +374,15 @@ def nfold_twist_matrix(ctx: AlgebraContext, k: int) -> tuple[ZOMatrix, PropertyR
 
     # P_{j,j+1} F P_{j,j+1} = R_{j,j+1} F.  R is a permutation once
     # derive_sigma_tau has succeeded (x = sigma_a(b) and sigma_x(y) = a recover
-    # (a, b)), so as_mapping() cannot raise here.
-    flip = flip_matrix(n).as_mapping()
-    r = solution_matrix(ctx).as_mapping()
+    # (a, b)), so _as_mapping cannot raise here.
+    flip = _as_mapping(flip_matrix(n))
+    r = _as_mapping(solution_matrix(ctx))
     for j in range(k - 1):
         low = n ** (k - 2 - j)  # weight of the digit of leg j + 2
         swap, emb = _on_leg_pair(flip, n, size, low), _on_leg_pair(r, n, size, low)
         ok = all(swap[lhs[swap[c]]] == emb[lhs[c]] for c in range(size))
         report.add(f"exchange_law_legs_{j + 1}_{j + 2}", ok)
-    return ZOMatrix.from_mapping(lhs), report
+    return _from_mapping(lhs), report
 
 
 def _on_leg_pair(pair_map: list[int], n: int, size: int, low: int) -> list[int]:

@@ -194,14 +194,3 @@ def antipode_table(n: int, max_level: int) -> dict[Gen, NCPoly]:
                         acc = acc + s_prev * gen(m - k, a, c)
                 table[(m, a, b)] = -acc
     return table
-
-
-def apply_antipode(p: NCPoly, table: dict[Gen, NCPoly]) -> NCPoly:
-    """Anti-homomorphic extension of the generator antipode."""
-    out = NCPoly.zero()
-    for word, c in p.terms.items():
-        factor = NCPoly.one()
-        for g in reversed(word):
-            factor = factor * table[g]
-        out = out + c * factor
-    return out

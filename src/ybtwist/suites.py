@@ -5,6 +5,12 @@ it decides (the ``anchor``), a pass/fail/skipped status, the first witness on
 failure, and its wall time in milliseconds (a float with microsecond
 resolution).  Check names map one-to-one onto the public operations of the
 library.
+
+Work that more than one entry needs is decided once and reused: a brace's
+``AlgebraContext`` once per ``run_suites`` call, by the first level that needs
+it, and the n-only yangian checks once per order in a verify run.  A reused
+entry keeps its own name and anchor, has the first run's status, witness and
+detail, and carries ``"millis": 0`` and ``"reused": true``.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import time
 from . import algebra, braces, matrices, yangian
 from .braces import SkewBrace
 from .errors import CheckFailed, LimitExceeded, ValidationFailure
+from .reports import PropertyReport
 
 LEVELS = ("map", "matrix", "universal", "yangian")
 
@@ -26,9 +33,13 @@ SYMBOLIC_LEVEL = 3
 ADJUDICATION_LEVEL = 2
 
 
-def _run(checks: list[dict], name: str, anchor: str, fn, detail=None) -> None:
+def _run(checks: list[dict], name: str, anchor: str, fn, detail=None):
+    """Append the entry of one check; return what ``fn`` returned if it passed, else None.
+
+    ``fn`` passes unless it raises, returns False or returns a failing report.
+    """
     t0 = time.perf_counter()
-    status, witness = "pass", None
+    status, witness, result = "pass", None, None
     try:
         result = fn()
     except (ValidationFailure, CheckFailed) as exc:
@@ -36,15 +47,12 @@ def _run(checks: list[dict], name: str, anchor: str, fn, detail=None) -> None:
     except LimitExceeded as exc:
         status, witness = "skipped", str(exc)
     else:
-        if result is True or result is None:
-            pass
-        elif result is False:
+        if result is False:
             status = "fail"
-        else:  # a PropertyReport
-            if not result.ok:
-                status = "fail"
-                first = result.failures()[0]
-                witness = {"check": first.name, "witness": first.witness}
+        elif isinstance(result, PropertyReport) and not result.ok:
+            status = "fail"
+            first = result.failures()[0]
+            witness = {"check": first.name, "witness": first.witness}
     millis = round((time.perf_counter() - t0) * 1000, 3)
     entry = {"name": name, "anchor": anchor, "status": status, "millis": millis}
     if witness is not None:
@@ -52,22 +60,39 @@ def _run(checks: list[dict], name: str, anchor: str, fn, detail=None) -> None:
     if detail is not None:
         entry["detail"] = detail
     checks.append(entry)
+    return result if status == "pass" else None
 
 
-def _run_n_only(checks: list[dict], shared: dict | None, name: str, anchor: str,
-                n: int, fn) -> None:
-    """Run a check that depends on n alone, once per (name, n) in ``shared``.
+def _once(store: dict | None, key, fn):
+    """``fn()``, computed once per ``key`` of ``store``.
 
-    A later subject of the same order gets a copy of the first entry with
-    ``millis`` 0 and ``"reused": True``; status, witness and detail are the
-    same.  Without ``shared`` the check simply runs.
+    A later call returns the same value, or raises the same exception, without
+    calling ``fn``.  Without ``store`` ``fn`` simply runs.
     """
-    if shared is not None and (name, n) in shared:
-        checks.append({**shared[(name, n)], "millis": 0, "reused": True})
-        return
-    _run(checks, name, anchor, fn)
-    if shared is not None:
-        shared[(name, n)] = checks[-1]
+    if store is None:
+        return fn()
+    if key not in store:
+        try:
+            store[key] = (fn(), None)
+        except (ValidationFailure, CheckFailed, LimitExceeded) as exc:
+            store[key] = (None, exc.with_traceback(None))
+    value, exc = store[key]
+    if exc is not None:
+        raise exc
+    return value
+
+
+def _run_once(checks: list[dict], store: dict | None, key, name: str, anchor: str, fn):
+    """``_run`` over ``_once``: a reused entry gets ``millis`` 0 and ``"reused": True``.
+
+    It is decided from the stored value or exception, so its status, witness
+    and detail are those of the first run.
+    """
+    reused = store is not None and key in store
+    result = _run(checks, name, anchor, lambda: _once(store, key, fn))
+    if reused:
+        checks[-1].update(millis=0, reused=True)
+    return result
 
 
 def _skip(checks: list[dict], name: str, anchor: str, reason: str) -> None:
@@ -80,25 +105,15 @@ def _info(checks: list[dict], name: str, anchor: str, detail) -> None:
                    "millis": 0, "detail": detail})
 
 
-def _context(brace: SkewBrace, checks: list[dict]) -> algebra.AlgebraContext | None:
-    state: dict = {}
-    _run(checks, "universal.construction",
-         "basis product is associative; unit is two-sided; w_0 is central",
-         lambda: state.__setitem__("ctx", algebra.AlgebraContext(brace)))
-    return state.get("ctx")
-
-
 def map_suite(brace: SkewBrace) -> list[dict]:
     checks: list[dict] = []
-    state: dict = {}
-    _run(checks, "map.derive",
-         "sigma_a(b) = -a + a o b ; sigma_{sigma_a(b)}(tau_b(a)) = a ; rows are permutations",
-         lambda: state.__setitem__("m", braces.derive_sigma_tau(brace)))
-    if "m" not in state:
+    m = _run(checks, "map.derive",
+             "sigma_a(b) = -a + a o b ; sigma_{sigma_a(b)}(tau_b(a)) = a ; rows are permutations",
+             lambda: braces.derive_sigma_tau(brace))
+    if m is None:
         _skip(checks, "map.braid", "(r x 1)(1 x r)(r x 1) = (1 x r)(r x 1)(1 x r)",
               "map derivation failed")
         return checks
-    m = state["m"]
     _run(checks, "map.braid", "(r x 1)(1 x r)(r x 1) = (1 x r)(r x 1)(1 x r)",
          lambda: braces.check_braid(m))
     _run(checks, "map.properties",
@@ -109,22 +124,22 @@ def map_suite(brace: SkewBrace) -> list[dict]:
     return checks
 
 
-def matrix_suite(brace: SkewBrace) -> list[dict]:
+def matrix_suite(brace: SkewBrace, store: dict | None = None) -> list[dict]:
+    """Matrix-level checks of one brace; ``store`` holds its context (see ``run_suites``)."""
     checks: list[dict] = []
-    state: dict = {}
 
     def build():
-        ctx = algebra.AlgebraContext(brace)
-        state["ctx"] = ctx
-        state["r"] = matrices.solution_matrix(ctx)
+        ctx = _once(store, "context", lambda: algebra.AlgebraContext(brace))
+        r = matrices.solution_matrix(ctx)
         matrices.twist_matrix(ctx)
+        return ctx, r
 
-    _run(checks, "matrix.rep_consistency",
-         "rho x rho of the universal twist and R-matrix equal their combinatorial forms",
-         build)
-    if "r" not in state:
+    built = _run(checks, "matrix.rep_consistency",
+                 "rho x rho of the universal twist and R-matrix equal their combinatorial forms",
+                 build)
+    if built is None:
         return checks
-    ctx, r = state["ctx"], state["r"]
+    ctx, r = built
     _run(checks, "matrix.rho_homomorphism", "rho(x y) = rho(x) rho(y)",
          lambda: matrices.rho_is_homomorphism(ctx))
     _run(checks, "matrix.ybe", "R12 R13 R23 = R23 R13 R12",
@@ -134,24 +149,28 @@ def matrix_suite(brace: SkewBrace) -> list[dict]:
     _run(checks, "matrix.reversible", "R12 R21 = 1",
          lambda: matrices.check_reversibility(r))
     _run(checks, "matrix.braid_bridge", "braid operator = P R",
-         lambda: matrices.braid_matrix(ctx.ybmap) and True)
+         lambda: matrices.braid_matrix(ctx.ybmap))
     _run(checks, "matrix.nfold_twist", "leg twists: recursion = closed form; exchange via R",
          lambda: matrices.nfold_twist_matrix(ctx, 4)[1])
     return checks
 
 
-def universal_suite(brace: SkewBrace, ceiling: int = UNIVERSAL_CEILING) -> list[dict]:
+def universal_suite(brace: SkewBrace, ceiling: int = UNIVERSAL_CEILING,
+                    store: dict | None = None) -> list[dict]:
+    """Universal-level checks of one brace; ``store`` holds its context (see ``run_suites``)."""
     checks: list[dict] = []
     if brace.n > ceiling:
         _skip(checks, "universal.all", "tensor-cube checks over the n^2-dimensional algebra",
               f"order {brace.n} above universal ceiling {ceiling}")
         return checks
-    ctx = _context(brace, checks)
+    ctx = _run_once(checks, store, "context", "universal.construction",
+                    "basis product is associative; unit is two-sided; w_0 is central",
+                    lambda: algebra.AlgebraContext(brace))
     if ctx is None:
         return checks
     _run(checks, "universal.twisted_r",
          "F F^{-1} = 1 x 1 ; F^op F^{-1} = sum h_b w_{a^{-1}} x h_a w_{sigma_a(b)}",
-         lambda: ctx.twisted_r_matrix and True)
+         lambda: ctx.twisted_r_matrix)
     _run(checks, "universal.twist_conditions",
          "F12 F12,3 = F23 F1,23 ; leg symmetries ; exchange with R",
          lambda: algebra.verify_twist_conditions(ctx))
@@ -180,8 +199,8 @@ def universal_suite(brace: SkewBrace, ceiling: int = UNIVERSAL_CEILING) -> list[
 
 
 def yangian_suite(brace: SkewBrace, ceiling: int = YANGIAN_CEILING,
-                  shared: dict | None = None) -> list[dict]:
-    """RTT-layer checks of one brace.
+                  shared: dict | None = None, store: dict | None = None) -> list[dict]:
+    """RTT-layer checks of one brace; ``store`` holds its context (see ``run_suites``).
 
     Six checks are n-only: ``defining_relations``, ``displayed_relations``,
     ``unitarity``, ``rtt``, ``coassociativity`` and ``antipode_series``.  Their
@@ -189,7 +208,7 @@ def yangian_suite(brace: SkewBrace, ceiling: int = YANGIAN_CEILING,
     ``SYMBOLIC_LEVEL``), never the brace's sigma/tau, twist or context, so
     (check name, n) determines the verdict.  With a ``shared`` dict (one per
     verify run) each is decided once per (name, n) and reused for every later
-    subject of that order; see ``_run_n_only``.
+    subject of that order.
     """
     checks: list[dict] = []
     n = brace.n
@@ -197,37 +216,39 @@ def yangian_suite(brace: SkewBrace, ceiling: int = YANGIAN_CEILING,
         _skip(checks, "yangian.all", "pole-cleared RTT checks and symbolic series",
               f"order {n} above yangian ceiling {ceiling}")
         return checks
-    state: dict = {}
-    _run(checks, "yangian.context",
-         "sigma/tau derivation and algebra tables for the twisted layer",
-         lambda: state.__setitem__("ctx", algebra.AlgebraContext(brace)))
-    if "ctx" not in state:
+    ctx = _run_once(checks, store, "context", "yangian.context",
+                    "sigma/tau derivation and algebra tables for the twisted layer",
+                    lambda: algebra.AlgebraContext(brace))
+    if ctx is None:
         return checks
-    ctx = state["ctx"]
-    _run_n_only(checks, shared, "yangian.defining_relations",
-                "[A^{p+1}, A^m] - [A^p, A^{m+1}] = A^m A^p - A^p A^m in the evaluation image",
-                n, lambda: yangian.check_defining_relations(n))
-    _run_n_only(checks, shared, "yangian.displayed_relations",
-                "the four low-order exchange relations, evaluated explicitly",
-                n, lambda: yangian.check_displayed_exchange_relations(n))
-    _run_n_only(checks, shared, "yangian.unitarity",
-                "R(l) P R(-l) P = (1 - (l1-l2)^{-2}) 1, poles cleared: (1 - (l1-l2)^2) 1",
-                n, lambda: yangian.unitarity_report(n))
-    _run_n_only(checks, shared, "yangian.rtt",
-                "R12 L1 L2 = L2 L1 R12 as polynomial matrices, each factor times its pole",
-                n, lambda: yangian.check_rtt(n))
+
+    def n_only(name: str, anchor: str, fn) -> None:
+        _run_once(checks, shared, (name, n), name, anchor, fn)
+
+    n_only("yangian.defining_relations",
+           "[A^{p+1}, A^m] - [A^p, A^{m+1}] = A^m A^p - A^p A^m in the evaluation image",
+           lambda: yangian.check_defining_relations(n))
+    n_only("yangian.displayed_relations",
+           "the four low-order exchange relations, evaluated explicitly",
+           lambda: yangian.check_displayed_exchange_relations(n))
+    n_only("yangian.unitarity",
+           "R(l) P R(-l) P = (1 - (l1-l2)^{-2}) 1, poles cleared: (1 - (l1-l2)^2) 1",
+           lambda: yangian.unitarity_report(n))
+    n_only("yangian.rtt",
+           "R12 L1 L2 = L2 L1 R12 as polynomial matrices, each factor times its pole",
+           lambda: yangian.check_rtt(n))
     _run(checks, "yangian.augmented_relations",
          "w_a L_{b,c} = L_{sigma_a(b),sigma_a(c)} w_a ; idempotent transport/annihilation",
          lambda: yangian.check_augmented_relations(ctx))
     _run(checks, "yangian.twisted_rtt",
          "R^F = r + P/lambda = F^op R F^{-1} ; twisted RTT identity, each factor times its pole",
          lambda: yangian.check_twisted_rtt(ctx))
-    _run_n_only(checks, shared, "yangian.coassociativity",
-                "(Delta x id) Delta = (id x Delta) Delta, symbolic",
-                n, lambda: yangian.coassociativity_report(n, SYMBOLIC_LEVEL))
-    _run_n_only(checks, shared, "yangian.antipode_series",
-                "sum_k s(A^k) A^{m-k} = sum_k A^k s(A^{m-k}) = 0 in the free algebra",
-                n, lambda: yangian.antipode_series(n, yangian.MAX_LEVEL)[1])
+    n_only("yangian.coassociativity",
+           "(Delta x id) Delta = (id x Delta) Delta, symbolic",
+           lambda: yangian.coassociativity_report(n, SYMBOLIC_LEVEL))
+    n_only("yangian.antipode_series",
+           "sum_k s(A^k) A^{m-k} = sum_k A^k s(A^{m-k}) = 0 in the free algebra",
+           lambda: yangian.antipode_series(n, yangian.MAX_LEVEL)[1])
     _run(checks, "yangian.twisted_coproduct_adjudication",
          "which displayed summation range reproduces F Delta F^{-1}",
          lambda: yangian.adjudicate_twisted_coproduct(ctx, ADJUDICATION_LEVEL))
@@ -238,21 +259,25 @@ def run_suites(brace: SkewBrace, level: str, ceilings: dict | None = None,
                shared: dict | None = None) -> list[dict]:
     """Run one named level, or all of them, over a single brace.
 
+    The brace's ``AlgebraContext`` is built once, by the first level that needs
+    it, and later levels reuse it, or its failure, within this call only.
     ``shared`` is the n-only verdict store of one verify run, passed to
     ``yangian_suite``; leave it out to decide every check afresh.
     """
     ceilings = ceilings or {}
+    store: dict = {}
     out: list[dict] = []
     selected = LEVELS if level == "all" else (level,)
     for lv in selected:
         if lv == "map":
             out.extend(map_suite(brace))
         elif lv == "matrix":
-            out.extend(matrix_suite(brace))
+            out.extend(matrix_suite(brace, store))
         elif lv == "universal":
-            out.extend(universal_suite(brace, ceilings.get("universal", UNIVERSAL_CEILING)))
+            out.extend(universal_suite(brace, ceilings.get("universal", UNIVERSAL_CEILING), store))
         elif lv == "yangian":
-            out.extend(yangian_suite(brace, ceilings.get("yangian", YANGIAN_CEILING), shared))
+            out.extend(yangian_suite(brace, ceilings.get("yangian", YANGIAN_CEILING), shared,
+                                     store))
         else:
             raise ValidationFailure("bad_level", lv, f"unknown level {lv!r}")
     return out

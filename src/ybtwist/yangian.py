@@ -17,8 +17,8 @@ from itertools import product as iproduct
 
 from .algebra import AlgebraContext
 from .errors import LimitExceeded
-from .matrices import (ExactMatrix, _first_entry_diff, embed_legs, flip_matrix, kron,
-                       solution_matrix, swap_legs, twist_matrix)
+from .matrices import (ExactMatrix, _first_entry_diff, embed_legs, flip_matrix, kron, rho,
+                       rho_tensor, solution_matrix, swap_legs, twist_matrix)
 from .ncpoly import NCPoly, antipode_table, coproduct_gen, gen, tensor_coproduct
 from .rational import BivarPoly
 from .reports import PropertyReport
@@ -36,7 +36,7 @@ def _flip(n: int) -> ExactMatrix:
 
     Every entry of a cleared operator is then a ``BivarPoly`` callers can evaluate.
     """
-    return BivarPoly.const(1) * flip_matrix(n).to_exact()
+    return BivarPoly.const(1) * flip_matrix(n)
 
 
 def _l_cleared(n: int, var: int, shift: int = 1) -> ExactMatrix:
@@ -184,11 +184,6 @@ def check_rtt(n: int, corrupt_shift: int | None = None) -> PropertyReport:
 # --------------------------------------------------------- augmented relations
 
 
-def _w_matrix(ctx: AlgebraContext, a: int) -> ExactMatrix:
-    n = ctx.n
-    return ExactMatrix(n, {(ctx.sigma[a][c], c): 1 for c in range(n)})
-
-
 def check_augmented_relations(ctx: AlgebraContext, pmax: int = MAX_LEVEL) -> PropertyReport:
     """The mixed exchange relations between w_a, h_a and the level generators.
 
@@ -199,8 +194,8 @@ def check_augmented_relations(ctx: AlgebraContext, pmax: int = MAX_LEVEL) -> Pro
     """
     n = ctx.n
     report = PropertyReport("augmented_relations")
-    w_mats = [_w_matrix(ctx, a) for a in range(n)]
-    e_mats = [ExactMatrix(n, {(c, c): 1}) for c in range(n)]
+    w_mats = [rho(ctx, ctx.w(a)) for a in range(n)]
+    e_mats = [rho(ctx, ctx.h(c)) for c in range(n)]
 
     def img(p, x, y):
         return _eval_image(n, p, x, y)
@@ -249,7 +244,7 @@ def twisted_r_lambda(ctx: AlgebraContext) -> ExactMatrix:
     R^F(lambda) = r + P / (lambda1 - lambda2), carrying its pole as a factor.
     """
     n = ctx.n
-    return _spacing() * solution_matrix(ctx).to_exact() + _flip(n)
+    return _spacing() * solution_matrix(ctx) + _flip(n)
 
 
 def twisted_l(ctx: AlgebraContext, var: int = 0, shift: int = 1) -> ExactMatrix:
@@ -259,16 +254,8 @@ def twisted_l(ctx: AlgebraContext, var: int = 0, shift: int = 1) -> ExactMatrix:
     ``var`` names the spectral parameter lambda.
     """
     n = ctx.n
-    f_op = swap_legs(twist_matrix(ctx).to_exact(), n)
-    return f_op * _l_cleared(n, var, shift) * _twist_inv_matrix(ctx)
-
-
-def _twist_inv_matrix(ctx: AlgebraContext) -> ExactMatrix:
-    n = ctx.n
-    return ExactMatrix(
-        n * n,
-        {(a * n + ctx.sigma[a][b], a * n + b): 1 for a in range(n) for b in range(n)},
-    )
+    f_op = swap_legs(twist_matrix(ctx), n)
+    return f_op * _l_cleared(n, var, shift) * rho_tensor(ctx, ctx.twist_inv)
 
 
 def check_twisted_rtt(ctx: AlgebraContext) -> PropertyReport:
@@ -283,8 +270,8 @@ def check_twisted_rtt(ctx: AlgebraContext) -> PropertyReport:
     report = PropertyReport("twisted_rtt")
 
     rf = twisted_r_lambda(ctx)
-    f_op = swap_legs(twist_matrix(ctx).to_exact(), n)
-    conj = f_op * yangian_r(n) * _twist_inv_matrix(ctx)
+    f_op = swap_legs(twist_matrix(ctx), n)
+    conj = f_op * yangian_r(n) * rho_tensor(ctx, ctx.twist_inv)
     w = _first_entry_diff(rf, conj)
     report.add("conjugation_form", w is None, witness=w)
 
@@ -382,12 +369,11 @@ def adjudicate_twisted_coproduct(ctx: AlgebraContext, max_level: int = 2) -> Pro
     n = ctx.n
     dim = n * n
 
-    e_mats = [ExactMatrix(n, {(c, c): 1}) for c in range(n)]
-    w_mats = [_w_matrix(ctx, g) for g in range(n)]
-    w_inv_mats = [ExactMatrix(n, {(c, ctx.sigma[g][c]): 1 for c in range(n)}) for g in range(n)]
-    f_mat = ExactMatrix(dim, {k: 1 for k in
-                              ((a * n + b, a * n + ctx.sigma[a][b]) for a in range(n) for b in range(n))})
-    f_inv_mat = _twist_inv_matrix(ctx)
+    e_mats = [rho(ctx, ctx.h(c)) for c in range(n)]
+    w_mats = [rho(ctx, ctx.w(g)) for g in range(n)]
+    w_inv_mats = [rho(ctx, ctx.w_inv(g)) for g in range(n)]
+    f_mat = twist_matrix(ctx)
+    f_inv_mat = rho_tensor(ctx, ctx.twist_inv)
 
     def img(p, x, y):
         return _eval_image(n, p, x, y)

@@ -90,6 +90,10 @@ Z4_RADICAL_MUL_ROWS = [[(a + b + 2 * a * b) % 4 for b in range(4)] for a in rang
 N_ONLY = ("yangian.defining_relations", "yangian.displayed_relations", "yangian.unitarity",
           "yangian.rtt", "yangian.coassociativity", "yangian.antipode_series")
 
+#: the entries that build a brace's AlgebraContext, in report order; run_suites
+#: builds it in the first one present and reuses it in the others
+CONTEXT_ENTRIES = ("matrix.rep_consistency", "universal.construction", "yangian.context")
+
 
 @pytest.fixture(scope="session")
 def z2():

@@ -345,14 +345,3 @@ def test_generic_w_relation_recorded(z4_radical_ctx, s3_trivial_skew):
     ctx = yb.algebra_from_brace(s3_trivial_skew)
     # sigma = tau = id, so the generic relation compares a o b with b o a
     assert not ctx.generic_w_relation_holds
-
-
-def test_tensor_json_round_trip(z4_radical_ctx):
-    from ybtwist import jsonio
-
-    ctx = z4_radical_ctx
-    t = ctx.tensor(2, {(1, 2): Fraction(3, 2), (0, 5): -1})
-    obj = jsonio.encode_tensor(t)
-    assert obj["order"] == 2
-    assert {term["coeff"] for term in obj["terms"]} == {"3/2", "-1/1"}
-    assert jsonio.decode_tensor(ctx, obj) == t

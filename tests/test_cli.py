@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import ybtwist as yb
 from ybtwist import jsonio
 from ybtwist.cli import main
-from conftest import N_ONLY, Z4_RADICAL_MUL_ROWS, cyclic_rows
+from conftest import CONTEXT_ENTRIES, N_ONLY, Z4_RADICAL_MUL_ROWS, cyclic_rows
 
 
 def write_json(path, obj):
@@ -122,7 +122,8 @@ def test_verify_is_deterministic_modulo_millis(z4_radical_file, tmp_path, capsys
     # orders 2, 3, 2, 3: the repeats reuse the n-only verdicts of the first two
     catalog = write_json(tmp_path / "cat.json", jsonio.encode_catalog(
         3, False, [yb.trivial_brace(n) for n in (2, 3, 2, 3)]))
-    for path, level in ((z4_radical_file, "map"), (catalog, "yangian")):
+    reports = {}
+    for path, level in ((z4_radical_file, "map"), (catalog, "yangian"), (catalog, "all")):
         outs = []
         for name in ("a.json", "b.json"):
             out = tmp_path / name
@@ -135,14 +136,17 @@ def test_verify_is_deterministic_modulo_millis(z4_radical_file, tmp_path, capsys
                     assert isinstance(millis, float) or millis == 0
             outs.append(json.dumps(report, sort_keys=True))
         assert outs[0] == outs[1]
-    subjects = report["subjects"]
-    for i, subject in enumerate(subjects):
-        for check in subject["checks"]:
-            if i >= 2 and check["name"] in N_ONLY:
-                assert check["reused"] is True
-            else:
-                assert "reused" not in check
-    assert _without_reused(subjects[0]) == _without_reused(subjects[2])
+        reports[level] = report
+    # at level all the matrix level builds each context and the later levels reuse it
+    for level, context_reused in (("yangian", ()), ("all", CONTEXT_ENTRIES[1:])):
+        subjects = reports[level]["subjects"]
+        for i, subject in enumerate(subjects):
+            for check in subject["checks"]:
+                if (i >= 2 and check["name"] in N_ONLY) or check["name"] in context_reused:
+                    assert check["reused"] is True
+                else:
+                    assert "reused" not in check
+        assert _without_reused(subjects[0]) == _without_reused(subjects[2])
 
 
 def _without_reused(subject: dict) -> list[dict]:
@@ -171,6 +175,37 @@ def test_solution_formats(z4_radical_file, trivial2_file, tmp_path, capsys):
     b1 = write_json(tmp_path / "b1.json", {"n": 1, "add": [[0]], "mul": [[0]]})
     assert main(["solution", b1, "--format", "map", "--out", str(out)]) == 0
     assert json.loads(out.read_text()) == {"n": 1, "sigma": [[0]], "tau": [[0]]}
+
+
+#: an order-6 skew brace with non-abelian addition (S3) and bijective tau
+S3_ADD_ROWS = [[0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4], [2, 4, 0, 5, 1, 3],
+               [3, 5, 1, 4, 0, 2], [4, 2, 5, 0, 3, 1], [5, 3, 4, 1, 2, 0]]
+S3_SKEW_MUL_ROWS = [[0, 1, 2, 3, 4, 5], [1, 0, 4, 5, 2, 3], [2, 4, 3, 1, 5, 0],
+                    [3, 5, 1, 4, 0, 2], [4, 2, 5, 0, 3, 1], [5, 3, 0, 2, 1, 4]]
+
+
+def _solution_entries(add, mul) -> list[list[int]]:
+    """Positions (b n + a, sigma_a(b) n + tau_b(a)), with sigma_a(b) = -a + a o b and
+    tau_b(a) the x with sigma_{sigma_a(b)}(x) = a, computed from the tables."""
+    n = len(add)
+    neg = [add[a].index(0) for a in range(n)]
+    sigma = [[add[neg[a]][mul[a][b]] for b in range(n)] for a in range(n)]
+    tau = [[next(x for x in range(n) if sigma[sigma[a][b]][x] == a) for a in range(n)]
+           for b in range(n)]
+    return sorted([b * n + a, sigma[a][b] * n + tau[b][a]] for a in range(n) for b in range(n))
+
+
+@pytest.mark.parametrize("add, mul", [(cyclic_rows(4), Z4_RADICAL_MUL_ROWS),
+                                      (S3_ADD_ROWS, S3_SKEW_MUL_ROWS)],
+                         ids=["z4_radical", "s3_skew"])
+def test_solution_matrix_bytes(add, mul, tmp_path, capsys):
+    n = len(add)
+    assert yb.validate_group(add).is_abelian == (n == 4)
+    path = write_json(tmp_path / "brace.json", {"n": n, "add": add, "mul": mul})
+    assert main(["solution", path, "--format", "matrix"]) == 0
+    expected = {"dim": n * n, "entries": _solution_entries(add, mul)}
+    assert expected["entries"] != [[i, i] for i in range(n * n)]
+    assert capsys.readouterr().out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
 
 
 def test_report_merge(z4_radical_file, trivial2_file, tmp_path, capsys):
@@ -272,13 +307,21 @@ _JSON = st.recursive(
     max_leaves=12)
 _TABLE = st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=3), min_size=1, max_size=3)
 _BRACE = st.fixed_dictionaries({"add": _TABLE, "mul": _TABLE})
+_REPORT = st.fixed_dictionaries(
+    {"subjects": st.lists(_JSON, max_size=2),
+     "summary": st.dictionaries(st.sampled_from(["pass", "fail", "skipped"]), _JSON, max_size=3)},
+    optional={"level": _JSON})
 
 
 @settings(max_examples=150, deadline=None)
-@given(obj=_JSON | _BRACE | st.builds(lambda b: {"braces": b}, st.lists(_BRACE, max_size=2)))
+@given(obj=_JSON | _BRACE | st.builds(lambda b: {"braces": b}, st.lists(_BRACE, max_size=2))
+       | _REPORT)
 def test_any_json_gets_an_exit_code(obj, tmp_path_factory):
-    path = tmp_path_factory.getbasetemp() / "fuzz.json"
-    path.write_text(json.dumps(obj), encoding="utf-8")
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        code = main(["verify", str(path), "--level", "map"])
-    assert code in (0, 1, 2)
+    path = str(tmp_path_factory.getbasetemp() / "fuzz.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(obj, fh)
+    for argv in (["verify", path, "--level", "map"], ["solution", path, "--format", "matrix"],
+                 ["report-merge", path]):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        assert code in (0, 1, 2), argv

@@ -9,8 +9,6 @@ from ybtwist import jsonio, matrices
 from ybtwist.algebra import slot_coproduct
 from ybtwist.matrices import (
     ExactMatrix,
-    ZOMatrix,
-    compose,
     embed_legs,
     flip_matrix,
     nfold_twist_matrix,
@@ -48,8 +46,8 @@ def test_rho_homomorphism_negative_control(z4_radical_ctx):
 
 
 def test_twist_matrix_trivial_is_identity(trivial2_ctx):
-    assert yb.twist_matrix(trivial2_ctx).to_exact() == ExactMatrix.identity(4)
-    assert yb.solution_matrix(trivial2_ctx).to_exact() == ExactMatrix.identity(4)
+    assert yb.twist_matrix(trivial2_ctx) == ExactMatrix.identity(4)
+    assert yb.solution_matrix(trivial2_ctx) == ExactMatrix.identity(4)
 
 
 def test_solution_matrix_z4_pinned_entry(z4_radical_ctx):
@@ -62,8 +60,8 @@ def test_solution_matrix_equals_represented_universal(braces_up_to_4):
     for bs in braces_up_to_4.values():
         for b in bs:
             ctx = yb.algebra_from_brace(b)
-            assert yb.solution_matrix(ctx).to_exact() == rho_tensor(ctx, ctx.twisted_r_matrix)
-            assert yb.twist_matrix(ctx).to_exact() == rho_tensor(ctx, ctx.twist)
+            assert yb.solution_matrix(ctx) == rho_tensor(ctx, ctx.twisted_r_matrix)
+            assert yb.twist_matrix(ctx) == rho_tensor(ctx, ctx.twist)
 
 
 def test_matrix_ybe_identity_and_flip():
@@ -82,7 +80,7 @@ def test_combinatorial_and_reversible(z4_radical_ctx):
     sm = yb.solution_matrix(z4_radical_ctx)
     assert yb.check_combinatorial(sm)
     assert yb.check_reversibility(sm)
-    one_plus_p = ExactMatrix.identity(4) + flip_matrix(2).to_exact()
+    one_plus_p = ExactMatrix.identity(4) + flip_matrix(2)
     assert not yb.check_combinatorial(one_plus_p)
     assert yb.check_combinatorial(ExactMatrix.identity(4))
     assert yb.check_reversibility(ExactMatrix.identity(4))
@@ -93,7 +91,7 @@ def test_braid_bridge(trivial2_ctx, z4_radical_ctx):
     assert yb.braid_matrix(m) == flip_matrix(2)
     m4 = z4_radical_ctx.ybmap
     braid = yb.braid_matrix(m4)
-    assert braid == compose(flip_matrix(4), yb.solution_matrix(z4_radical_ctx))
+    assert braid == flip_matrix(4) * yb.solution_matrix(z4_radical_ctx)
 
 
 def test_braid_square_iff_involutive(braces_up_to_4, z6_brace):
@@ -101,12 +99,11 @@ def test_braid_square_iff_involutive(braces_up_to_4, z6_brace):
         for b in bs:
             m = yb.derive_sigma_tau(b)
             braid = yb.braid_matrix(m)
-            squared = compose(braid, braid)
-            identity = ZOMatrix.from_mapping(list(range(b.n * b.n)))
-            assert (squared == identity) == yb.is_involutive(m)
+            squared = braid * braid
+            assert (squared == ExactMatrix.identity(b.n * b.n)) == yb.is_involutive(m)
     m = yb.derive_sigma_tau(z6_brace)
     braid = yb.braid_matrix(m)
-    assert compose(braid, braid) == ZOMatrix.from_mapping(list(range(36)))
+    assert braid * braid == ExactMatrix.identity(36)
 
 
 def test_order6_matrix_layer(z6_brace):
@@ -179,7 +176,7 @@ def test_nfold_twist_matrix(trivial2_ctx, z4_radical_ctx, z6_brace):
     mat, report = nfold_twist_matrix(trivial2_ctx, 3)
     assert report.ok
     assert mat.dim == 8
-    assert mat.to_exact() == ExactMatrix.identity(8)
+    assert mat == ExactMatrix.identity(8)
     mat, report = nfold_twist_matrix(trivial2_ctx, 4)
     assert report.ok and mat.dim == 16
     _, report = nfold_twist_matrix(z4_radical_ctx, 3)
@@ -197,7 +194,7 @@ def test_nfold_matrix_agrees_with_universal(z4_radical_ctx):
     for k in (3, 4):
         universal, _ = nfold_twist(z4_radical_ctx, k)
         mat, _ = nfold_twist_matrix(z4_radical_ctx, k)
-        assert mat.to_exact() == rho_tensor(z4_radical_ctx, universal)
+        assert mat == rho_tensor(z4_radical_ctx, universal)
 
 
 def test_nfold_twist_matrix_leg_count_guard(trivial2_ctx, z4_radical_ctx):
@@ -224,12 +221,12 @@ def test_nfold_twist_matrix_exchange_law_oracle(braces_up_to_4, z6_brace):
     for b in subjects:
         ctx = yb.algebra_from_brace(b)
         n = ctx.n
-        p = flip_matrix(n).to_exact()
-        r = yb.solution_matrix(ctx).to_exact()
+        p = flip_matrix(n)
+        r = yb.solution_matrix(ctx)
         for k in (3, 4):
             mat, report = nfold_twist_matrix(ctx, k)
             f = _oracle_twist(ctx, k)
-            assert mat.to_exact() == f
+            assert mat == f
             exchange = [f"exchange_law_legs_{j + 1}_{j + 2}" for j in range(k - 1)]
             assert [c.name for c in report.checks] == ["recursion", "closed_form", *exchange]
             assert report.check("recursion").passed and report.check("closed_form").passed
@@ -260,19 +257,5 @@ def test_matrix_suite_order6_braces_all_pass():
 
 def test_swap_legs_is_flip_conjugation():
     m = ExactMatrix(4, {(0, 1): 2, (3, 2): 5})
-    p = flip_matrix(2).to_exact()
+    p = flip_matrix(2)
     assert swap_legs(m, 2) == p * m * p
-
-
-def test_zomatrix_json_round_trip(z4_radical_ctx):
-    sm = yb.solution_matrix(z4_radical_ctx)
-    obj = jsonio.encode_zomatrix(sm)
-    assert jsonio.decode_zomatrix(obj) == sm
-
-
-def test_exact_matrix_json_rows():
-    from fractions import Fraction
-
-    m = ExactMatrix(2, {(0, 0): Fraction(1, 2), (1, 0): -3})
-    obj = jsonio.encode_exact_matrix(m)
-    assert obj == {"dim": 2, "rows": [["1/2", "0/1"], ["-3/1", "0/1"]]}

@@ -1,4 +1,5 @@
-"""One verify run decides each n-only yangian check once per order and reuses it."""
+"""Work decided once and reused: each n-only yangian check once per order in a
+verify run, and each brace's AlgebraContext once per run_suites call."""
 
 from __future__ import annotations
 
@@ -6,11 +7,14 @@ import json
 
 import pytest
 
+import ybtwist as yb
 from ybtwist import jsonio, yangian
+from ybtwist.algebra import AlgebraContext
 from ybtwist.braces import enumerate_braces
 from ybtwist.cli import main
 from ybtwist.reports import PropertyReport
-from conftest import N_ONLY
+from ybtwist.suites import LEVELS, run_suites
+from conftest import CONTEXT_ENTRIES, N_ONLY
 
 
 @pytest.fixture(scope="module")
@@ -88,3 +92,78 @@ def test_reuse_is_scoped_to_one_verify_call(catalog2to4, tmp_path, capsys, monke
         code, _report = _verify(catalog2to4, tmp_path / f"run{run}.json", capsys)
         assert code == 0
         assert calls == [2, 3, 4]
+
+
+# ------------------------------------------------------- one context per brace
+
+
+def _count_builds(monkeypatch) -> list:
+    builds = []
+    original = AlgebraContext.__init__
+
+    def counting(self, brace, **kwargs):
+        builds.append(brace.n)
+        original(self, brace, **kwargs)
+
+    monkeypatch.setattr(AlgebraContext, "__init__", counting)
+    return builds
+
+
+def _strip(checks: list[dict]) -> list[dict]:
+    return [{k: v for k, v in c.items() if k not in ("millis", "reused")} for c in checks]
+
+
+def test_all_levels_build_one_context(trivial2, z4_radical, monkeypatch):
+    builds = _count_builds(monkeypatch)
+    for b in (trivial2, z4_radical):
+        builds.clear()
+        checks = run_suites(b, "all", {"universal": b.n, "yangian": b.n})
+        assert builds == [b.n]
+        entries = [c for c in checks if c["name"] in CONTEXT_ENTRIES]
+        assert [c["name"] for c in entries] == list(CONTEXT_ENTRIES)
+        assert [c["status"] for c in entries] == ["pass"] * 3
+        assert [c.get("reused", False) for c in entries] == [False, True, True]
+        assert [c["millis"] for c in entries[1:]] == [0, 0]
+
+
+def _tau_not_bijective(b) -> bool:
+    try:
+        yb.derive_sigma_tau(b)
+    except yb.ValidationFailure as exc:
+        return exc.kind == "tau_not_bijective"
+    return False
+
+
+def test_levels_alone_match_the_all_run(braces_up_to_4):
+    bad = next(b for b in enumerate_braces(6, skew=True) if _tau_not_bijective(b))
+    subjects = [(b, {}) for bs in braces_up_to_4.values() for b in bs]
+    subjects.append((bad, {"universal": 6, "yangian": 6}))
+    shared: dict = {}  # n-only verdicts, so each order's yangian checks run once
+    for b, ceilings in subjects:
+        together = run_suites(b, "all", ceilings, shared)
+        alone = [c for level in LEVELS for c in run_suites(b, level, ceilings, shared)]
+        assert _strip(together) == _strip(alone)
+        assert not any(c.get("reused") for c in alone if c["name"] in CONTEXT_ENTRIES)
+    entries = [c for c in together if c["name"] in CONTEXT_ENTRIES]
+    assert [c["status"] for c in entries] == ["fail"] * 3
+    assert {c["witness"]["error"] for c in entries} == {"tau_not_bijective"}
+
+
+def test_failed_context_build_is_reused_not_retried(z4_radical, monkeypatch):
+    attempts = []
+
+    def broken(self):
+        attempts.append(self.n)
+        raise yb.CheckFailed("not_associative", (1, 2, 3))
+
+    monkeypatch.setattr(AlgebraContext, "_construction_checks", broken)
+    checks = run_suites(z4_radical, "all", {"universal": 4, "yangian": 4})
+    assert attempts == [4]
+    entries = [c for c in checks if c["name"] in CONTEXT_ENTRIES]
+    assert [c["name"] for c in entries] == list(CONTEXT_ENTRIES)
+    for c in entries:
+        assert c["status"] == "fail"
+        assert c["witness"] == {"error": "not_associative", "witness": (1, 2, 3)}
+    assert [c.get("reused", False) for c in entries] == [False, True, True]
+    assert not any(c["name"].startswith(("universal.", "yangian.")) and c["name"] not in
+                   CONTEXT_ENTRIES for c in checks)

@@ -117,7 +117,7 @@ def test_twisted_r_trivial_reduces_to_untwisted(trivial2_ctx):
     # L^F = L when the twist is the identity: (l1 - 1) L = (l1 - 1) 1 + P
     n = trivial2_ctx.n
     pole = BivarPoly.var(0) - 1
-    l_plain = pole * ExactMatrix.identity(n * n) + flip_matrix(n).to_exact()
+    l_plain = pole * ExactMatrix.identity(n * n) + flip_matrix(n)
     assert twisted_l(trivial2_ctx) == l_plain
 
 
