@@ -12,12 +12,12 @@ z4 = yb.validate_group([[(a + b) % 4 for b in range(4)] for a in range(4)])
 mul = yb.validate_group([[(a + b + 2 * a * b) % 4 for b in range(4)] for a in range(4)])
 ctx = yb.algebra_from_brace(yb.validate_brace(z4, mul))
 
-print("rho(h_1) entries:", yb.rho(ctx, ctx.h(1)).entries)
-print("rho(w_1) entries:", sorted(yb.rho(ctx, ctx.w(1)).entries))
+print("rho(h_1) entries:", yb.rho(ctx, ctx.h(1)).coeffs)
+print("rho(w_1) entries:", sorted(yb.rho(ctx, ctx.w(1)).coeffs))
 print("rho is an algebra homomorphism:", yb.rho_is_homomorphism(ctx).ok)
 
 r = yb.solution_matrix(ctx)
-print(f"\nsolution matrix: {r.dim} x {r.dim} with {len(r.entries)} entries")
+print(f"\nsolution matrix: {r.dim} x {r.dim} with {len(r.coeffs)} entries")
 print("combinatorial:", yb.check_combinatorial(r))
 print("reversible (R12 R21 = 1):", yb.check_reversibility(r))
 print("matrix Yang-Baxter equation:", yb.check_matrix_ybe(r).ok)

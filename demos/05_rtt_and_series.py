@@ -26,8 +26,8 @@ from ybtwist.yangian import (
 # Unitarity R(l) P R(-l) P = (1 - (l1-l2)^{-2}) 1 becomes, cleared,
 # (l1 - l2) R(l) P (-(l1 - l2)) R(-l) P = (1 - (l1-l2)^2) 1.
 r = yangian_r(2)
-print("(l1 - l2) R =", sorted((k, str(v)) for k, v in r.entries.items()))
-print("R(2, 1) =", sorted((k, str(v.evaluate(2, 1))) for k, v in r.entries.items()))
+print("(l1 - l2) R =", sorted((k, str(v)) for k, v in r.coeffs.items()))
+print("R(2, 1) =", sorted((k, str(v.evaluate(2, 1))) for k, v in r.coeffs.items()))
 print("unitarity:", unitarity_report(2).ok)
 
 # The defining relations hold with zero violations in the evaluation image.
@@ -52,8 +52,8 @@ for check in check_twisted_rtt(ctx).checks:
 
 # Symbolic layer: coproducts of the level generators...
 table = coproduct_table(2, 2)
-print("\nDelta(L^(1)_{0,1}) terms:", len(table[(1, 0, 1)].terms))
-print("Delta(L^(2)_{0,1}) terms:", len(table[(2, 0, 1)].terms))
+print("\nDelta(L^(1)_{0,1}) terms:", len(table[(1, 0, 1)].coeffs))
+print("Delta(L^(2)_{0,1}) terms:", len(table[(2, 0, 1)].coeffs))
 
 # ... and the antipode series solved from its recursion.  Level 1 and 2:
 s_table, s_report = antipode_series(2, 4)

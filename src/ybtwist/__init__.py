@@ -19,7 +19,6 @@ from .algebra import (
     coproduct,
     counit,
     is_cocommutative,
-    multiply,
     nfold_twist,
     twisted_antipode,
     twisted_coproduct,
@@ -45,8 +44,6 @@ from .errors import CheckFailed, LimitExceeded, ValidationFailure
 from .groups import (
     GroupTable,
     enumerate_group_tables,
-    group_inverse,
-    is_abelian,
     validate_group,
 )
 from .matrices import (

@@ -17,7 +17,7 @@ from itertools import product as iproduct
 
 from .braces import SkewBrace, derive_sigma_tau
 from .errors import CheckFailed, LimitExceeded, ValidationFailure
-from .rational import _prune
+from .rational import Sparse, _prune
 from .reports import PropertyReport
 
 #: (n^2)^k coefficients is the hard cap for tensor constructions.
@@ -33,7 +33,7 @@ class AlgebraContext:
     R-matrix, per-basis coproducts) are built lazily and cached.
     """
 
-    def __init__(self, brace: SkewBrace, *, check: bool = True):
+    def __init__(self, brace: SkewBrace):
         n = brace.n
         self.brace = brace
         self.n = n
@@ -76,8 +76,7 @@ class AlgebraContext:
         )
 
         self._cache: dict = {}
-        if check:
-            self._construction_checks()
+        self._construction_checks()
 
     # ------------------------------------------------------------------ basics
 
@@ -183,36 +182,26 @@ def _inv_row(row):
     return inv
 
 
-class AlgebraElement:
+class AlgebraElement(Sparse):
     """Exact-coefficient linear combination of the basis monomials h_a w_g."""
 
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = ("ctx",)
 
     def __init__(self, ctx: AlgebraContext, coeffs: dict):
         self.ctx = ctx
         self.coeffs = coeffs
 
-    def __add__(self, other: AlgebraElement) -> AlgebraElement:
+    def _like(self, coeffs: dict) -> AlgebraElement:
+        return AlgebraElement(self.ctx, coeffs)
+
+    def _shape(self):
+        return self.ctx
+
+    def _operand(self, other):
+        if not isinstance(other, AlgebraElement):
+            return None
         _same_ctx(self, other)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) + v
-        return AlgebraElement(self.ctx, _prune(out))
-
-    def __sub__(self, other: AlgebraElement) -> AlgebraElement:
-        _same_ctx(self, other)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) - v
-        return AlgebraElement(self.ctx, _prune(out))
-
-    def __neg__(self) -> AlgebraElement:
-        return AlgebraElement(self.ctx, {k: -v for k, v in self.coeffs.items()})
-
-    def __rmul__(self, scalar) -> AlgebraElement:
-        if scalar == 0:
-            return AlgebraElement(self.ctx, {})
-        return AlgebraElement(self.ctx, {k: scalar * v for k, v in self.coeffs.items()})
+        return other
 
     def __mul__(self, other) -> AlgebraElement:
         if not isinstance(other, AlgebraElement):
@@ -228,20 +217,6 @@ class AlgebraElement:
                     acc[k] = acc.get(k, 0) + ci * cj
         return AlgebraElement(self.ctx, _prune(acc))
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AlgebraElement)
-            and self.ctx is other.ctx
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((id(self.ctx), tuple(sorted(self.coeffs.items()))))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __repr__(self):
         n = self.ctx.n
         terms = [
@@ -251,57 +226,34 @@ class AlgebraElement:
         return " + ".join(terms) if terms else "0"
 
 
-class TensorElement:
+class TensorElement(Sparse):
     """Exact k-fold tensor over the algebra basis; keys are k-tuples of basis indices."""
 
-    __slots__ = ("ctx", "k", "coeffs")
+    __slots__ = ("ctx", "k")
 
     def __init__(self, ctx: AlgebraContext, k: int, coeffs: dict):
         self.ctx = ctx
         self.k = k
         self.coeffs = coeffs
 
-    def __add__(self, other: TensorElement) -> TensorElement:
+    def _like(self, coeffs: dict) -> TensorElement:
+        return TensorElement(self.ctx, self.k, coeffs)
+
+    def _shape(self):
+        return self.ctx, self.k
+
+    def _operand(self, other):
+        if not isinstance(other, TensorElement):
+            return None
         _same_ctx(self, other)
         _same_order(self, other)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) + v
-        return TensorElement(self.ctx, self.k, _prune(out))
-
-    def __sub__(self, other: TensorElement) -> TensorElement:
-        _same_ctx(self, other)
-        _same_order(self, other)
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            out[k] = out.get(k, 0) - v
-        return TensorElement(self.ctx, self.k, _prune(out))
-
-    def __rmul__(self, scalar) -> TensorElement:
-        if scalar == 0:
-            return TensorElement(self.ctx, self.k, {})
-        return TensorElement(self.ctx, self.k, {k: scalar * v for k, v in self.coeffs.items()})
+        return other
 
     def __mul__(self, other) -> TensorElement:
         if not isinstance(other, TensorElement):
             return NotImplemented
         _same_order(self, other)
         return _leg_product(self, other, tuple(range(self.k)), self.ctx.prod)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TensorElement)
-            and self.ctx is other.ctx
-            and self.k == other.k
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((id(self.ctx), self.k, tuple(sorted(self.coeffs.items()))))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def slot_swap(self, i: int, j: int) -> TensorElement:
         out: dict = {}
@@ -332,15 +284,6 @@ def algebra_from_brace(brace: SkewBrace) -> AlgebraContext:
     """Build the context, running the construction-time associativity, unit
     and centrality checks (CheckFailed signals a corrupted brace)."""
     return AlgebraContext(brace)
-
-
-def multiply(x, y):
-    """Bilinear product of two elements or two same-order tensors."""
-    if isinstance(x, AlgebraElement) and isinstance(y, AlgebraElement):
-        return x * y
-    if isinstance(x, TensorElement) and isinstance(y, TensorElement):
-        return x * y
-    raise ValidationFailure("order_mismatch", (type(x).__name__, type(y).__name__))
 
 
 def coproduct(x: AlgebraElement) -> TensorElement:
@@ -727,18 +670,17 @@ def verify_twist_conditions(ctx: AlgebraContext, twist: TensorElement | None = N
     """
     f = ctx.twist if twist is None else twist
     rf = ctx.twisted_r_matrix
-    n = ctx.n
     report = PropertyReport("twist_conditions")
 
-    f_1_23 = _twist_1_23(ctx)
+    f_1_23 = _twist_1_tail(ctx, 3)
     f_12_3 = _twist_12_3(ctx)
     lhs = apply_left(f, (0, 1), f_12_3)
     rhs = apply_left(f, (1, 2), f_1_23)
     report.add("cocycle", lhs == rhs, witness=_first_diff(lhs, rhs))
     f123 = rhs
 
-    report.add("one_two_three_symmetry", f_1_23 == f_1_23.slot_swap(1, 2),
-               witness=_first_diff(f_1_23, f_1_23.slot_swap(1, 2)))
+    sw = f_1_23.slot_swap(1, 2)
+    report.add("one_two_three_symmetry", f_1_23 == sw, witness=_first_diff(f_1_23, sw))
     sw = f_12_3.slot_swap(0, 1)
     report.add("two_one_three_symmetry", f_12_3 == sw, witness=_first_diff(f_12_3, sw))
 
@@ -752,18 +694,6 @@ def verify_twist_conditions(ctx: AlgebraContext, twist: TensorElement | None = N
     w = _first_diff(f_12_3, slot_coproduct(f, 0)) or _first_diff(f_1_23, slot_coproduct(f, 1))
     report.add("coproduct_images", w is None, witness=w)
     return report
-
-
-def _twist_1_23(ctx: AlgebraContext) -> TensorElement:
-    # sum_a h_a (x) w_{a^{-1}} (x) w_{a^{-1}}
-    n = ctx.n
-    coeffs = {}
-    for a in range(n):
-        ainv = ctx.circle_inv[a]
-        for b in range(n):
-            for c in range(n):
-                coeffs[(a * n, b * n + ainv, c * n + ainv)] = 1
-    return TensorElement(ctx, 3, coeffs)
 
 
 def _twist_12_3(ctx: AlgebraContext) -> TensorElement:

@@ -40,9 +40,6 @@ class SkewBrace:
     def neg(self, a: int) -> int:
         return self.add.inverses[a]
 
-    def circle_inv(self, a: int) -> int:
-        return self.mul.inverses[a]
-
 
 @dataclass(frozen=True)
 class YBMap:

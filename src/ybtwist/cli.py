@@ -35,6 +35,10 @@ def _load_json(path: str):
         raise ValidationFailure("parse", path, f"cannot read {path}: {exc}") from exc
 
 
+#: the ceilings a --config file may set
+_CONFIG_KEYS = ("enumeration", "universal", "yangian")
+
+
 def _ceilings(args) -> dict:
     ceilings = {"enumeration": DEFAULT_CEILING}
     if getattr(args, "config", None):
@@ -42,6 +46,8 @@ def _ceilings(args) -> dict:
         if not isinstance(cfg, dict):
             raise ValidationFailure("parse", args.config, "config must be a JSON object")
         for key, value in cfg.items():
+            if key not in _CONFIG_KEYS:
+                raise ValidationFailure("parse", key, f"config key {key!r} is not one of {_CONFIG_KEYS}")
             if type(value) is not int:
                 raise ValidationFailure("parse", key, f"config value for {key!r} must be an integer")
         ceilings.update(cfg)

@@ -172,12 +172,3 @@ def enumerate_group_tables(n: int, ceiling: int = DEFAULT_CEILING) -> list[Group
 
     fill(0)
     return out
-
-
-def group_inverse(g: GroupTable, a: int) -> int:
-    """The unique b with a*b = b*a = 0."""
-    return g.inverses[a]
-
-
-def is_abelian(g: GroupTable) -> bool:
-    return g.is_abelian

@@ -13,7 +13,7 @@ import json
 
 from .braces import SkewBrace, YBMap, validate_brace
 from .errors import ValidationFailure
-from .groups import GroupTable, validate_group
+from .groups import validate_group
 from .matrices import ExactMatrix
 
 
@@ -25,18 +25,6 @@ def _check_declared(obj: dict, key: str, actual: int, message: str) -> None:
     """A declared size ("n" or "count"), when present, must be an int equal to ``actual``."""
     if key in obj and (type(obj[key]) is not int or obj[key] != actual):
         raise ValidationFailure("parse", obj[key], message)
-
-
-def encode_group(g: GroupTable) -> dict:
-    return {"n": g.n, "table": [list(row) for row in g.table]}
-
-
-def decode_group(obj) -> GroupTable:
-    if not isinstance(obj, dict) or "table" not in obj:
-        raise ValidationFailure("parse", None, "expected an object with a 'table' field")
-    g = validate_group(obj["table"])
-    _check_declared(obj, "n", g.n, "declared order does not match table size")
-    return g
 
 
 def encode_brace(b: SkewBrace) -> dict:
@@ -69,23 +57,9 @@ def encode_ybmap(m: YBMap) -> dict:
     }
 
 
-def decode_ybmap(obj) -> YBMap:
-    """Rebuild a map from its sigma table; a supplied tau is cross-checked, never trusted."""
-    from .braces import ybmap_from_sigma
-
-    if not isinstance(obj, dict) or "sigma" not in obj:
-        raise ValidationFailure("parse", None, "expected an object with a 'sigma' table")
-    m = ybmap_from_sigma(obj["sigma"])
-    if "tau" in obj:
-        supplied = tuple(tuple(int(v) for v in row) for row in obj["tau"])
-        if supplied != m.tau:
-            raise ValidationFailure("tau_mismatch", None, "supplied tau disagrees with the derived one")
-    return m
-
-
 def encode_permutation_matrix(m: ExactMatrix) -> dict:
     """A matrix whose entries are all 1, as {"dim", "entries": sorted [row, col] positions}."""
-    return {"dim": m.dim, "entries": [list(pos) for pos in sorted(m.entries)]}
+    return {"dim": m.dim, "entries": [list(pos) for pos in sorted(m.coeffs)]}
 
 
 def encode_catalog(order: int, skew: bool, braces: list[SkewBrace]) -> dict:

@@ -1,11 +1,11 @@
 """Sparse exact matrices, the fundamental representation, and matrix-level checks.
 
-Every matrix is one ``ExactMatrix``: a sparse dictionary of exact entries,
-integers, ``Fraction``s or ``BivarPoly`` polynomials in the spectral
-parameters.  A permutation matrix is an ``ExactMatrix`` whose entries are 1;
-where a check composes many of them it works on their column -> row lists.
-Tensor-leg embeddings are done by index arithmetic, never by materializing
-Kronecker factors.
+Every matrix is one ``ExactMatrix``: a ``Sparse`` combination whose
+``coeffs`` map (row, col) to exact entries, integers, ``Fraction``s or
+``BivarPoly`` polynomials in the spectral parameters.  A permutation
+matrix is an ``ExactMatrix`` whose entries are 1; where a check composes
+many of them it works on their column -> row lists.  Tensor-leg embeddings
+are done by index arithmetic, never by materializing Kronecker factors.
 """
 
 from __future__ import annotations
@@ -16,23 +16,32 @@ from math import isqrt
 from .algebra import AlgebraContext, TensorElement
 from .braces import YBMap
 from .errors import CheckFailed, LimitExceeded
-from .rational import _prune
+from .rational import Sparse, _prune
 from .reports import PropertyReport
 
 
-class ExactMatrix:
+class ExactMatrix(Sparse):
     """Sparse square matrix with exact entries: int, Fraction or BivarPoly.
 
-    Entries only need ring arithmetic with each other and with ``0``, and
-    ``v != 0`` for exactly the zero entries, so one kernel serves every
-    coefficient ring and mixes integer and polynomial matrices freely.
+    ``coeffs`` maps (row, col) to the non-zero entries.  Entries only need
+    ring arithmetic with each other and with ``0``, and ``v != 0`` for
+    exactly the zero entries, so one kernel serves every coefficient ring and
+    mixes integer and polynomial matrices freely.
     """
 
-    __slots__ = ("dim", "entries")
+    __slots__ = ("dim",)
 
     def __init__(self, dim: int, entries: dict):
         self.dim = dim
-        self.entries = _prune(entries)
+        self.coeffs = _prune(entries)
+
+    def _like(self, coeffs: dict) -> ExactMatrix:
+        out = object.__new__(ExactMatrix)
+        out.dim, out.coeffs = self.dim, coeffs
+        return out
+
+    def _shape(self):
+        return self.dim
 
     @classmethod
     def identity(cls, dim: int) -> ExactMatrix:
@@ -42,51 +51,27 @@ class ExactMatrix:
     def zero(cls, dim: int) -> ExactMatrix:
         return cls(dim, {})
 
-    def __add__(self, other: ExactMatrix) -> ExactMatrix:
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            out[k] = out.get(k, 0) + v
-        return ExactMatrix(self.dim, out)
-
-    def __sub__(self, other: ExactMatrix) -> ExactMatrix:
-        out = dict(self.entries)
-        for k, v in other.entries.items():
-            out[k] = out.get(k, 0) - v
-        return ExactMatrix(self.dim, out)
-
-    def __rmul__(self, scalar) -> ExactMatrix:
-        return ExactMatrix(self.dim, {k: scalar * v for k, v in self.entries.items()})
-
     def __mul__(self, other) -> ExactMatrix:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         by_row: dict = {}
-        for (r, c), v in other.entries.items():
+        for (r, c), v in other.coeffs.items():
             by_row.setdefault(r, []).append((c, v))
         acc: dict = {}
-        for (r, k), va in self.entries.items():
+        for (r, k), va in self.coeffs.items():
             for c, vb in by_row.get(k, ()):
                 key = (r, c)
                 acc[key] = acc.get(key, 0) + va * vb
-        return ExactMatrix(self.dim, acc)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ExactMatrix) and self.dim == other.dim and self.entries == other.entries
-
-    def __hash__(self):
-        return hash((self.dim, tuple(sorted(self.entries.items()))))
-
-    def transpose(self) -> ExactMatrix:
-        return ExactMatrix(self.dim, {(c, r): v for (r, c), v in self.entries.items()})
+        return self._like(_prune(acc))
 
     def __repr__(self):
-        return f"ExactMatrix(dim={self.dim}, nnz={len(self.entries)})"
+        return f"ExactMatrix(dim={self.dim}, nnz={len(self.coeffs)})"
 
 
 def _as_mapping(m: ExactMatrix) -> list[int]:
     """Column -> row list of a 0/1 matrix; requires exactly one entry per column."""
     col_to_row = [-1] * m.dim
-    for r, c in m.entries:
+    for r, c in m.coeffs:
         if col_to_row[c] != -1:
             raise CheckFailed("not_column_functional", c)
         col_to_row[c] = r
@@ -107,8 +92,8 @@ def flip_matrix(n: int) -> ExactMatrix:
 def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     out = {}
     db = b.dim
-    for (r1, c1), v1 in a.entries.items():
-        for (r2, c2), v2 in b.entries.items():
+    for (r1, c1), v1 in a.coeffs.items():
+        for (r2, c2), v2 in b.coeffs.items():
             out[(r1 * db + r2, c1 * db + c2)] = v1 * v2
     return ExactMatrix(a.dim * db, out)
 
@@ -122,7 +107,7 @@ def embed_legs(m: ExactMatrix, n: int, k: int, legs: tuple[int, ...]) -> ExactMa
     r = len(legs)
     others = [s for s in range(k) if s not in legs]
     out: dict = {}
-    for (row, col), v in m.entries.items():
+    for (row, col), v in m.coeffs.items():
         rd = _digits(row, n, r)
         cd = _digits(col, n, r)
         for fill in iproduct(range(n), repeat=len(others)):
@@ -141,7 +126,7 @@ def embed_legs(m: ExactMatrix, n: int, k: int, legs: tuple[int, ...]) -> ExactMa
 def swap_legs(m: ExactMatrix, n: int) -> ExactMatrix:
     """Conjugate a two-leg matrix by the flip: entries ((r1, r2), (c1, c2)) -> ((r2, r1), (c2, c1))."""
     out = {}
-    for (row, col), v in m.entries.items():
+    for (row, col), v in m.coeffs.items():
         r1, r2 = divmod(row, n)
         c1, c2 = divmod(col, n)
         out[(r2 * n + r1, c2 * n + c1)] = v
@@ -152,8 +137,8 @@ def _first_entry_diff(a: ExactMatrix, b: ExactMatrix) -> dict | None:
     """The first (row, col) where two matrices differ, with both entries, or None."""
     if a == b:
         return None
-    for key in sorted(set(a.entries) | set(b.entries)):
-        va, vb = a.entries.get(key, 0), b.entries.get(key, 0)
+    for key in sorted(set(a.coeffs) | set(b.coeffs)):
+        va, vb = a.coeffs.get(key, 0), b.coeffs.get(key, 0)
         if va != vb:
             return {"entry": key, "lhs": str(va), "rhs": str(vb)}
     return None
@@ -269,10 +254,10 @@ def braid_matrix(m: YBMap) -> ExactMatrix:
 def check_combinatorial(mat: ExactMatrix) -> bool:
     """Exactly one entry per row and per column, every entry equal to 1."""
     dim = mat.dim
-    if len(mat.entries) != dim:
+    if len(mat.coeffs) != dim:
         return False
     rows, cols = set(), set()
-    for (r, c), v in mat.entries.items():
+    for (r, c), v in mat.coeffs.items():
         if v != 1:
             return False
         rows.add(r)

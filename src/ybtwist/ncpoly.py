@@ -2,26 +2,26 @@
 
 A generator is a triple (m, a, b) with level m >= 1; the level-0 symbol is
 delta_{a,b} times the unit and never appears inside words.  Polynomials are
-kept in expanded normal form: a dictionary from words (tuples of generators)
-to exact coefficients.  No rewriting is performed; identities asserted here
-hold in the free algebra itself.
+kept in expanded normal form: a ``Sparse`` combination whose ``coeffs`` map
+words (tuples of generators) to exact coefficients.  No rewriting is
+performed; identities asserted here hold in the free algebra itself.
 """
 
 from __future__ import annotations
 
-from .rational import _prune
+from .rational import Sparse, _prune
 
 Gen = tuple[int, int, int]
 Word = tuple[Gen, ...]
 
 
-class NCPoly:
+class NCPoly(Sparse):
     """Formal sum of words with exact coefficients."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
-    def __init__(self, terms: dict | None = None):
-        self.terms = _prune(dict(terms or {}))
+    def __init__(self, coeffs: dict | None = None):
+        self.coeffs = _prune(dict(coeffs or {}))
 
     @classmethod
     def one(cls) -> NCPoly:
@@ -31,49 +31,21 @@ class NCPoly:
     def zero(cls) -> NCPoly:
         return cls({})
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: NCPoly) -> NCPoly:
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) + v
-        return NCPoly(out)
-
-    def __sub__(self, other: NCPoly) -> NCPoly:
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) - v
-        return NCPoly(out)
-
-    def __neg__(self) -> NCPoly:
-        return NCPoly({k: -v for k, v in self.terms.items()})
-
-    def __rmul__(self, scalar) -> NCPoly:
-        return NCPoly({k: scalar * v for k, v in self.terms.items()})
-
     def __mul__(self, other) -> NCPoly:
         if not isinstance(other, NCPoly):
             return NotImplemented
         out: dict = {}
-        for w1, c1 in self.terms.items():
-            for w2, c2 in other.terms.items():
+        for w1, c1 in self.coeffs.items():
+            for w2, c2 in other.coeffs.items():
                 w = w1 + w2
                 out[w] = out.get(w, 0) + c1 * c2
-        return NCPoly(out)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, NCPoly) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(tuple(sorted(self.terms.items())))
+        return self._like(_prune(out))
 
     def __repr__(self):
-        if not self.terms:
+        if not self.coeffs:
             return "0"
         bits = []
-        for w, c in sorted(self.terms.items()):
+        for w, c in sorted(self.coeffs.items()):
             word = "".join(f"L{m}[{a},{b}]" for m, a, b in w) or "1"
             bits.append(f"{c}*{word}" if c != 1 or not w else word)
         return " + ".join(bits)
@@ -88,59 +60,45 @@ def gen(m: int, a: int, b: int) -> NCPoly:
     return NCPoly({((m, a, b),): 1})
 
 
-class NCTensor:
+class NCTensor(Sparse):
     """k-fold tensor of free polynomials; keys are k-tuples of words."""
 
-    __slots__ = ("k", "terms")
+    __slots__ = ("k",)
 
-    def __init__(self, k: int, terms: dict | None = None):
+    def __init__(self, k: int, coeffs: dict | None = None):
         self.k = k
-        self.terms = _prune(dict(terms or {}))
+        self.coeffs = _prune(dict(coeffs or {}))
+
+    def _like(self, coeffs: dict) -> NCTensor:
+        out = object.__new__(NCTensor)
+        out.k, out.coeffs = self.k, coeffs
+        return out
+
+    def _shape(self):
+        return self.k
 
     @classmethod
     def one(cls, k: int) -> NCTensor:
         return cls(k, {((),) * k: 1})
 
-    def __add__(self, other: NCTensor) -> NCTensor:
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) + v
-        return NCTensor(self.k, out)
-
-    def __sub__(self, other: NCTensor) -> NCTensor:
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) - v
-        return NCTensor(self.k, out)
-
-    def __rmul__(self, scalar) -> NCTensor:
-        return NCTensor(self.k, {k: scalar * v for k, v in self.terms.items()})
-
     def __mul__(self, other) -> NCTensor:
         if not isinstance(other, NCTensor) or self.k != other.k:
             return NotImplemented
         out: dict = {}
-        for key1, c1 in self.terms.items():
-            for key2, c2 in other.terms.items():
+        for key1, c1 in self.coeffs.items():
+            for key2, c2 in other.coeffs.items():
                 key = tuple(w1 + w2 for w1, w2 in zip(key1, key2))
                 out[key] = out.get(key, 0) + c1 * c2
-        return NCTensor(self.k, out)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, NCTensor) and self.k == other.k and self.terms == other.terms
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
+        return self._like(_prune(out))
 
     def __repr__(self):
-        return f"NCTensor(k={self.k}, terms={len(self.terms)})"
+        return f"NCTensor(k={self.k}, terms={len(self.coeffs)})"
 
 
 def tensor2(p: NCPoly, q: NCPoly) -> NCTensor:
     out = {}
-    for w1, c1 in p.terms.items():
-        for w2, c2 in q.terms.items():
+    for w1, c1 in p.coeffs.items():
+        for w2, c2 in q.coeffs.items():
             out[(w1, w2)] = out.get((w1, w2), 0) + c1 * c2
     return NCTensor(2, out)
 
@@ -157,7 +115,7 @@ def coproduct_gen(m: int, a: int, b: int, n: int) -> NCTensor:
 def coproduct(p: NCPoly, n: int) -> NCTensor:
     """Algebra-homomorphism extension of the generator coproduct."""
     out = NCTensor(2)
-    for word, c in p.terms.items():
+    for word, c in p.coeffs.items():
         factor = NCTensor.one(2)
         for (m, a, b) in word:
             factor = factor * coproduct_gen(m, a, b, n)
@@ -168,17 +126,12 @@ def coproduct(p: NCPoly, n: int) -> NCTensor:
 def tensor_coproduct(t: NCTensor, slot: int, n: int) -> NCTensor:
     """Apply the coproduct inside one slot, raising the tensor order by one."""
     out: dict = {}
-    for key, c in t.terms.items():
+    for key, c in t.coeffs.items():
         inner = coproduct(NCPoly({key[slot]: 1}), n)
-        for (w1, w2), c2 in inner.terms.items():
+        for (w1, w2), c2 in inner.coeffs.items():
             nk = key[:slot] + (w1, w2) + key[slot + 1:]
             out[nk] = out.get(nk, 0) + c * c2
     return NCTensor(t.k + 1, out)
-
-
-def counit(p: NCPoly):
-    """eps kills every positive-level generator: only the empty word survives."""
-    return p.terms.get((), 0)
 
 
 def antipode_table(n: int, max_level: int) -> dict[Gen, NCPoly]:

@@ -19,14 +19,6 @@ class CheckResult:
     witness: Any = None
     detail: Any = None
 
-    def as_dict(self) -> dict:
-        out: dict = {"name": self.name, "status": "pass" if self.passed else "fail"}
-        if self.witness is not None:
-            out["witness"] = self.witness
-        if self.detail is not None:
-            out["detail"] = self.detail
-        return out
-
 
 @dataclass
 class PropertyReport:
@@ -50,10 +42,3 @@ class PropertyReport:
 
     def add(self, name: str, passed: bool, witness: Any = None, detail: Any = None) -> None:
         self.checks.append(CheckResult(name, bool(passed), witness, detail))
-
-    def as_dict(self) -> dict:
-        return {
-            "subject": self.subject,
-            "ok": self.ok,
-            "checks": [c.as_dict() for c in self.checks],
-        }

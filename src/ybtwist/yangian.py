@@ -14,6 +14,7 @@ algebra.
 from __future__ import annotations
 
 from itertools import product as iproduct
+from operator import ne
 
 from .algebra import AlgebraContext
 from .errors import LimitExceeded
@@ -149,11 +150,7 @@ def check_displayed_exchange_relations(n: int) -> PropertyReport:
         ),
     }
     for name, case in cases.items():
-        w = next(
-            ((i, j, k, l) for i, j, k, l in iproduct(range(n), repeat=4)
-             if case(i, j, k, l)[0] != case(i, j, k, l)[1]),
-            None,
-        )
+        w = next((t for t in iproduct(range(n), repeat=4) if ne(*case(*t))), None)
         report.add(name, w is None, witness=w)
     return report
 

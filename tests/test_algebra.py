@@ -65,10 +65,10 @@ def test_unit_and_w_inverses(z4_radical_ctx):
 
 def test_multiply_errors(trivial2_ctx, z4_radical_ctx):
     with pytest.raises(yb.ValidationFailure) as exc:
-        yb.multiply(trivial2_ctx.one(), z4_radical_ctx.one())
+        trivial2_ctx.one() * z4_radical_ctx.one()
     assert exc.value.kind == "context_mismatch"
     with pytest.raises(yb.ValidationFailure) as exc:
-        yb.multiply(trivial2_ctx.unit_tensor(2), trivial2_ctx.unit_tensor(3))
+        trivial2_ctx.unit_tensor(2) * trivial2_ctx.unit_tensor(3)
     assert exc.value.kind == "order_mismatch"
 
 
@@ -304,7 +304,7 @@ def test_construction_check_rejects_corrupted_tables(z4_radical_ctx):
     # flipping one product-table entry must trip the associativity check
     from ybtwist.algebra import AlgebraContext
 
-    ctx = AlgebraContext(z4_radical_ctx.brace, check=False)
+    ctx = AlgebraContext(z4_radical_ctx.brace)
     ctx.prod[5 * ctx.dim + 5] = 0
     with pytest.raises(yb.CheckFailed) as exc:
         ctx._construction_checks()

@@ -60,6 +60,12 @@ def test_config_values_must_be_integers(tmp_path, capsys):
         assert err["error"] == "parse" and err["witness"] == "enumeration"
     cfg = write_json(tmp_path / "cfg.json", {"enumeration": 5})
     assert main(["enumerate", "--order", "5", "--config", cfg]) == 0
+    capsys.readouterr()
+    # a misspelt key is rejected, not ignored in favour of the default ceiling
+    cfg = write_json(tmp_path / "cfg.json", {"universl": 6})
+    assert main(["enumerate", "--order", "3", "--config", cfg]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "parse" and err["witness"] == "universl"
 
 
 def test_report_bytes_are_sorted_indented_json(z4_radical_file, tmp_path, capsys):
@@ -255,23 +261,6 @@ def test_check_names_are_a_stable_contract():
     assert len(names) == len(set(names))
 
 
-def test_ybmap_file_tau_cross_check():
-    m = yb.derive_sigma_tau(yb.trivial_brace(3))
-    obj = jsonio.encode_ybmap(m)
-    assert jsonio.decode_ybmap(obj) == m
-    obj["tau"][0] = [1, 0, 2]
-    with pytest.raises(yb.ValidationFailure) as exc:
-        jsonio.decode_ybmap(obj)
-    assert exc.value.kind == "tau_mismatch"
-
-
-def test_group_json_round_trip(tmp_path):
-    g = yb.validate_group(cyclic_rows(3))
-    assert jsonio.decode_group(jsonio.encode_group(g)).table == g.table
-    with pytest.raises(yb.ValidationFailure):
-        jsonio.decode_group({"n": 2, "table": [[0, 1], [1, 1]]})
-
-
 @pytest.mark.parametrize("obj, witness", [
     ({"n": 2, "add": [[0, "a"], [1, 0]], "mul": cyclic_rows(2)}, [0, 1]),
     ({"n": 2, "add": cyclic_rows(2), "mul": "xx"}, None),
@@ -320,7 +309,7 @@ def test_any_json_gets_an_exit_code(obj, tmp_path_factory):
     path = str(tmp_path_factory.getbasetemp() / "fuzz.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(obj, fh)
-    for argv in (["verify", path, "--level", "map"], ["solution", path, "--format", "matrix"],
+    for argv in (["verify", path, "--level", "all"], ["solution", path, "--format", "matrix"],
                  ["report-merge", path]):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(argv)

@@ -21,11 +21,11 @@ from ybtwist.suites import matrix_suite
 
 def test_rho_generators(trivial2_ctx, z4_radical_ctx):
     ctx = trivial2_ctx
-    assert yb.rho(ctx, ctx.h(1)).entries == {(1, 1): 1}
+    assert yb.rho(ctx, ctx.h(1)).coeffs == {(1, 1): 1}
     assert yb.rho(ctx, ctx.one()) == ExactMatrix.identity(2)
     ctx = z4_radical_ctx
     # sigma_1 = (1 3): the permutation matrix swapping rows 1 and 3
-    assert yb.rho(ctx, ctx.w(1)).entries == {(0, 0): 1, (3, 1): 1, (2, 2): 1, (1, 3): 1}
+    assert yb.rho(ctx, ctx.w(1)).coeffs == {(0, 0): 1, (3, 1): 1, (2, 2): 1, (1, 3): 1}
 
 
 def test_rho_homomorphism(trivial2_ctx, z4_radical_ctx):
@@ -53,7 +53,7 @@ def test_twist_matrix_trivial_is_identity(trivial2_ctx):
 def test_solution_matrix_z4_pinned_entry(z4_radical_ctx):
     # term a = b = 1 contributes e_{1,3} (x) e_{1,3}: row (1,1), column (3,3)
     sm = yb.solution_matrix(z4_radical_ctx)
-    assert (1 * 4 + 1, 3 * 4 + 3) in sm.entries
+    assert (1 * 4 + 1, 3 * 4 + 3) in sm.coeffs
 
 
 def test_solution_matrix_equals_represented_universal(braces_up_to_4):

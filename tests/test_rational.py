@@ -1,12 +1,17 @@
-"""Exact bivariate polynomials: arithmetic, canonical equality, and their use
-as entries of the one sparse ``ExactMatrix`` kernel."""
+"""The ``Sparse`` core shared by the six exact containers, and exact bivariate
+polynomials: arithmetic, canonical equality, and their use as entries of the
+one sparse ``ExactMatrix`` kernel."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+import pytest
+
+from ybtwist.errors import ValidationFailure
 from ybtwist.matrices import ExactMatrix
-from ybtwist.rational import BivarPoly
+from ybtwist.ncpoly import NCPoly, NCTensor, gen
+from ybtwist.rational import BivarPoly, Sparse
 
 U = BivarPoly.var(0)
 V = BivarPoly.var(1)
@@ -38,14 +43,14 @@ def test_poly_equality_is_syntactic():
     # equal polynomials have equal term dictionaries, whatever their history
     a = (U + ONE) * (U - ONE) + V - V
     b = U * U - ONE
-    assert a == b and a.terms == b.terms
-    assert (a - b).terms == {}
+    assert a == b and a.coeffs == b.coeffs
+    assert (a - b).coeffs == {}
     assert repr(b) == "1*u^2 + -1"
 
 
 def test_poly_integer_coefficients_stay_integers():
     p = (U - V) * (U + BivarPoly.const(2)) - ONE
-    assert all(type(c) is int for c in p.terms.values())
+    assert all(type(c) is int for c in p.coeffs.values())
     assert p.evaluate(Fraction(1, 2), 3) == Fraction(-29, 4)
     half = p.scale(Fraction(1, 2))
     assert half.scale(2) == p
@@ -57,10 +62,67 @@ def test_exact_matrix_product_prunes_cancelled_polys():
     plus = U * ExactMatrix.identity(2) + flip
     minus = U * ExactMatrix.identity(2) - flip
     prod = plus * minus
-    assert set(prod.entries) == {(0, 0), (1, 1)}
+    assert set(prod.coeffs) == {(0, 0), (1, 1)}
     assert prod == (U * U - 1) * ExactMatrix.identity(2)
     # a polynomial matrix minus itself is the empty integer zero matrix
-    assert (plus - plus).entries == {}
+    assert (plus - plus).coeffs == {}
     assert plus - plus == ExactMatrix.zero(2)
     # integer and polynomial matrices compare entry by entry
     assert ONE * ExactMatrix.identity(2) == ExactMatrix.identity(2)
+
+
+def _sparse_samples(kind, ctx2, ctx4):
+    """Two objects x, y of one container, and (foreign, error kind of x + foreign)
+    pairs whose shape differs from x; the error kind is None where ``+`` does
+    not check the shape."""
+    half = Fraction(1, 2)
+    if kind == "AlgebraElement":
+        coeffs = {1: half, 3: -3}
+        return (ctx4.element(coeffs), ctx4.element({1: 2, 2: 1}),
+                [(ctx2.element(coeffs), "context_mismatch")])
+    if kind == "TensorElement":
+        coeffs = {(1, 3): half, (0, 0): -3}
+        return (ctx4.tensor(2, coeffs), ctx4.tensor(2, {(1, 3): 2, (2, 1): 1}),
+                [(ctx2.tensor(2, coeffs), "context_mismatch"),
+                 (ctx4.tensor(3, {(1, 3, 0): 1}), "order_mismatch")])
+    if kind == "ExactMatrix":
+        coeffs = {(0, 1): half, (1, 1): U - V}
+        return (ExactMatrix(2, coeffs), ExactMatrix(2, {(0, 1): 2, (1, 0): 1}),
+                [(ExactMatrix(3, coeffs), None)])
+    if kind == "BivarPoly":
+        return U * V - half * V, U - 3, [(ExactMatrix(1, {(0, 0): 1}), None)]
+    if kind == "NCPoly":
+        return (gen(1, 0, 1) + half * gen(2, 1, 0), gen(1, 0, 1) - NCPoly.one(),
+                [(NCTensor(1, {((),): 1}), None)])
+    if kind == "NCTensor":
+        coeffs = {((), ((1, 0, 1),)): half, (((2, 1, 0),), ()): -3}
+        return (NCTensor(2, coeffs), NCTensor(2, {((), ()): 1, ((), ((1, 0, 1),)): 2}),
+                [(NCTensor(3, coeffs), None)])
+    raise AssertionError(kind)
+
+
+@pytest.mark.parametrize("kind", ["AlgebraElement", "TensorElement", "ExactMatrix",
+                                  "BivarPoly", "NCPoly", "NCTensor"])
+def test_sparse_core_laws(kind, trivial2_ctx, z4_radical_ctx):
+    x, y, foreign = _sparse_samples(kind, trivial2_ctx, z4_radical_ctx)
+    assert type(x) is type(y) and isinstance(x, Sparse)
+    again = x + y - y
+    assert again == x and again is not x and hash(again) == hash(x)
+    assert (x - x).coeffs == {} and (x - x).is_zero and not x.is_zero
+    assert (-x).coeffs == {k: -v for k, v in x.coeffs.items()} and -x + x == x - x
+    assert (0 * x).coeffs == {} and (0 * x) == x - x
+    assert (2 * x).coeffs == {k: 2 * v for k, v in x.coeffs.items()} and 2 * x == x + x
+    for other, error in foreign:
+        # a different context, tensor order or dimension is unequal, never an error
+        assert (x == other) is False and (other == x) is False and x != other
+        if error is not None:
+            for op in (x.__add__, x.__sub__):
+                with pytest.raises(ValidationFailure) as exc:
+                    op(other)
+                assert exc.value.kind == error
+    if kind == "BivarPoly":
+        for c in (3, Fraction(-2, 3)):
+            const = BivarPoly.const(c)
+            assert x + c == c + x == x + const
+            assert x - c == x - const and c - x == const - x
+            assert c * x == x * c == const * x

@@ -84,7 +84,7 @@ def on_legs(m, n, legs):
 def evaluated(m, x, y):
     """A polynomial matrix at (x, y), as dense Fractions."""
     out = zeros(m.dim)
-    for (r, c), v in m.entries.items():
+    for (r, c), v in m.coeffs.items():
         out[r][c] = v.evaluate(x, y)
     return out
 
