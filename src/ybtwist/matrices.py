@@ -5,7 +5,11 @@ Every matrix is one ``ExactMatrix``: a ``Sparse`` combination whose
 ``BivarPoly`` polynomials in the spectral parameters.  A permutation
 matrix is an ``ExactMatrix`` whose entries are 1; where a check composes
 many of them it works on their column -> row lists.  Tensor-leg embeddings
-are done by index arithmetic, never by materializing Kronecker factors.
+are done by index arithmetic, never by materializing Kronecker factors:
+``embed_legs`` places a matrix and ``_on_legs`` a column -> row list.  A
+failed matrix identity is witnessed by its first differing entry
+(``Sparse.first_diff``), a failed mapping identity by its first differing
+column.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from math import isqrt
 
 from .algebra import AlgebraContext, TensorElement
 from .braces import YBMap
-from .errors import CheckFailed, LimitExceeded
+from .errors import CheckFailed, LimitExceeded, ValidationFailure
 from .rational import Sparse, _prune
 from .reports import PropertyReport
 
@@ -30,6 +34,7 @@ class ExactMatrix(Sparse):
     """
 
     __slots__ = ("dim",)
+    _diff_label = "entry"
 
     def __init__(self, dim: int, entries: dict):
         self.dim = dim
@@ -43,6 +48,13 @@ class ExactMatrix(Sparse):
     def _shape(self):
         return self.dim
 
+    def _operand(self, other):
+        if not isinstance(other, ExactMatrix):
+            return None
+        if other.dim != self.dim:
+            raise ValidationFailure("dim_mismatch", (self.dim, other.dim))
+        return other
+
     @classmethod
     def identity(cls, dim: int) -> ExactMatrix:
         return cls(dim, {(i, i): 1 for i in range(dim)})
@@ -52,7 +64,8 @@ class ExactMatrix(Sparse):
         return cls(dim, {})
 
     def __mul__(self, other) -> ExactMatrix:
-        if not isinstance(other, ExactMatrix):
+        other = self._operand(other)
+        if other is None:
             return NotImplemented
         by_row: dict = {}
         for (r, c), v in other.coeffs.items():
@@ -123,25 +136,12 @@ def embed_legs(m: ExactMatrix, n: int, k: int, legs: tuple[int, ...]) -> ExactMa
     return ExactMatrix(n ** k, out)
 
 
-def swap_legs(m: ExactMatrix, n: int) -> ExactMatrix:
-    """Conjugate a two-leg matrix by the flip: entries ((r1, r2), (c1, c2)) -> ((r2, r1), (c2, c1))."""
-    out = {}
-    for (row, col), v in m.coeffs.items():
-        r1, r2 = divmod(row, n)
-        c1, c2 = divmod(col, n)
-        out[(r2 * n + r1, c2 * n + c1)] = v
-    return ExactMatrix(m.dim, out)
-
-
-def _first_entry_diff(a: ExactMatrix, b: ExactMatrix) -> dict | None:
-    """The first (row, col) where two matrices differ, with both entries, or None."""
-    if a == b:
-        return None
-    for key in sorted(set(a.coeffs) | set(b.coeffs)):
-        va, vb = a.coeffs.get(key, 0), b.coeffs.get(key, 0)
-        if va != vb:
-            return {"entry": key, "lhs": str(va), "rhs": str(vb)}
-    return None
+def _ybe_sides(x: ExactMatrix, y: ExactMatrix, z: ExactMatrix, n: int) -> tuple:
+    """X12 Y13 Z23 and Z23 Y13 X12 on the three-leg n^3 space, for two-leg x, y, z."""
+    x12 = embed_legs(x, n, 3, (0, 1))
+    y13 = embed_legs(y, n, 3, (0, 2))
+    z23 = embed_legs(z, n, 3, (1, 2))
+    return x12 * y13 * z23, z23 * y13 * x12
 
 
 def _digits(x: int, n: int, k: int) -> tuple[int, ...]:
@@ -270,7 +270,7 @@ def check_reversibility(m: ExactMatrix) -> bool:
     n = isqrt(m.dim)
     if n * n != m.dim:
         raise LimitExceeded(f"dimension {m.dim} is not a perfect square")
-    return m * swap_legs(m, n) == ExactMatrix.identity(m.dim)
+    return m * embed_legs(m, n, 2, (1, 0)) == ExactMatrix.identity(m.dim)
 
 
 def check_matrix_ybe(m: ExactMatrix) -> PropertyReport:
@@ -278,14 +278,8 @@ def check_matrix_ybe(m: ExactMatrix) -> PropertyReport:
     n = isqrt(m.dim)
     if n * n != m.dim:
         raise LimitExceeded(f"dimension {m.dim} is not a perfect square")
-    r12 = embed_legs(m, n, 3, (0, 1))
-    r13 = embed_legs(m, n, 3, (0, 2))
-    r23 = embed_legs(m, n, 3, (1, 2))
-    lhs = r12 * r13 * r23
-    rhs = r23 * r13 * r12
     report = PropertyReport("matrix_ybe")
-    w = _first_entry_diff(lhs, rhs)
-    report.add("ybe", w is None, witness=w)
+    report.compare("ybe", *_ybe_sides(m, m, m, n))
     return report
 
 
@@ -297,7 +291,9 @@ def nfold_twist_matrix(ctx: AlgebraContext, k: int) -> tuple[ExactMatrix, Proper
 
     Every factor, including the leg swaps and the embedded R-matrix, is a
     permutation kept as a column -> row list on the n^k basis, so products are
-    mapping compositions and the check scales to order 6 at k = 4.
+    mapping compositions and the check scales to order 6 at k = 4.  A failed
+    check's witness is the first column where its two sides differ, with both
+    rows: ``{"column": c, "lhs": row, "rhs": row}``.
     """
     if k not in (3, 4):
         raise LimitExceeded(f"leg count {k} unsupported (k must be 3 or 4)")
@@ -350,12 +346,9 @@ def nfold_twist_matrix(ctx: AlgebraContext, k: int) -> tuple[ExactMatrix, Proper
     # are built as call arguments, so each is freed once its product exists.
     prev = twist_map(k - 1)
     head = n ** (k - 1)
-    lhs = compose_maps([prev[c // n] * n + c % n for c in range(size)],      # F_{1..k-1} (x) 1
-                       tail_piece())
-    rhs = compose_maps([c - c % head + prev[c % head] for c in range(size)],  # 1 (x) F_{2..k}
-                       one_slot())
-    report.add("recursion", lhs == rhs)
-    report.add("closed_form", lhs == twist_map(k))
+    lhs = compose_maps(_on_legs(prev, size, n), tail_piece())  # F_{1..k-1} (x) 1
+    rhs = compose_maps(_on_legs(prev, size, 1), one_slot())    # 1 (x) F_{2..k}
+    sides = [("recursion", lhs, rhs), ("closed_form", lhs, twist_map(k))]
 
     # P_{j,j+1} F P_{j,j+1} = R_{j,j+1} F.  R is a permutation once
     # derive_sigma_tau has succeeded (x = sigma_a(b) and sigma_x(y) = a recover
@@ -364,16 +357,21 @@ def nfold_twist_matrix(ctx: AlgebraContext, k: int) -> tuple[ExactMatrix, Proper
     r = _as_mapping(solution_matrix(ctx))
     for j in range(k - 1):
         low = n ** (k - 2 - j)  # weight of the digit of leg j + 2
-        swap, emb = _on_leg_pair(flip, n, size, low), _on_leg_pair(r, n, size, low)
-        ok = all(swap[lhs[swap[c]]] == emb[lhs[c]] for c in range(size))
-        report.add(f"exchange_law_legs_{j + 1}_{j + 2}", ok)
+        swap, emb = _on_legs(flip, size, low), _on_legs(r, size, low)
+        sides.append((f"exchange_law_legs_{j + 1}_{j + 2}",
+                      [swap[lhs[swap[c]]] for c in range(size)],
+                      [emb[lhs[c]] for c in range(size)]))
+    for name, a, b in sides:
+        c = next((c for c in range(size) if a[c] != b[c]), None)
+        report.add(name, c is None, None if c is None else {"column": c, "lhs": a[c], "rhs": b[c]})
     return _from_mapping(lhs), report
 
 
-def _on_leg_pair(pair_map: list[int], n: int, size: int, low: int) -> list[int]:
-    """A two-leg mapping on the adjacent legs whose lower digit has weight ``low``.
+def _on_legs(legs_map: list[int], size: int, low: int) -> list[int]:
+    """A mapping on adjacent legs whose lowest digit has weight ``low``, on all of ``size``.
 
-    The other legs carry the identity.
+    ``legs_map`` permutes the len(legs_map) basis states of those legs; the
+    other legs carry the identity.
     """
-    block = n * n * low
-    return [c - c % block + pair_map[c % block // low] * low + c % low for c in range(size)]
+    block = len(legs_map) * low
+    return [c - c % block + legs_map[c % block // low] * low + c % low for c in range(size)]

@@ -9,6 +9,7 @@ performed; identities asserted here hold in the free algebra itself.
 
 from __future__ import annotations
 
+from .errors import ValidationFailure
 from .rational import Sparse, _prune
 
 Gen = tuple[int, int, int]
@@ -76,6 +77,13 @@ class NCTensor(Sparse):
 
     def _shape(self):
         return self.k
+
+    def _operand(self, other):
+        if not isinstance(other, NCTensor):
+            return None
+        if other.k != self.k:
+            raise ValidationFailure("order_mismatch", (self.k, other.k))
+        return other
 
     @classmethod
     def one(cls, k: int) -> NCTensor:

@@ -5,8 +5,8 @@ polynomials in the spectral parameters, free noncommutative polynomials and
 their tensors) is a ``Sparse``: a dictionary ``coeffs`` from keys to non-zero
 exact coefficients.  Zero coefficients are never stored, so two equal
 combinations always have equal dictionaries and equality is syntactic.
-``Sparse`` owns the vector-space arithmetic; each container adds its own
-product.
+``Sparse`` owns the vector-space arithmetic and the one first-difference
+scan that witnesses a failed identity; each container adds its own product.
 
 Polynomials map (i, j) exponent pairs of the variables (written u and v in
 reprs) to exact coefficients: integers stay integers, and ``Fraction``s
@@ -38,9 +38,11 @@ class Sparse:
     in an object of the same shape, ``_shape`` is what two equal objects must
     share, and ``_operand`` admits the right-hand side of ``+`` and ``-``
     (returning None to decline it, or raising on a mismatched operand).
+    ``_diff_label`` names the key in a ``first_diff`` witness.
     """
 
     __slots__ = ("coeffs",)
+    _diff_label = "key"
 
     def _like(self, coeffs: dict):
         out = object.__new__(type(self))
@@ -88,6 +90,17 @@ class Sparse:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    def first_diff(self, other) -> dict | None:
+        """The smallest key where the coefficients differ, with both sides, or None."""
+        if self == other:
+            return None
+        a, b = self.coeffs, other.coeffs
+        for key in sorted(a.keys() | b.keys()):
+            va, vb = a.get(key, 0), b.get(key, 0)
+            if va != vb:
+                return {self._diff_label: key, "lhs": str(va), "rhs": str(vb)}
+        return None
 
 
 class BivarPoly(Sparse):

@@ -1,7 +1,8 @@
 """Report values returned by the verification operations.
 
 Checks never raise on a failed identity: the failure, with its first
-witness, is the result.
+witness, is the result.  An identity between two exact sides is recorded
+with ``PropertyReport.compare``, whose witness is the first differing key.
 """
 
 from __future__ import annotations
@@ -42,3 +43,9 @@ class PropertyReport:
 
     def add(self, name: str, passed: bool, witness: Any = None, detail: Any = None) -> None:
         self.checks.append(CheckResult(name, bool(passed), witness, detail))
+
+    def compare(self, name: str, lhs, rhs) -> None:
+        """Record the identity lhs = rhs of two ``Sparse`` sides; a failure's
+        witness is ``lhs.first_diff(rhs)``."""
+        passed = lhs == rhs
+        self.add(name, passed, None if passed else lhs.first_diff(rhs))

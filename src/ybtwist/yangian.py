@@ -7,19 +7,23 @@ one known scalar pole.  Every operator is multiplied by its own pole, so an
 identity between products of them becomes an identity between
 integer-coefficient polynomial matrices (``ExactMatrix`` over ``BivarPoly``)
 with the same non-zero scalar on both sides, and is decided by exact
-coefficient comparison.  Symbolic identities live in the free noncommutative
-algebra.
+coefficient comparison; a failure's witness is the first differing entry
+(``PropertyReport.compare``).  The three-leg identities (RTT and twisted RTT)
+share one product, ``matrices._ybe_sides``, and the evaluation images of the
+level generators are built once per process (``_eval_image``).  Symbolic
+identities live in the free noncommutative algebra.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache, partial
 from itertools import product as iproduct
 from operator import ne
 
 from .algebra import AlgebraContext
 from .errors import LimitExceeded
-from .matrices import (ExactMatrix, _first_entry_diff, embed_legs, flip_matrix, kron, rho,
-                       rho_tensor, solution_matrix, swap_legs, twist_matrix)
+from .matrices import (ExactMatrix, _ybe_sides, embed_legs, flip_matrix, kron, rho, rho_tensor,
+                       solution_matrix, twist_matrix)
 from .ncpoly import NCPoly, antipode_table, coproduct_gen, gen, tensor_coproduct
 from .rational import BivarPoly
 from .reports import PropertyReport
@@ -64,21 +68,28 @@ def unitarity_report(n: int) -> PropertyReport:
     With the poles cleared, u = lambda1 - lambda2: (u 1 + P) P (-u 1 + P) P = (1 - u^2) . 1.
     """
     u = _spacing()
-    lhs = yangian_r(n) * swap_legs(-u * ExactMatrix.identity(n * n) + _flip(n), n)
-    expected = (1 - u * u) * ExactMatrix.identity(n * n)
+    lhs = yangian_r(n) * embed_legs(-u * ExactMatrix.identity(n * n) + _flip(n), n, 2, (1, 0))
     report = PropertyReport("unitarity")
-    w = _first_entry_diff(lhs, expected)
-    report.add("unitarity", w is None, witness=w)
+    report.compare("unitarity", lhs, (1 - u * u) * ExactMatrix.identity(n * n))
     return report
 
 
 # ------------------------------------------- defining relations, evaluation rep
 
 
+@lru_cache(maxsize=None)
 def _eval_image(n: int, m: int, i: int, j: int, transpose: bool = False) -> ExactMatrix:
+    """The level-m generator A_{ij} in the evaluation representation.
+
+    Cached per process: no operation mutates an ``ExactMatrix`` in place.
+    """
     if m == 0:
         return ExactMatrix(n, {(x, x): 1 for x in range(n)}) if i == j else ExactMatrix.zero(n)
     return ExactMatrix(n, {(i, j): 1} if transpose else {(j, i): 1})
+
+
+def _comm(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    return a * b - b * a
 
 
 def check_defining_relations(n: int, pmax: int = MAX_LEVEL, mmax: int = MAX_LEVEL,
@@ -91,24 +102,14 @@ def check_defining_relations(n: int, pmax: int = MAX_LEVEL, mmax: int = MAX_LEVE
     with A^{(q)}_{xy} the image of the level-q generator.  ``transpose``
     substitutes the wrong (transposed) images, as a negative control.
     """
-    cache: dict = {}
-
-    def img(m, i, j):
-        key = (m, i, j)
-        if key not in cache:
-            cache[key] = _eval_image(n, m, i, j, transpose)
-        return cache[key]
-
-    def comm(a, b):
-        return a * b - b * a
-
+    img = partial(_eval_image, n, transpose=transpose)
     report = PropertyReport("defining_relations")
     violations = 0
     first = None
     for p in range(pmax + 1):
         for m in range(mmax + 1):
             for i, j, k, l in iproduct(range(n), repeat=4):
-                lhs = comm(img(p + 1, i, j), img(m, k, l)) - comm(img(p, i, j), img(m + 1, k, l))
+                lhs = _comm(img(p + 1, i, j), img(m, k, l)) - _comm(img(p, i, j), img(m + 1, k, l))
                 rhs = img(m, k, j) * img(p, i, l) - img(p, k, j) * img(m, i, l)
                 if lhs != rhs:
                     violations += 1
@@ -121,11 +122,7 @@ def check_defining_relations(n: int, pmax: int = MAX_LEVEL, mmax: int = MAX_LEVE
 
 def check_displayed_exchange_relations(n: int) -> PropertyReport:
     """The four displayed low-order cases, evaluated in the representation."""
-    def img(m, i, j):
-        return _eval_image(n, m, i, j)
-
-    def comm(a, b):
-        return a * b - b * a
+    img = partial(_eval_image, n)
 
     def delta(x, y, mat_level, i, j):
         return img(mat_level, i, j) if x == y else ExactMatrix.zero(n)
@@ -133,19 +130,19 @@ def check_displayed_exchange_relations(n: int) -> PropertyReport:
     report = PropertyReport("displayed_exchange_relations")
     cases = {
         "level1_level1": lambda i, j, k, l: (
-            comm(img(1, i, j), img(1, k, l)),
+            _comm(img(1, i, j), img(1, k, l)),
             delta(i, l, 1, k, j) - delta(k, j, 1, i, l),
         ),
         "level2_level1": lambda i, j, k, l: (
-            comm(img(2, i, j), img(1, k, l)),
+            _comm(img(2, i, j), img(1, k, l)),
             delta(i, l, 2, k, j) - delta(k, j, 2, i, l),
         ),
         "level3_minus_level22": lambda i, j, k, l: (
-            comm(img(3, i, j), img(1, k, l)) - comm(img(2, i, j), img(2, k, l)),
+            _comm(img(3, i, j), img(1, k, l)) - _comm(img(2, i, j), img(2, k, l)),
             img(1, k, j) * img(2, i, l) - img(2, k, j) * img(1, i, l),
         ),
         "level3_level1": lambda i, j, k, l: (
-            comm(img(3, i, j), img(1, k, l)),
+            _comm(img(3, i, j), img(1, k, l)),
             delta(i, l, 3, k, j) - delta(k, j, 3, i, l),
         ),
     }
@@ -166,15 +163,9 @@ def check_rtt(n: int, corrupt_shift: int | None = None) -> PropertyReport:
     both sides are the rational identity times (l1 - l2)(l1 - 1)(l2 - 1).
     ``corrupt_shift`` replaces the pole of the first L leg (negative control).
     """
-    r12 = embed_legs(yangian_r(n), n, 3, (0, 1))
-    l1 = embed_legs(_l_cleared(n, 0, corrupt_shift if corrupt_shift is not None else 1),
-                    n, 3, (0, 2))
-    l2 = embed_legs(_l_cleared(n, 1), n, 3, (1, 2))
-    lhs = r12 * l1 * l2
-    rhs = l2 * l1 * r12
+    l1 = _l_cleared(n, 0, corrupt_shift if corrupt_shift is not None else 1)
     report = PropertyReport("rtt")
-    w = _first_entry_diff(lhs, rhs)
-    report.add("rtt", w is None, witness=w)
+    report.compare("rtt", *_ybe_sides(yangian_r(n), l1, _l_cleared(n, 1), n))
     return report
 
 
@@ -193,41 +184,21 @@ def check_augmented_relations(ctx: AlgebraContext, pmax: int = MAX_LEVEL) -> Pro
     report = PropertyReport("augmented_relations")
     w_mats = [rho(ctx, ctx.w(a)) for a in range(n)]
     e_mats = [rho(ctx, ctx.h(c)) for c in range(n)]
+    img = partial(_eval_image, n)
+    sigma = ctx.sigma
 
-    def img(p, x, y):
-        return _eval_image(n, p, x, y)
-
-    w = None
-    for p in range(pmax + 1):
-        for a, b, c in iproduct(range(n), repeat=3):
-            if w_mats[a] * img(p, b, c) != img(p, ctx.sigma[a][b], ctx.sigma[a][c]) * w_mats[a]:
-                w = (p, a, b, c)
-                break
-        if w:
-            break
+    w = next(((p, a, b, c) for p in range(pmax + 1) for a, b, c in iproduct(range(n), repeat=3)
+              if w_mats[a] * img(p, b, c) != img(p, sigma[a][b], sigma[a][c]) * w_mats[a]), None)
     report.add("w_exchange", w is None, witness=w)
 
-    w = None
-    for p in range(pmax + 1):
-        for a, b in iproduct(range(n), repeat=2):
-            if e_mats[b] * img(p, a, b) != img(p, a, b) * e_mats[a]:
-                w = (p, a, b)
-                break
-        if w:
-            break
+    w = next(((p, a, b) for p in range(pmax + 1) for a, b in iproduct(range(n), repeat=2)
+              if e_mats[b] * img(p, a, b) != img(p, a, b) * e_mats[a]), None)
     report.add("h_transport", w is None, witness=w)
 
     zero = ExactMatrix.zero(n)
-    w = None
-    for p in range(1, max(pmax, 1) + 1):
-        for a, b, c in iproduct(range(n), repeat=3):
-            if c in (a, b):
-                continue
-            if e_mats[c] * img(p, a, b) != zero or img(p, a, b) * e_mats[c] != zero:
-                w = (p, a, b, c)
-                break
-        if w:
-            break
+    w = next(((p, a, b, c) for p in range(1, max(pmax, 1) + 1)
+              for a, b, c in iproduct(range(n), repeat=3) if c not in (a, b)
+              and (e_mats[c] * img(p, a, b) != zero or img(p, a, b) * e_mats[c] != zero)), None)
     report.add("h_annihilation", w is None, witness=w)
     return report
 
@@ -251,7 +222,7 @@ def twisted_l(ctx: AlgebraContext, var: int = 0, shift: int = 1) -> ExactMatrix:
     ``var`` names the spectral parameter lambda.
     """
     n = ctx.n
-    f_op = swap_legs(twist_matrix(ctx), n)
+    f_op = embed_legs(twist_matrix(ctx), n, 2, (1, 0))
     return f_op * _l_cleared(n, var, shift) * rho_tensor(ctx, ctx.twist_inv)
 
 
@@ -267,18 +238,9 @@ def check_twisted_rtt(ctx: AlgebraContext) -> PropertyReport:
     report = PropertyReport("twisted_rtt")
 
     rf = twisted_r_lambda(ctx)
-    f_op = swap_legs(twist_matrix(ctx), n)
-    conj = f_op * yangian_r(n) * rho_tensor(ctx, ctx.twist_inv)
-    w = _first_entry_diff(rf, conj)
-    report.add("conjugation_form", w is None, witness=w)
-
-    rf12 = embed_legs(rf, n, 3, (0, 1))
-    lf1 = embed_legs(twisted_l(ctx, 0), n, 3, (0, 2))
-    lf2 = embed_legs(twisted_l(ctx, 1), n, 3, (1, 2))
-    lhs = rf12 * lf1 * lf2
-    rhs = lf2 * lf1 * rf12
-    w = _first_entry_diff(lhs, rhs)
-    report.add("twisted_rtt", w is None, witness=w)
+    f_op = embed_legs(twist_matrix(ctx), n, 2, (1, 0))
+    report.compare("conjugation_form", rf, f_op * yangian_r(n) * rho_tensor(ctx, ctx.twist_inv))
+    report.compare("twisted_rtt", *_ybe_sides(rf, twisted_l(ctx, 0), twisted_l(ctx, 1), n))
     return report
 
 
@@ -371,9 +333,7 @@ def adjudicate_twisted_coproduct(ctx: AlgebraContext, max_level: int = 2) -> Pro
     w_inv_mats = [rho(ctx, ctx.w_inv(g)) for g in range(n)]
     f_mat = twist_matrix(ctx)
     f_inv_mat = rho_tensor(ctx, ctx.twist_inv)
-
-    def img(p, x, y):
-        return _eval_image(n, p, x, y)
+    img = partial(_eval_image, n)
 
     def delta_image(m, a, b, kmin):
         acc = ExactMatrix.zero(dim)

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from itertools import product as iproduct
+
 import pytest
 
 import ybtwist as yb
 from ybtwist import jsonio, matrices
-from ybtwist.algebra import slot_coproduct
+from ybtwist.algebra import AlgebraContext, slot_coproduct
 from ybtwist.matrices import (
     ExactMatrix,
     embed_legs,
@@ -14,7 +16,6 @@ from ybtwist.matrices import (
     nfold_twist_matrix,
     rho_basis_entry,
     rho_tensor,
-    swap_legs,
 )
 from ybtwist.suites import matrix_suite
 
@@ -247,6 +248,46 @@ def test_nfold_twist_matrix_exchange_law_negative_control(z4_radical_ctx, monkey
         assert not any(c.passed for c in exchange)
 
 
+@pytest.mark.parametrize("k", [3, 4])
+def test_nfold_twist_matrix_witness_is_first_column(z4_radical_ctx, k):
+    # a context whose additive table is corrupted after construction (row 0
+    # rotated by one place): only F_{1..k-1,k} reads it, to sum its head digits
+    clean = z4_radical_ctx
+    ctx = AlgebraContext(clean.brace)
+    ctx.add = (clean.add[0][1:] + clean.add[0][:1],) + tuple(clean.add[1:])
+    _, report = nfold_twist_matrix(ctx, k)
+
+    n = clean.n
+    piece = {}
+    for heads in iproduct(range(n), repeat=k - 1):
+        total = 0
+        for b in heads:
+            total = ctx.add[total][b]
+        for a in range(n):
+            piece[tuple(b * n for b in heads) + (a * n + clean.circle_inv[total],)] = 1
+    bad = (embed_legs(_oracle_twist(clean, k - 1), n, k, tuple(range(k - 1)))
+           * rho_tensor(clean, clean.tensor(k, piece)))
+
+    def columns(m):
+        return {c: r for r, c in m.coeffs}
+
+    def witness(lhs, rhs):
+        lhs, rhs = columns(lhs), columns(rhs)
+        diff = [c for c in range(n ** k) if lhs[c] != rhs[c]]
+        return {"column": diff[0], "lhs": lhs[diff[0]], "rhs": rhs[diff[0]]} if diff else None
+
+    expected = witness(bad, _oracle_twist(clean, k))
+    assert expected is not None
+    for name in ("recursion", "closed_form"):
+        assert not report.check(name).passed and report.check(name).witness == expected
+    p, r = flip_matrix(n), yb.solution_matrix(clean)
+    for j in range(k - 1):
+        pj, rj = embed_legs(p, n, k, (j, j + 1)), embed_legs(r, n, k, (j, j + 1))
+        check = report.check(f"exchange_law_legs_{j + 1}_{j + 2}")
+        assert check.witness == witness(pj * bad * pj, rj * bad)
+        assert check.passed == (check.witness is None)
+
+
 def test_matrix_suite_order6_braces_all_pass():
     found = yb.enumerate_braces(6, skew=False)
     assert len(found) == 120
@@ -258,4 +299,4 @@ def test_matrix_suite_order6_braces_all_pass():
 def test_swap_legs_is_flip_conjugation():
     m = ExactMatrix(4, {(0, 1): 2, (3, 2): 5})
     p = flip_matrix(2)
-    assert swap_legs(m, 2) == p * m * p
+    assert embed_legs(m, 2, 2, (1, 0)) == p * m * p

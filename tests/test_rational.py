@@ -12,6 +12,7 @@ from ybtwist.errors import ValidationFailure
 from ybtwist.matrices import ExactMatrix
 from ybtwist.ncpoly import NCPoly, NCTensor, gen
 from ybtwist.rational import BivarPoly, Sparse
+from ybtwist.reports import PropertyReport
 
 U = BivarPoly.var(0)
 V = BivarPoly.var(1)
@@ -73,8 +74,8 @@ def test_exact_matrix_product_prunes_cancelled_polys():
 
 def _sparse_samples(kind, ctx2, ctx4):
     """Two objects x, y of one container, and (foreign, error kind of x + foreign)
-    pairs whose shape differs from x; the error kind is None where ``+`` does
-    not check the shape."""
+    pairs whose shape differs from x; the error kind is None where the foreign
+    object is another container, which ``+`` declines."""
     half = Fraction(1, 2)
     if kind == "AlgebraElement":
         coeffs = {1: half, 3: -3}
@@ -88,7 +89,7 @@ def _sparse_samples(kind, ctx2, ctx4):
     if kind == "ExactMatrix":
         coeffs = {(0, 1): half, (1, 1): U - V}
         return (ExactMatrix(2, coeffs), ExactMatrix(2, {(0, 1): 2, (1, 0): 1}),
-                [(ExactMatrix(3, coeffs), None)])
+                [(ExactMatrix(3, coeffs), "dim_mismatch")])
     if kind == "BivarPoly":
         return U * V - half * V, U - 3, [(ExactMatrix(1, {(0, 0): 1}), None)]
     if kind == "NCPoly":
@@ -97,7 +98,7 @@ def _sparse_samples(kind, ctx2, ctx4):
     if kind == "NCTensor":
         coeffs = {((), ((1, 0, 1),)): half, (((2, 1, 0),), ()): -3}
         return (NCTensor(2, coeffs), NCTensor(2, {((), ()): 1, ((), ((1, 0, 1),)): 2}),
-                [(NCTensor(3, coeffs), None)])
+                [(NCTensor(3, coeffs), "order_mismatch")])
     raise AssertionError(kind)
 
 
@@ -116,10 +117,24 @@ def test_sparse_core_laws(kind, trivial2_ctx, z4_radical_ctx):
         # a different context, tensor order or dimension is unequal, never an error
         assert (x == other) is False and (other == x) is False and x != other
         if error is not None:
-            for op in (x.__add__, x.__sub__):
+            for op in (x.__add__, x.__sub__, *([x.__mul__] if kind == "ExactMatrix" else [])):
                 with pytest.raises(ValidationFailure) as exc:
                     op(other)
                 assert exc.value.kind == error
+    # the witness of a failed identity: the smallest differing key, with both coefficients
+    assert x.first_diff(x) is None and x.first_diff(x + y - y) is None
+    differing = [k for k in x.coeffs.keys() | y.coeffs.keys()
+                 if x.coeffs.get(k, 0) != y.coeffs.get(k, 0)]
+    first = min(differing)
+    expected = {"entry" if kind == "ExactMatrix" else "key": first,
+                "lhs": str(x.coeffs.get(first, 0)), "rhs": str(y.coeffs.get(first, 0))}
+    assert x.first_diff(y) == expected
+    report = PropertyReport(kind)
+    report.compare("same", x, x + y - y)
+    report.compare("different", x, y)
+    assert report.check("same").passed and report.check("same").witness is None
+    assert not report.check("different").passed
+    assert report.check("different").witness == expected
     if kind == "BivarPoly":
         for c in (3, Fraction(-2, 3)):
             const = BivarPoly.const(c)
