@@ -9,7 +9,6 @@ comparison.
 
 from .algebra import (
     AlgebraContext,
-    AlgebraElement,
     TensorElement,
     algebra_from_brace,
     antipode,

@@ -9,10 +9,16 @@ closes the span of those n^2 monomials, so twists, R-matrices, coproducts and
 antipodes all live in finite coefficient tables and every identity is decided
 by exact coefficient comparison.  Coefficients are ints or Fractions; nothing
 in this module touches floating point.
+
+There is one container, ``TensorElement``: an algebra element is the one-leg
+tensor.  Each structure map (Delta, Delta_F, eps, s, s~) is one per-basis
+table on the context, and one slot kernel applies any of them to any slot of
+any tensor, so the element-level maps are the one-slot case.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import product as iproduct
 
 from .braces import SkewBrace, _perm_inverse, derive_sigma_tau
@@ -29,8 +35,13 @@ class AlgebraContext:
 
     The basis index of the monomial h_a w_g is a*n + g.  ``prod`` is the flat
     multiplication table over basis indices, with -1 marking products that
-    vanish.  Expensive derived objects (the twist, its inverse, the twisted
-    R-matrix, per-basis coproducts) are built lazily and cached.
+    vanish.  An algebra element is a one-leg tensor, keyed by ``(i,)``.
+
+    Built lazily, once per context: the twist, its inverse and the twisted
+    R-matrix, and one per-basis table for each structure map -- ``cop``
+    (Delta), ``twisted_cop`` (Delta_F), ``eps`` (the counit), ``s`` (the
+    antipode) and ``s_twisted`` (the twisted antipode).  Entry i of a table is
+    the image of e_i as {tuple of basis indices: multiplicity}.
     """
 
     def __init__(self, brace: SkewBrace):
@@ -63,41 +74,31 @@ class AlgebraContext:
         # The opposite algebra's table: prod_op[j*dim + i] is the product e_i e_j,
         # so multiplying on the left is multiplying on the right in A^op.
         self.prod_op = [prod[i * dim + j] for j in range(dim) for i in range(dim)]
-
-        # In this quotient w_a w_b = w_{a o b}; whether the generic relation
-        # w_a w_b = w_{sigma_a(b)} w_{tau_b(a)} survives is a fact about the
-        # brace (it does iff the subscripts agree), recorded, not enforced.
-        self.generic_w_relation_holds = all(
-            self.circle[a][b] == self.circle[self.sigma[a][b]][self.tau[b][a]]
-            for a in range(n)
-            for b in range(n)
-        )
-
-        self._cache: dict = {}
         self._construction_checks()
 
     # ------------------------------------------------------------------ basics
 
-    def element(self, coeffs: dict) -> AlgebraElement:
-        return AlgebraElement(self, _prune(dict(coeffs)))
+    def element(self, coeffs: dict) -> TensorElement:
+        """The one-leg tensor of {basis index: coefficient}."""
+        return TensorElement(self, 1, _prune({(i,): c for i, c in coeffs.items()}))
 
     def tensor(self, k: int, coeffs: dict) -> TensorElement:
         return TensorElement(self, k, _prune(dict(coeffs)))
 
-    def basis_element(self, i: int) -> AlgebraElement:
-        return AlgebraElement(self, {i: 1})
+    def basis_element(self, i: int) -> TensorElement:
+        return TensorElement(self, 1, {(i,): 1})
 
-    def h(self, a: int) -> AlgebraElement:
-        return AlgebraElement(self, {a * self.n: 1})
+    def h(self, a: int) -> TensorElement:
+        return self.basis_element(a * self.n)
 
-    def w(self, g: int) -> AlgebraElement:
+    def w(self, g: int) -> TensorElement:
         n = self.n
-        return AlgebraElement(self, {a * n + g: 1 for a in range(n)})
+        return TensorElement(self, 1, {(a * n + g,): 1 for a in range(n)})
 
-    def w_inv(self, g: int) -> AlgebraElement:
+    def w_inv(self, g: int) -> TensorElement:
         return self.w(self.circle_inv[g])
 
-    def one(self) -> AlgebraElement:
+    def one(self) -> TensorElement:
         return self.w(0)
 
     def unit_tensor(self, k: int) -> TensorElement:
@@ -107,43 +108,71 @@ class AlgebraContext:
 
     # ------------------------------------------------------------- lazy pieces
 
-    @property
+    @cached_property
     def twist(self) -> TensorElement:
-        if "twist" not in self._cache:
-            self._cache["twist"] = build_twist(self)
-        return self._cache["twist"]
+        return build_twist(self)
 
-    @property
+    @cached_property
     def twist_inv(self) -> TensorElement:
-        if "twist_inv" not in self._cache:
-            self._cache["twist_inv"] = build_twist_inv(self)
-        return self._cache["twist_inv"]
+        return build_twist_inv(self)
 
-    @property
+    @cached_property
     def twisted_r_matrix(self) -> TensorElement:
-        if "rf" not in self._cache:
-            self._cache["rf"] = build_twisted_r(self)
-        return self._cache["rf"]
+        return build_twisted_r(self)
 
-    def _coproduct_of_basis(self, i: int) -> dict:
-        cache = self._cache.setdefault("cop_basis", {})
-        if i not in cache:
-            n = self.n
+    @cached_property
+    def cop(self) -> list[dict]:
+        """Delta(h_a w_g) = sum_{b+c=a} h_b w_g (x) h_c w_g."""
+        n = self.n
+        table = []
+        for i in range(self.dim):
             a, g = divmod(i, n)
-            out: dict = {}
+            image: dict = {}
             for b in range(n):
-                c = self.add[self.neg[b]][a]  # solves b + c = a
-                key = (b * n + g, c * n + g)
-                out[key] = out.get(key, 0) + 1
-            cache[i] = out
-        return cache[i]
+                key = (b * n + g, self.add[self.neg[b]][a] * n + g)  # b + c = a
+                image[key] = image.get(key, 0) + 1
+            table.append(image)
+        return table
 
-    def _twisted_coproduct_of_basis(self, i: int) -> dict:
-        cache = self._cache.setdefault("twcop_basis", {})
-        if i not in cache:
-            x = self.basis_element(i)
-            cache[i] = (self.twist * coproduct(x) * self.twist_inv).coeffs
-        return cache[i]
+    @cached_property
+    def twisted_cop(self) -> list[dict]:
+        """Delta_F(e_i) = F Delta(e_i) F^{-1}, cross-checked against the closed
+        generator forms (see ``_check_twisted_closed_forms``)."""
+        f, finv = self.twist, self.twist_inv
+        table = [(f * self.tensor(2, image) * finv).coeffs for image in self.cop]
+        _check_twisted_closed_forms(self, table)
+        return table
+
+    @cached_property
+    def eps(self) -> list[dict]:
+        """eps(h_a w_g) = [a = 0]."""
+        return [{(): 1} if i < self.n else {} for i in range(self.dim)]
+
+    @cached_property
+    def s(self) -> list[dict]:
+        """s(h_a w_g) = h_{sigma_{g^{-1}}(-a)} w_{g^{-1}}, the anti-homomorphic
+        composition of s(w_g) = w_{g^{-1}} and s(h_a) = h_{-a}."""
+        n, inv = self.n, self.circle_inv
+        return [{(self.sigma[inv[g]][self.neg[a]] * n + inv[g],): 1}
+                for a in range(n) for g in range(n)]
+
+    @cached_property
+    def s_twisted(self) -> list[dict]:
+        """The antipode of the twisted structure, defined for braces only.
+
+        On generators: s~(h_a) = h_{a^{-1}} (inverse in (X, o)) and
+        s~(w_a) = sum_b h_b w^{-1}_{tau_{b^{-1}}(a)}, extended anti-homomorphically.
+        """
+        if not self.is_brace:
+            raise ValidationFailure("not_a_brace", None, "twisted antipode requires abelian addition")
+        n, inv = self.n, self.circle_inv
+        table = []
+        for i in range(self.dim):
+            a, g = divmod(i, n)
+            # s~(h_a w_g) = s~(w_g) s~(h_a)
+            sw = TensorElement(self, 1, {(b * n + inv[self.tau[inv[b]][g]],): 1 for b in range(n)})
+            table.append((sw * self.h(inv[a])).coeffs)
+        return table
 
     # --------------------------------------------------------------- sanity
 
@@ -161,59 +190,20 @@ class AlgebraContext:
                     right = prod[base_i + jk] if jk >= 0 else -1
                     if left != right:
                         raise CheckFailed("associativity", (i, j, k))
-        one = self.one()
+        # one = sum_a h_a w_0, so one e_i = e_i = e_i one iff exactly one product
+        # survives on each side, and it is e_i
+        units = range(0, dim, self.n)
         for i in range(dim):
-            x = self.basis_element(i)
-            if one * x != x or x * one != x:
+            if ([p for u in units if (p := prod[u * dim + i]) >= 0] != [i]
+                    or [p for u in units if (p := prod[i * dim + u]) >= 0] != [i]):
                 raise CheckFailed("unit", i)
 
 
-class AlgebraElement(Sparse):
-    """Exact-coefficient linear combination of the basis monomials h_a w_g."""
-
-    __slots__ = ("ctx",)
-
-    def __init__(self, ctx: AlgebraContext, coeffs: dict):
-        self.ctx = ctx
-        self.coeffs = coeffs
-
-    def _like(self, coeffs: dict) -> AlgebraElement:
-        return AlgebraElement(self.ctx, coeffs)
-
-    def _shape(self):
-        return self.ctx
-
-    def _operand(self, other):
-        if not isinstance(other, AlgebraElement):
-            return None
-        _same_ctx(self, other)
-        return other
-
-    def __mul__(self, other) -> AlgebraElement:
-        if not isinstance(other, AlgebraElement):
-            return NotImplemented
-        _same_ctx(self, other)
-        dim, prod = self.ctx.dim, self.ctx.prod
-        acc: dict = {}
-        for i, ci in self.coeffs.items():
-            base = i * dim
-            for j, cj in other.coeffs.items():
-                k = prod[base + j]
-                if k >= 0:
-                    acc[k] = acc.get(k, 0) + ci * cj
-        return AlgebraElement(self.ctx, _prune(acc))
-
-    def __repr__(self):
-        n = self.ctx.n
-        terms = [
-            f"{'' if c == 1 else str(c) + '*'}h{i // n}w{i % n}"
-            for i, c in sorted(self.coeffs.items())
-        ]
-        return " + ".join(terms) if terms else "0"
-
-
 class TensorElement(Sparse):
-    """Exact k-fold tensor over the algebra basis; keys are k-tuples of basis indices."""
+    """Exact k-fold tensor over the algebra basis; keys are k-tuples of basis indices.
+
+    An algebra element is the one-leg tensor (k = 1, keys ``(i,)``).
+    """
 
     __slots__ = ("ctx", "k")
 
@@ -250,7 +240,14 @@ class TensorElement(Sparse):
         return TensorElement(self.ctx, self.k, out)
 
     def __repr__(self):
-        return f"TensorElement(k={self.k}, terms={len(self.coeffs)})"
+        if self.k != 1:
+            return f"TensorElement(k={self.k}, terms={len(self.coeffs)})"
+        n = self.ctx.n
+        terms = [
+            f"{'' if c == 1 else str(c) + '*'}h{i // n}w{i % n}"
+            for (i,), c in sorted(self.coeffs.items())
+        ]
+        return " + ".join(terms) if terms else "0"
 
 
 def _same_ctx(x, y) -> None:
@@ -263,6 +260,12 @@ def _same_order(x, y) -> None:
         raise ValidationFailure("order_mismatch", (x.k, y.k))
 
 
+def _one_leg(x: TensorElement) -> TensorElement:
+    if x.k != 1:
+        raise ValidationFailure("order_mismatch", (x.k, 1))
+    return x
+
+
 # --------------------------------------------------------------------- ops
 
 
@@ -272,35 +275,19 @@ def algebra_from_brace(brace: SkewBrace) -> AlgebraContext:
     return AlgebraContext(brace)
 
 
-def coproduct(x: AlgebraElement) -> TensorElement:
+def coproduct(x: TensorElement) -> TensorElement:
     """Delta(h_a w_g) = sum_{b+c=a} h_b w_g (x) h_c w_g, extended linearly."""
-    ctx = x.ctx
-    acc: dict = {}
-    for i, c in x.coeffs.items():
-        for key, mult in ctx._coproduct_of_basis(i).items():
-            acc[key] = acc.get(key, 0) + c * mult
-    return TensorElement(ctx, 2, _prune(acc))
+    return _on_slot(_one_leg(x), 0, x.ctx.cop, 2)
 
 
-def counit(x: AlgebraElement):
-    """eps(h_a w_g) = [a = 0]."""
-    n = x.ctx.n
-    return sum((c for i, c in x.coeffs.items() if i // n == 0), 0)
+def counit(x: TensorElement):
+    """eps(h_a w_g) = [a = 0], extended linearly; a scalar."""
+    return _on_slot(_one_leg(x), 0, x.ctx.eps, 0).coeffs.get((), 0)
 
 
-def antipode(x: AlgebraElement) -> AlgebraElement:
-    """s(h_a w_g) = h_{sigma_{g^{-1}}(-a)} w_{g^{-1}}, the anti-homomorphic
-    composition of s(w_g) = w_{g^{-1}} and s(h_a) = h_{-a}."""
-    ctx = x.ctx
-    n = ctx.n
-    acc: dict = {}
-    for i, c in x.coeffs.items():
-        a, g = divmod(i, n)
-        ginv = ctx.circle_inv[g]
-        a2 = ctx.sigma[ginv][ctx.neg[a]]
-        j = a2 * n + ginv
-        acc[j] = acc.get(j, 0) + c
-    return AlgebraElement(ctx, _prune(acc))
+def antipode(x: TensorElement) -> TensorElement:
+    """The antipode s, from the table ``ctx.s``."""
+    return _on_slot(_one_leg(x), 0, x.ctx.s, 1)
 
 
 def build_twist(ctx: AlgebraContext) -> TensorElement:
@@ -370,66 +357,31 @@ def _twisted_w_closed(ctx: AlgebraContext, a: int) -> TensorElement:
     return TensorElement(ctx, 2, coeffs)
 
 
-def _check_twisted_closed_forms(ctx: AlgebraContext) -> None:
+def _check_twisted_closed_forms(ctx: AlgebraContext, table: list[dict]) -> None:
     # The h-generator form holds for every skew brace; the w-generator form
     # relies on sigma_a(b) o tau_b(a) = a o b, hence on abelian addition.
     for a in range(ctx.n):
-        conj = ctx.tensor(2, ctx._twisted_coproduct_of_basis(a * ctx.n))
-        if conj != _twisted_h_closed(ctx, a):
+        if ctx.tensor(2, table[a * ctx.n]) != _twisted_h_closed(ctx, a):
             raise CheckFailed("twisted_coproduct_closed_form", ("h", a))
     if ctx.is_brace:
         for a in range(ctx.n):
-            conj = ctx.twist * coproduct(ctx.w(a)) * ctx.twist_inv
-            if conj != _twisted_w_closed(ctx, a):
+            if _on_slot(ctx.w(a), 0, table, 2) != _twisted_w_closed(ctx, a):
                 raise CheckFailed("twisted_coproduct_closed_form", ("w", a))
 
 
-def twisted_coproduct(x: AlgebraElement) -> TensorElement:
-    """Delta_F(x) = F Delta(x) F^{-1}.
+def twisted_coproduct(x: TensorElement) -> TensorElement:
+    """Delta_F(x) = F Delta(x) F^{-1}, from the table ``ctx.twisted_cop``.
 
-    On first use per context the conjugation is cross-checked against the
-    closed generator forms (for every skew brace on h_a; additionally on w_a
-    when addition is abelian); a mismatch raises CheckFailed.
+    Building that table cross-checks the conjugation against the closed
+    generator forms (for every skew brace on h_a; additionally on w_a when
+    addition is abelian); a mismatch raises CheckFailed.
     """
-    ctx = x.ctx
-    if not ctx._cache.get("twisted_closed_checked"):
-        _check_twisted_closed_forms(ctx)
-        ctx._cache["twisted_closed_checked"] = True
-    acc: dict = {}
-    for i, c in x.coeffs.items():
-        for key, mult in ctx._twisted_coproduct_of_basis(i).items():
-            acc[key] = acc.get(key, 0) + c * mult
-    return TensorElement(ctx, 2, _prune(acc))
+    return _on_slot(_one_leg(x), 0, x.ctx.twisted_cop, 2)
 
 
-def twisted_antipode(x: AlgebraElement) -> AlgebraElement:
-    """The antipode of the twisted structure, defined for braces only.
-
-    On generators: s~(h_a) = h_{a^{-1}} (inverse in (X, o)) and
-    s~(w_a) = sum_b h_b w^{-1}_{tau_{b^{-1}}(a)}, extended anti-homomorphically.
-    """
-    ctx = x.ctx
-    if not ctx.is_brace:
-        raise ValidationFailure("not_a_brace", None, "twisted antipode requires abelian addition")
-    table = ctx._cache.get("stilde_basis")
-    if table is None:
-        n = ctx.n
-        table = []
-        for i in range(ctx.dim):
-            a, g = divmod(i, n)
-            # s~(h_a w_g) = s~(w_g) s~(h_a)
-            sw = {}
-            for b in range(n):
-                sub = ctx.circle_inv[ctx.tau[ctx.circle_inv[b]][g]]
-                sw[b * n + sub] = 1
-            image = AlgebraElement(ctx, sw) * ctx.h(ctx.circle_inv[a])
-            table.append(image.coeffs)
-        ctx._cache["stilde_basis"] = table
-    acc: dict = {}
-    for i, c in x.coeffs.items():
-        for j, mult in table[i].items():
-            acc[j] = acc.get(j, 0) + c * mult
-    return AlgebraElement(ctx, _prune(acc))
+def twisted_antipode(x: TensorElement) -> TensorElement:
+    """The twisted antipode s~, from the table ``ctx.s_twisted`` (braces only)."""
+    return _on_slot(_one_leg(x), 0, x.ctx.s_twisted, 1)
 
 
 # ----------------------------------------------------------- tensor utilities
@@ -504,35 +456,34 @@ def _leg_product(x: TensorElement, t: TensorElement, legs: tuple[int, ...], tabl
     return TensorElement(ctx, x.k, _prune(acc))
 
 
-def slot_coproduct(t: TensorElement, slot: int, twisted: bool = False) -> TensorElement:
-    """Apply the (twisted) coproduct to one tensor slot, raising the order by one."""
-    ctx = t.ctx
-    table = ctx._twisted_coproduct_of_basis if twisted else ctx._coproduct_of_basis
+def _on_slot(t: TensorElement, slot: int, images: list[dict], width: int) -> TensorElement:
+    # Slot ``slot`` of each key is replaced by every image tuple of its basis
+    # index (``width`` legs each), so the order changes by width - 1.
     acc: dict = {}
     for key, c in t.coeffs.items():
         head, tail = key[:slot], key[slot + 1:]
-        for (u, v), mult in table(key[slot]).items():
-            nk = head + (u, v) + tail
+        for image, mult in images[key[slot]].items():
+            nk = head + image + tail
             acc[nk] = acc.get(nk, 0) + c * mult
-    return TensorElement(ctx, t.k + 1, _prune(acc))
+    return TensorElement(t.ctx, t.k + width - 1, _prune(acc))
 
 
-def counit_slot(t: TensorElement, slot: int):
-    """Apply the counit to one slot; returns an AlgebraElement when one slot remains."""
-    ctx = t.ctx
-    n = ctx.n
-    acc: dict = {}
-    for key, c in t.coeffs.items():
-        if key[slot] // n != 0:
-            continue
-        nk = key[:slot] + key[slot + 1:]
-        acc[nk] = acc.get(nk, 0) + c
-    if t.k - 1 == 1:
-        return AlgebraElement(ctx, _prune({k[0]: v for k, v in acc.items()}))
-    return TensorElement(ctx, t.k - 1, _prune(acc))
+def slot_coproduct(t: TensorElement, slot: int, twisted: bool = False) -> TensorElement:
+    """Apply the (twisted) coproduct to one tensor slot, raising the order by one."""
+    return _on_slot(t, slot, t.ctx.twisted_cop if twisted else t.ctx.cop, 2)
 
 
-def mul_slots(t: TensorElement) -> AlgebraElement:
+def counit_slot(t: TensorElement, slot: int) -> TensorElement:
+    """Apply the counit to one slot, lowering the order by one."""
+    return _on_slot(t, slot, t.ctx.eps, 0)
+
+
+def map_slot(t: TensorElement, slot: int, table: list[dict]) -> TensorElement:
+    """Apply a linear map, given as a per-basis table such as ``ctx.s``, to one slot."""
+    return _on_slot(t, slot, table, 1)
+
+
+def mul_slots(t: TensorElement) -> TensorElement:
     """Multiply all slots together (the k-fold multiplication map)."""
     ctx = t.ctx
     dim, prod = ctx.dim, ctx.prod
@@ -544,29 +495,8 @@ def mul_slots(t: TensorElement) -> AlgebraElement:
             if cur < 0:
                 break
         else:
-            acc[cur] = acc.get(cur, 0) + c
-    return AlgebraElement(ctx, _prune(acc))
-
-
-def map_slot(t: TensorElement, slot: int, basis_map) -> TensorElement:
-    """Apply a linear map (basis index -> coefficient dict) to one slot."""
-    ctx = t.ctx
-    acc: dict = {}
-    for key, c in t.coeffs.items():
-        for j, mult in basis_map(key[slot]).items():
-            nk = key[:slot] + (j,) + key[slot + 1:]
-            acc[nk] = acc.get(nk, 0) + c * mult
-    return TensorElement(ctx, t.k, _prune(acc))
-
-
-def _antipode_map(ctx: AlgebraContext, twisted: bool):
-    if not twisted:
-        def m(i: int) -> dict:
-            return antipode(ctx.basis_element(i)).coeffs
-    else:
-        def m(i: int) -> dict:
-            return twisted_antipode(ctx.basis_element(i)).coeffs
-    return m
+            acc[(cur,)] = acc.get((cur,), 0) + c
+    return TensorElement(ctx, 1, _prune(acc))
 
 
 # ------------------------------------------------------------- verifications
@@ -581,13 +511,11 @@ def verify_hopf_axioms(ctx: AlgebraContext, twisted: bool = False) -> PropertyRe
     or zero, so Delta(e_i e_j) is read from the same list.  The witness of
     ``coproduct_homomorphism`` is the first failing (i, j) in row-major order.
     """
-    cop = twisted_coproduct if twisted else coproduct
-    s_map = _antipode_map(ctx, twisted)
     label = "twisted" if twisted else "untwisted"
     report = PropertyReport(f"hopf_axioms_{label}")
     dim, prod = ctx.dim, ctx.prod
     one = ctx.one()
-    cops = [cop(ctx.basis_element(i)) for i in range(dim)]
+    cops = [ctx.tensor(2, image) for image in (ctx.twisted_cop if twisted else ctx.cop)]
     zero = TensorElement(ctx, 2, {})
 
     w = next(((i, j) for i in range(dim) for j in range(dim)
@@ -607,11 +535,12 @@ def verify_hopf_axioms(ctx: AlgebraContext, twisted: bool = False) -> PropertyRe
               or counit_slot(d, 1) != ctx.basis_element(i)), None)
     report.add("counit", w is None, witness=w)
 
+    s_table = ctx.s_twisted if twisted else ctx.s
     w = None
     for i, d in enumerate(cops):
         target = counit(ctx.basis_element(i)) * one
-        left = mul_slots(map_slot(d, 0, s_map))
-        right = mul_slots(map_slot(d, 1, s_map))
+        left = mul_slots(map_slot(d, 0, s_table))
+        right = mul_slots(map_slot(d, 1, s_table))
         if left != target or right != target:
             w = i
             break

@@ -6,7 +6,9 @@ Every matrix is one ``ExactMatrix``: a ``Sparse`` combination whose
 matrix is an ``ExactMatrix`` whose entries are 1; where a check composes
 many of them it works on their column -> row lists.  Tensor-leg embeddings
 are done by index arithmetic, never by materializing Kronecker factors:
-``embed_legs`` places a matrix and ``_on_legs`` a column -> row list.  A
+``embed_legs`` places a matrix and ``_on_legs`` a column -> row list.
+``rho`` represents an algebra tensor of any order, one n-dimensional leg per
+tensor leg, and is the only route from the algebra into matrices.  A
 failed matrix identity is witnessed by its first differing entry
 (``Sparse.first_diff``), a failed mapping identity by its first differing
 column.
@@ -168,17 +170,12 @@ def rho_basis_entry(ctx: AlgebraContext, i: int) -> tuple[int, int]:
     return a, ctx.sigma_inv[g][a]
 
 
-def rho(ctx: AlgebraContext, x) -> ExactMatrix:
-    """Linear extension of h_a -> e_{a,a}, w_g -> sum_b e_{sigma_g(b), b}."""
-    acc: dict = {}
-    for i, c in x.coeffs.items():
-        pos = rho_basis_entry(ctx, i)
-        acc[pos] = acc.get(pos, 0) + c
-    return ExactMatrix(ctx.n, acc)
+def rho(ctx: AlgebraContext, t: TensorElement) -> ExactMatrix:
+    """(rho (x) ... (x) rho) of a tensor of any order k, as a matrix on n^k.
 
-
-def rho_tensor(ctx: AlgebraContext, t: TensorElement) -> ExactMatrix:
-    """(rho (x) ... (x) rho) of a tensor element, as a matrix on n^k."""
+    On one leg, rho is the linear extension of h_a -> e_{a,a} and
+    w_g -> sum_b e_{sigma_g(b), b}.
+    """
     n = ctx.n
     acc: dict = {}
     for key, c in t.coeffs.items():
@@ -228,7 +225,7 @@ def twist_matrix(ctx: AlgebraContext) -> ExactMatrix:
     n = ctx.n
     mat = ExactMatrix(n * n, {(a * n + b, a * n + ctx.sigma[a][b]): 1
                               for a in range(n) for b in range(n)})
-    if mat != rho_tensor(ctx, ctx.twist):
+    if mat != rho(ctx, ctx.twist):
         raise CheckFailed("representation_mismatch", "twist")
     return mat
 
@@ -236,7 +233,7 @@ def twist_matrix(ctx: AlgebraContext) -> ExactMatrix:
 def solution_matrix(ctx: AlgebraContext) -> ExactMatrix:
     """sum_{a,b} e_{b, sigma_a(b)} (x) e_{a, tau_b(a)}, checked against the represented R-matrix."""
     mat = ExactMatrix(ctx.n * ctx.n, _solution_entries(ctx.ybmap))
-    if mat != rho_tensor(ctx, ctx.twisted_r_matrix):
+    if mat != rho(ctx, ctx.twisted_r_matrix):
         raise CheckFailed("representation_mismatch", "twisted_r")
     return mat
 
@@ -301,7 +298,7 @@ def nfold_twist_matrix(ctx: AlgebraContext, k: int) -> tuple[ExactMatrix, Proper
     size = n ** k
     if size > 4096:
         raise LimitExceeded(f"n^{k} = {size} exceeds the matrix-level guard")
-    sigma_inv = ctx.sigma_inv
+    sigma_inv, circle, add = ctx.sigma_inv, ctx.circle, ctx.add
     report = PropertyReport(f"matrix_nfold_twist_k{k}")
 
     def twist_map(j: int) -> list[int]:
@@ -314,7 +311,7 @@ def nfold_twist_matrix(ctx: AlgebraContext, k: int) -> tuple[ExactMatrix, Proper
             for c in cols[1:-1]:
                 r = sigma_inv[prefix][c]
                 row = row * n + r
-                prefix = ctx.circle[prefix][r]
+                prefix = circle[prefix][r]
             out.append(row * n + sigma_inv[prefix][cols[-1]])
         return out
 
@@ -325,7 +322,7 @@ def nfold_twist_matrix(ctx: AlgebraContext, k: int) -> tuple[ExactMatrix, Proper
         for h, heads in enumerate(iproduct(range(n), repeat=k - 1)):
             total = 0
             for b in heads:
-                total = ctx.add[total][b]
+                total = add[total][b]
             out.extend(h * n + d for d in sigma_inv[total])
         return out
 

@@ -22,7 +22,7 @@ from operator import ne
 
 from .algebra import AlgebraContext
 from .errors import LimitExceeded
-from .matrices import (ExactMatrix, _ybe_sides, embed_legs, flip_matrix, kron, rho, rho_tensor,
+from .matrices import (ExactMatrix, _ybe_sides, embed_legs, flip_matrix, kron, rho,
                        solution_matrix, twist_matrix)
 from .ncpoly import NCPoly, antipode_table, coproduct_gen, gen, tensor_coproduct
 from .rational import BivarPoly
@@ -223,7 +223,7 @@ def twisted_l(ctx: AlgebraContext, var: int = 0, shift: int = 1) -> ExactMatrix:
     """
     n = ctx.n
     f_op = embed_legs(twist_matrix(ctx), n, 2, (1, 0))
-    return f_op * _l_cleared(n, var, shift) * rho_tensor(ctx, ctx.twist_inv)
+    return f_op * _l_cleared(n, var, shift) * rho(ctx, ctx.twist_inv)
 
 
 def check_twisted_rtt(ctx: AlgebraContext) -> PropertyReport:
@@ -239,7 +239,7 @@ def check_twisted_rtt(ctx: AlgebraContext) -> PropertyReport:
 
     rf = twisted_r_lambda(ctx)
     f_op = embed_legs(twist_matrix(ctx), n, 2, (1, 0))
-    report.compare("conjugation_form", rf, f_op * yangian_r(n) * rho_tensor(ctx, ctx.twist_inv))
+    report.compare("conjugation_form", rf, f_op * yangian_r(n) * rho(ctx, ctx.twist_inv))
     report.compare("twisted_rtt", *_ybe_sides(rf, twisted_l(ctx, 0), twisted_l(ctx, 1), n))
     return report
 
@@ -332,7 +332,7 @@ def adjudicate_twisted_coproduct(ctx: AlgebraContext, max_level: int = 2) -> Pro
     w_mats = [rho(ctx, ctx.w(g)) for g in range(n)]
     w_inv_mats = [rho(ctx, ctx.w_inv(g)) for g in range(n)]
     f_mat = twist_matrix(ctx)
-    f_inv_mat = rho_tensor(ctx, ctx.twist_inv)
+    f_inv_mat = rho(ctx, ctx.twist_inv)
     img = partial(_eval_image, n)
 
     def delta_image(m, a, b, kmin):

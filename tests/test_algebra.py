@@ -106,10 +106,9 @@ def test_counit(z4_radical_ctx):
 
 def test_antipode_law_on_idempotents(z4_radical_ctx):
     ctx = z4_radical_ctx
-    s = lambda i: yb.antipode(ctx.basis_element(i)).coeffs
     for a in range(4):
         d = yb.coproduct(ctx.h(a))
-        result = mul_slots(map_slot(d, 0, s))
+        result = mul_slots(map_slot(d, 0, ctx.s))
         assert result == yb.counit(ctx.h(a)) * ctx.one()
 
 
@@ -173,10 +172,18 @@ def test_twisted_antipode(trivial2_ctx, z4_radical_ctx):
         assert yb.twisted_antipode(x) == yb.antipode(x)
     ctx = z4_radical_ctx
     assert yb.twisted_antipode(ctx.one()) == ctx.one()
-    st = lambda i: yb.twisted_antipode(ctx.basis_element(i)).coeffs
     for a in range(4):
         d = yb.twisted_coproduct(ctx.h(a))
-        assert mul_slots(map_slot(d, 0, st)) == yb.counit(ctx.h(a)) * ctx.one()
+        assert mul_slots(map_slot(d, 0, ctx.s_twisted)) == yb.counit(ctx.h(a)) * ctx.one()
+
+
+@pytest.mark.parametrize("name", ["coproduct", "twisted_coproduct", "counit", "antipode",
+                                  "twisted_antipode"])
+def test_element_maps_reject_other_orders(z4_radical_ctx, name):
+    # the element-level maps take one-leg tensors only; the twist has two legs
+    with pytest.raises(yb.ValidationFailure) as exc:
+        getattr(yb, name)(z4_radical_ctx.twist)
+    assert (exc.value.kind, exc.value.witness) == ("order_mismatch", (2, 1))
 
 
 def test_twisted_antipode_requires_brace(s3_trivial_skew):
@@ -263,7 +270,7 @@ def test_quasitriangularity_counit_laws_witness(z4_radical_ctx, monkeypatch):
     coeffs[max(k for k in coeffs if k[0] // n == 0)] = 2
     coeffs[min(k for k in coeffs if k[1] // n == 0 and k[0] // n != 0)] = 3
     bad = ctx.tensor(2, coeffs)
-    monkeypatch.setitem(ctx._cache, "rf", bad)
+    monkeypatch.setattr(ctx, "twisted_r_matrix", bad)
     laws = yb.verify_quasitriangularity(ctx).check("counit_laws")
     assert not laws.passed
     first = first_diff(counit_slot(bad, 0), ctx.one())
@@ -274,19 +281,13 @@ def test_quasitriangularity_counit_laws_witness(z4_radical_ctx, monkeypatch):
 
 @pytest.mark.parametrize("twisted", [False, True])
 def test_hopf_axioms_corrupted_coproduct(z4_radical_ctx, monkeypatch, twisted):
-    # a fresh context: the cached twisted images are built from the untwisted ones
+    # a fresh context: the twisted table is built from the untwisted one
     ctx = AlgebraContext(z4_radical_ctx.brace)
-    name = "_twisted_coproduct_of_basis" if twisted else "_coproduct_of_basis"
-    true_image = getattr(ctx, name)
-    bad = 1 * ctx.n + 1  # h_1 w_1, so the h_a closed forms of Delta_F still hold
-
-    def corrupted(i):
-        image = dict(true_image(i))
-        if i == bad:
-            first = min(image)
-            image[first] = image[first] + 1
-        return image
-
+    name = "twisted_cop" if twisted else "cop"
+    corrupted = [dict(image) for image in getattr(ctx, name)]
+    bad = 1 * ctx.n + 1  # h_1 w_1
+    first = min(corrupted[bad])
+    corrupted[bad][first] += 1
     monkeypatch.setattr(ctx, name, corrupted)
     report = verify_hopf_axioms(ctx, twisted=twisted)
     hom = report.check("coproduct_homomorphism")
@@ -302,13 +303,16 @@ def test_hopf_axioms_corrupted_coproduct(z4_radical_ctx, monkeypatch, twisted):
 
 def test_construction_check_rejects_corrupted_tables(z4_radical_ctx):
     # flipping one product-table entry must trip the associativity check
-    from ybtwist.algebra import AlgebraContext
-
     ctx = AlgebraContext(z4_radical_ctx.brace)
     ctx.prod[5 * ctx.dim + 5] = 0
     with pytest.raises(yb.CheckFailed) as exc:
         ctx._construction_checks()
     assert exc.value.kind in ("associativity", "unit")
+    # an all-vanishing table is associative, so only the unit check can reject it
+    ctx.prod[:] = [-1] * (ctx.dim * ctx.dim)
+    with pytest.raises(yb.CheckFailed) as exc:
+        ctx._construction_checks()
+    assert (exc.value.kind, exc.value.witness) == ("unit", 0)
 
 
 def test_nfold_twist_small(trivial2_ctx, z4_radical_ctx):
@@ -324,7 +328,7 @@ def test_nfold_twist_corrupted_twist(z4_radical_ctx, monkeypatch, k):
     coeffs = dict(ctx.twist.coeffs)
     key = sorted(coeffs)[2]
     coeffs[key] = -coeffs[key]
-    monkeypatch.setitem(ctx._cache, "twist", ctx.tensor(2, coeffs))
+    monkeypatch.setattr(ctx, "twist", ctx.tensor(2, coeffs))
     built, report = nfold_twist(ctx, k)
     # the true twist passes, so its k-fold twist is the closed form
     closed, _ = nfold_twist(z4_radical_ctx, k)
@@ -338,10 +342,3 @@ def test_nfold_twist_corrupted_twist(z4_radical_ctx, monkeypatch, k):
 def test_nfold_twist_guards(z4_radical_ctx):
     with pytest.raises(yb.LimitExceeded):
         nfold_twist(z4_radical_ctx, 5)
-
-
-def test_generic_w_relation_recorded(z4_radical_ctx, s3_trivial_skew):
-    assert z4_radical_ctx.generic_w_relation_holds
-    ctx = yb.algebra_from_brace(s3_trivial_skew)
-    # sigma = tau = id, so the generic relation compares a o b with b o a
-    assert not ctx.generic_w_relation_holds

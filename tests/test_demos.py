@@ -1,4 +1,7 @@
-"""Smoke test: every narrative demo runs top to bottom and exits 0."""
+"""Every narrative demo runs top to bottom, exits 0 and prints its pinned output.
+
+The pinned output of demo ``<stem>.py`` is ``demos/expected/<stem>.txt``.
+"""
 
 from __future__ import annotations
 
@@ -23,3 +26,5 @@ def test_demo_exits_zero(demo):
     proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    expected = ROOT / "demos" / "expected" / f"{demo.stem}.txt"
+    assert proc.stdout == expected.read_text(encoding="utf-8")

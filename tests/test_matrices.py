@@ -15,7 +15,6 @@ from ybtwist.matrices import (
     flip_matrix,
     nfold_twist_matrix,
     rho_basis_entry,
-    rho_tensor,
 )
 from ybtwist.suites import matrix_suite
 
@@ -61,8 +60,8 @@ def test_solution_matrix_equals_represented_universal(braces_up_to_4):
     for bs in braces_up_to_4.values():
         for b in bs:
             ctx = yb.algebra_from_brace(b)
-            assert yb.solution_matrix(ctx) == rho_tensor(ctx, ctx.twisted_r_matrix)
-            assert yb.twist_matrix(ctx) == rho_tensor(ctx, ctx.twist)
+            assert yb.solution_matrix(ctx) == yb.rho(ctx, ctx.twisted_r_matrix)
+            assert yb.twist_matrix(ctx) == yb.rho(ctx, ctx.twist)
 
 
 def test_matrix_ybe_identity_and_flip():
@@ -195,7 +194,7 @@ def test_nfold_matrix_agrees_with_universal(z4_radical_ctx):
     for k in (3, 4):
         universal, _ = nfold_twist(z4_radical_ctx, k)
         mat, _ = nfold_twist_matrix(z4_radical_ctx, k)
-        assert mat == rho_tensor(z4_radical_ctx, universal)
+        assert mat == yb.rho(z4_radical_ctx, universal)
 
 
 def test_nfold_twist_matrix_leg_count_guard(trivial2_ctx, z4_radical_ctx):
@@ -209,11 +208,11 @@ def test_nfold_twist_matrix_leg_count_guard(trivial2_ctx, z4_radical_ctx):
 def _oracle_twist(ctx, k: int) -> ExactMatrix:
     # F_{1..j} = (F_{1..j-1} (x) 1) . rho((Delta^{(j-2)} (x) id) F), with dict-backed
     # ExactMatrix products and embed_legs, not mapping compositions
-    f = rho_tensor(ctx, ctx.twist)
+    f = yb.rho(ctx, ctx.twist)
     tail = ctx.twist
     for j in range(3, k + 1):
         tail = slot_coproduct(tail, 0)
-        f = embed_legs(f, ctx.n, j, tuple(range(j - 1))) * rho_tensor(ctx, tail)
+        f = embed_legs(f, ctx.n, j, tuple(range(j - 1))) * yb.rho(ctx, tail)
     return f
 
 
@@ -266,7 +265,7 @@ def test_nfold_twist_matrix_witness_is_first_column(z4_radical_ctx, k):
         for a in range(n):
             piece[tuple(b * n for b in heads) + (a * n + clean.circle_inv[total],)] = 1
     bad = (embed_legs(_oracle_twist(clean, k - 1), n, k, tuple(range(k - 1)))
-           * rho_tensor(clean, clean.tensor(k, piece)))
+           * yb.rho(clean, clean.tensor(k, piece)))
 
     def columns(m):
         return {c: r for r, c in m.coeffs}

@@ -77,10 +77,11 @@ def _sparse_samples(kind, ctx2, ctx4):
     pairs whose shape differs from x; the error kind is None where the foreign
     object is another container, which ``+`` declines."""
     half = Fraction(1, 2)
-    if kind == "AlgebraElement":
+    if kind == "element":
         coeffs = {1: half, 3: -3}
         return (ctx4.element(coeffs), ctx4.element({1: 2, 2: 1}),
-                [(ctx2.element(coeffs), "context_mismatch")])
+                [(ctx2.element(coeffs), "context_mismatch"),
+                 (ctx4.tensor(2, {(1, 3): half}), "order_mismatch")])
     if kind == "TensorElement":
         coeffs = {(1, 3): half, (0, 0): -3}
         return (ctx4.tensor(2, coeffs), ctx4.tensor(2, {(1, 3): 2, (2, 1): 1}),
@@ -102,7 +103,7 @@ def _sparse_samples(kind, ctx2, ctx4):
     raise AssertionError(kind)
 
 
-@pytest.mark.parametrize("kind", ["AlgebraElement", "TensorElement", "ExactMatrix",
+@pytest.mark.parametrize("kind", ["element", "TensorElement", "ExactMatrix",
                                   "BivarPoly", "NCPoly", "NCTensor"])
 def test_sparse_core_laws(kind, trivial2_ctx, z4_radical_ctx):
     x, y, foreign = _sparse_samples(kind, trivial2_ctx, z4_radical_ctx)

@@ -1,4 +1,4 @@
-"""All-pairs oracle for the tensor product kernels of the twist algebra.
+"""All-pairs oracles for the tensor product and slot-map kernels of the twist algebra.
 
 ``TensorElement.__mul__`` skips groups of terms whose first-slot product
 vanishes, and ``apply_left``/``apply_right`` multiply an m-tensor into chosen
@@ -8,6 +8,11 @@ embedded tensor with the unit sum_a h_a on every other leg, so it shares no
 code with the kernels.  Operands are seeded random int and ``Fraction``
 tensors whose slots are drawn partly from the partners each slot has in the
 product table, so that products are rarely empty.
+
+The slot maps (Delta, eps and s applied at one slot) are checked term by term
+against images written from the brace's own tables: the pairs b + c = a of
+its addition, the test a = 0, and sigma, the inverse of o and negation, each
+found by scanning the group tables.
 """
 
 from __future__ import annotations
@@ -19,7 +24,8 @@ from itertools import product
 import pytest
 
 import ybtwist as yb
-from ybtwist.algebra import AlgebraContext, apply_left, apply_right, embed_two
+from ybtwist.algebra import (AlgebraContext, apply_left, apply_right, counit_slot,
+                             embed_two, map_slot, slot_coproduct)
 
 
 def naive_mul(ctx, x: dict, y: dict) -> dict:
@@ -167,3 +173,49 @@ def test_leg_count_must_match_tensor_order(z4_radical_ctx):
     with pytest.raises(yb.ValidationFailure) as exc:
         apply_left(ctx.twist, (0, 1, 2), ctx.unit_tensor(3))
     assert exc.value.kind == "order_mismatch"
+
+
+def basis_images(brace):
+    """Delta, eps and s of each basis index a*n + g, from the brace tables alone."""
+    n, add, circle = brace.n, brace.add.table, brace.mul.table
+    neg = [next(x for x in range(n) if add[a][x] == 0) for a in range(n)]
+    circle_inv = [next(x for x in range(n) if circle[g][x] == 0) for g in range(n)]
+
+    def sigma(x, y):  # -x + x o y
+        return add[neg[x]][circle[x][y]]
+
+    cop, eps, s = [], [], []
+    for a, g in product(range(n), repeat=2):
+        cop.append([(b * n + g, c * n + g) for b in range(n) for c in range(n) if add[b][c] == a])
+        eps.append([()] if a == 0 else [])
+        ginv = circle_inv[g]
+        s.append([(sigma(ginv, neg[a]) * n + ginv,)])
+    return cop, eps, s
+
+
+def naive_on_slot(t: dict, slot: int, images) -> dict:
+    acc: dict = {}
+    for key, c in t.items():
+        for image in images[key[slot]]:
+            nk = key[:slot] + image + key[slot + 1:]
+            acc[nk] = acc.get(nk, 0) + c
+    return {k: v for k, v in acc.items() if v != 0}
+
+
+def test_slot_maps_match_brace_tables(contexts):
+    rng = random.Random(31)
+    survivors = 0
+    for ctx in contexts:
+        cop, eps, s = basis_images(ctx.brace)
+        for k in (1, 2, 3):
+            t = random_tensor(ctx, rng, k, 10)
+            t_el = ctx.tensor(k, t)
+            for slot in range(k):
+                got = slot_coproduct(t_el, slot)
+                assert (got.k, got.coeffs) == (k + 1, naive_on_slot(t, slot, cop)), (ctx.n, k, slot)
+                got = counit_slot(t_el, slot)
+                assert (got.k, got.coeffs) == (k - 1, naive_on_slot(t, slot, eps)), (ctx.n, k, slot)
+                survivors += bool(got.coeffs)
+                got = map_slot(t_el, slot, ctx.s)
+                assert (got.k, got.coeffs) == (k, naive_on_slot(t, slot, s)), (ctx.n, k, slot)
+    assert survivors >= 40
