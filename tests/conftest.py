@@ -145,6 +145,22 @@ def s3_trivial_skew(s3_table):
 
 
 @pytest.fixture(scope="session")
+def order6_nonabelian():
+    """The first labelled order-6 skew brace with nonabelian addition whose
+    sigma/tau maps derive and whose sigma is nontrivial."""
+    for b in yb.enumerate_braces(6):
+        if b.is_brace:
+            continue
+        try:
+            m = yb.derive_sigma_tau(b)
+        except yb.ValidationFailure:
+            continue
+        if any(list(row) != list(range(6)) for row in m.sigma):
+            return b
+    raise AssertionError("no order-6 skew brace with nonabelian addition and nontrivial sigma")
+
+
+@pytest.fixture(scope="session")
 def braces_up_to_4():
     return {n: yb.enumerate_braces(n, skew=True) for n in range(1, 5)}
 

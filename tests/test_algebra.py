@@ -16,6 +16,7 @@ from ybtwist.algebra import (
     slot_coproduct,
     verify_hopf_axioms,
 )
+from ybtwist.suites import run_suites
 
 
 def idx(ctx, a, g):
@@ -260,6 +261,56 @@ def test_hopf_axiom_suites(trivial2_ctx, z4_radical_ctx):
     for ctx in (trivial2_ctx, z4_radical_ctx):
         assert verify_hopf_axioms(ctx).ok
         assert verify_hopf_axioms(ctx, twisted=True).ok
+
+
+def test_cocommutative_iff_abelian_addition(z4_radical_ctx, z6_brace, order6_nonabelian, s3_trivial_skew):
+    for brace in (z6_brace, order6_nonabelian, s3_trivial_skew):
+        ctx = yb.algebra_from_brace(brace)
+        assert yb.is_cocommutative(ctx) == brace.is_brace
+    # one swapped pair of coefficients in a row of Delta breaks it
+    ctx = AlgebraContext(z4_radical_ctx.brace)
+    bad = [dict(image) for image in ctx.cop]
+    (p, q), c = next((key, c) for key, c in bad[5].items() if key[0] != key[1])
+    bad[5][(p, q)] = c + 1
+    ctx.cop = bad
+    assert not yb.is_cocommutative(ctx)
+
+
+@pytest.fixture(scope="module")
+def z3_squared_brace():
+    """(Z3^2, +) with (x, y) o (u, v) = (x, y) + (u + y v, v), (x, y) at index 3x + y.
+
+    sigma_(x,y)(u, v) = (u + y v, v) has order 3 when y != 0, so sigma_g and
+    sigma_{g^{-1}} differ: the first subject that tells the antipode formula
+    s(h_a w_g) = h_{sigma_{g^{-1}}(-a)} w_{g^{-1}} from its sigma_g variant.
+    """
+    els = [(x, y) for x in range(3) for y in range(3)]
+
+    def at(x, y):
+        return 3 * (x % 3) + y % 3
+
+    add = [[at(x + u, y + v) for u, v in els] for x, y in els]
+    mul = [[at(x + u + y * v, y + v) for u, v in els] for x, y in els]
+    return yb.validate_brace(yb.validate_group(add), yb.validate_group(mul))
+
+
+def test_order9_pins_the_antipode_formula(z3_squared_brace, monkeypatch):
+    ctx = AlgebraContext(z3_squared_brace)
+    n, inv = ctx.n, ctx.circle_inv
+    assert any(ctx.sigma[g] != ctx.sigma[inv[g]] for g in range(n))
+    assert verify_hopf_axioms(ctx).ok
+    assert verify_hopf_axioms(ctx, twisted=True).ok
+
+    checks = run_suites(z3_squared_brace, "universal", {"universal": 9})
+    assert [c["name"] for c in checks if c["status"] == "fail"] == []
+    assert [c["name"] for c in checks if c["status"] == "skipped"] == ["universal.nfold_twist"]
+    assert "exceeds cap" in checks[-1]["witness"]
+
+    wrong = [{(ctx.sigma[g][ctx.neg[a]] * n + inv[g],): 1} for a in range(n) for g in range(n)]
+    monkeypatch.setattr(ctx, "s", wrong)
+    report = verify_hopf_axioms(ctx)
+    assert [c.name for c in report.checks if not c.passed] == ["antipode"]
+    assert report.check("antipode").witness == 1
 
 
 def test_quasitriangularity_counit_laws_witness(z4_radical_ctx, monkeypatch):

@@ -24,8 +24,8 @@ from itertools import product
 import pytest
 
 import ybtwist as yb
-from ybtwist.algebra import (AlgebraContext, apply_left, apply_right, counit_slot,
-                             embed_two, map_slot, slot_coproduct)
+from ybtwist.algebra import (AlgebraContext, _pair_products, apply_left, apply_right,
+                             counit_slot, embed_two, map_slot, slot_coproduct)
 
 
 def naive_mul(ctx, x: dict, y: dict) -> dict:
@@ -86,24 +86,11 @@ def partners(ctx):
     return left, right
 
 
-def _order6_nonabelian():
-    for b in yb.enumerate_braces(6):
-        if b.is_brace:
-            continue
-        try:
-            m = yb.derive_sigma_tau(b)
-        except yb.ValidationFailure:
-            continue
-        if any(list(row) != list(range(6)) for row in m.sigma):
-            return b
-    raise AssertionError("no order-6 skew brace with nonabelian addition and nontrivial sigma")
-
-
 @pytest.fixture(scope="module")
-def contexts(braces_up_to_4):
+def contexts(braces_up_to_4, order6_nonabelian):
     braces = [b for n in sorted(braces_up_to_4) for b in braces_up_to_4[n]]
     assert len(braces) == 13
-    braces.append(_order6_nonabelian())
+    braces.append(order6_nonabelian)
     return [AlgebraContext(b) for b in braces]
 
 
@@ -119,6 +106,22 @@ def test_tensor_mul_matches_all_pairs(contexts):
                 got = ctx.tensor(k, x) * ctx.tensor(k, y)
                 assert got.coeffs == naive_mul(ctx, x, y), (ctx.n, k)
                 nonempty += bool(got.coeffs)
+    assert nonempty >= 80
+
+
+def test_pair_products_match_all_pairs(contexts):
+    # every left 2-tensor against every right one, as the Hopf check uses it
+    rng = random.Random(7)
+    nonempty = 0
+    for ctx in contexts:
+        _, right = partners(ctx)
+        lefts = [random_tensor(ctx, rng, 2, 8) for _ in range(3)]
+        rights = [random_tensor(ctx, rng, 2, 8, right, lefts[m % 3]) for m in range(4)]
+        rights.append({})
+        expected = [{j: p for j, y in enumerate(rights) if (p := naive_mul(ctx, x, y))}
+                    for x in lefts]
+        assert list(_pair_products(lefts, rights, ctx.prod, ctx.dim)) == expected, ctx.n
+        nonempty += sum(map(len, expected))
     assert nonempty >= 80
 
 
