@@ -12,9 +12,6 @@ from .algebra import (
     TensorElement,
     algebra_from_brace,
     antipode,
-    build_twist,
-    build_twist_inv,
-    build_twisted_r,
     coproduct,
     counit,
     is_cocommutative,

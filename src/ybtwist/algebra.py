@@ -110,15 +110,40 @@ class AlgebraContext:
 
     @cached_property
     def twist(self) -> TensorElement:
-        return build_twist(self)
+        """The combinatorial twist sum_b h_b (x) w_{b^{-1}}."""
+        n = self.n
+        return TensorElement(self, 2, {(b * n, a * n + self.circle_inv[b]): 1
+                                       for b in range(n) for a in range(n)})
 
     @cached_property
     def twist_inv(self) -> TensorElement:
-        return build_twist_inv(self)
+        """sum_b h_b (x) w_b, the two-sided inverse of the twist."""
+        n = self.n
+        return TensorElement(self, 2, {(b * n, a * n + b): 1 for b in range(n) for a in range(n)})
 
     @cached_property
     def twisted_r_matrix(self) -> TensorElement:
-        return build_twisted_r(self)
+        """F^op F^{-1}, cross-checked against sum_{a,b} h_b w_{a^{-1}} (x) h_a w_{sigma_a(b)}.
+
+        Raises CheckFailed("twist_not_inverse") or CheckFailed("rf_closed_form")
+        when the two independent routes disagree; impossible for a valid brace.
+        """
+        f, finv = self.twist, self.twist_inv
+        unit2 = self.unit_tensor(2)
+        if f * finv != unit2 or finv * f != unit2:
+            raise CheckFailed("twist_not_inverse")
+        conj = f.slot_swap(0, 1) * finv
+        n = self.n
+        closed = {}
+        for a in range(n):
+            ainv = self.circle_inv[a]
+            srow = self.sigma[a]
+            for b in range(n):
+                closed[(b * n + ainv, a * n + srow[b])] = 1
+        closed_t = TensorElement(self, 2, closed)
+        if conj != closed_t:
+            raise CheckFailed("rf_closed_form", conj.first_diff(closed_t))
+        return conj
 
     @cached_property
     def cop(self) -> list[dict]:
@@ -288,51 +313,6 @@ def counit(x: TensorElement):
 def antipode(x: TensorElement) -> TensorElement:
     """The antipode s, from the table ``ctx.s``."""
     return _on_slot(_one_leg(x), 0, x.ctx.s, 1)
-
-
-def build_twist(ctx: AlgebraContext) -> TensorElement:
-    """The combinatorial twist sum_b h_b (x) w_{b^{-1}}."""
-    n = ctx.n
-    coeffs = {}
-    for b in range(n):
-        binv = ctx.circle_inv[b]
-        for a in range(n):
-            coeffs[(b * n, a * n + binv)] = 1
-    return TensorElement(ctx, 2, coeffs)
-
-
-def build_twist_inv(ctx: AlgebraContext) -> TensorElement:
-    """sum_b h_b (x) w_b, the two-sided inverse of the twist."""
-    n = ctx.n
-    coeffs = {}
-    for b in range(n):
-        for a in range(n):
-            coeffs[(b * n, a * n + b)] = 1
-    return TensorElement(ctx, 2, coeffs)
-
-
-def build_twisted_r(ctx: AlgebraContext) -> TensorElement:
-    """F^op F^{-1}, cross-checked against sum_{a,b} h_b w_{a^{-1}} (x) h_a w_{sigma_a(b)}.
-
-    Raises CheckFailed("twist_not_inverse") or CheckFailed("rf_closed_form")
-    when the two independent routes disagree; impossible for a valid brace.
-    """
-    f, finv = ctx.twist, ctx.twist_inv
-    unit2 = ctx.unit_tensor(2)
-    if f * finv != unit2 or finv * f != unit2:
-        raise CheckFailed("twist_not_inverse")
-    conj = f.slot_swap(0, 1) * finv
-    n = ctx.n
-    closed = {}
-    for a in range(n):
-        ainv = ctx.circle_inv[a]
-        srow = ctx.sigma[a]
-        for b in range(n):
-            closed[(b * n + ainv, a * n + srow[b])] = 1
-    closed_t = TensorElement(ctx, 2, closed)
-    if conj != closed_t:
-        raise CheckFailed("rf_closed_form", conj.first_diff(closed_t))
-    return conj
 
 
 def _twisted_h_closed(ctx: AlgebraContext, a: int) -> TensorElement:

@@ -85,9 +85,10 @@ def _perm_inverse(row) -> tuple[int, ...]:
 def ybmap_from_sigma(sigma_rows) -> YBMap:
     """Build a YBMap from sigma alone; tau is derived, never trusted from input.
 
-    Raises ValidationFailure when a sigma row fails to be a permutation, when
-    a derived tau row is not a permutation, or when the left-inverse law
-    sigma_{sigma_a(b)}(tau_b(a)) = a fails.
+    Raises ValidationFailure when a sigma row fails to be a permutation or a
+    derived tau row is not a permutation.  The left-inverse law
+    sigma_{sigma_a(b)}(tau_b(a)) = a needs no check: tau_b(a) is defined as
+    sigma^{-1}_{sigma_a(b)}(a), so it holds once the sigma rows are permutations.
     """
     sigma: Table = tuple(tuple(int(v) for v in row) for row in sigma_rows)
     n = len(sigma)
@@ -103,10 +104,6 @@ def ybmap_from_sigma(sigma_rows) -> YBMap:
     for b, row in enumerate(tau):
         if set(row) != full:
             raise ValidationFailure("tau_not_bijective", b)
-    for a in range(n):
-        for b in range(n):
-            if sigma[sigma[a][b]][tau[b][a]] != a:
-                raise ValidationFailure("left_inverse_law", (a, b))
     return YBMap(n, sigma, tau)
 
 

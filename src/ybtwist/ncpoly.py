@@ -1,64 +1,21 @@
 """Free noncommutative polynomials in the level generators of the RTT algebra.
 
 A generator is a triple (m, a, b) with level m >= 1; the level-0 symbol is
-delta_{a,b} times the unit and never appears inside words.  Polynomials are
-kept in expanded normal form: a ``Sparse`` combination whose ``coeffs`` map
-words (tuples of generators) to exact coefficients.  No rewriting is
-performed; identities asserted here hold in the free algebra itself.
+delta_{a,b} times the unit and never appears inside words.  A k-fold tensor
+``NCTensor`` is a ``Sparse`` combination whose keys are k-tuples of words
+(tuples of generators), in expanded normal form, and a polynomial is the
+one-leg tensor.  No rewriting is performed; identities asserted here hold in
+the free algebra itself.
 """
 
 from __future__ import annotations
+
+from operator import add
 
 from .errors import ValidationFailure
 from .rational import Sparse, _prune
 
 Gen = tuple[int, int, int]
-Word = tuple[Gen, ...]
-
-
-class NCPoly(Sparse):
-    """Formal sum of words with exact coefficients."""
-
-    __slots__ = ()
-
-    def __init__(self, coeffs: dict | None = None):
-        self.coeffs = _prune(dict(coeffs or {}))
-
-    @classmethod
-    def one(cls) -> NCPoly:
-        return cls({(): 1})
-
-    @classmethod
-    def zero(cls) -> NCPoly:
-        return cls({})
-
-    def __mul__(self, other) -> NCPoly:
-        if not isinstance(other, NCPoly):
-            return NotImplemented
-        out: dict = {}
-        for w1, c1 in self.coeffs.items():
-            for w2, c2 in other.coeffs.items():
-                w = w1 + w2
-                out[w] = out.get(w, 0) + c1 * c2
-        return self._like(_prune(out))
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for w, c in sorted(self.coeffs.items()):
-            word = "".join(f"L{m}[{a},{b}]" for m, a, b in w) or "1"
-            bits.append(f"{c}*{word}" if c != 1 or not w else word)
-        return " + ".join(bits)
-
-
-def gen(m: int, a: int, b: int) -> NCPoly:
-    """The generator at level m; level 0 collapses to delta_{a,b} . 1."""
-    if m < 0:
-        raise ValueError("level must be nonnegative")
-    if m == 0:
-        return NCPoly.one() if a == b else NCPoly.zero()
-    return NCPoly({((m, a, b),): 1})
 
 
 class NCTensor(Sparse):
@@ -95,20 +52,39 @@ class NCTensor(Sparse):
         out: dict = {}
         for key1, c1 in self.coeffs.items():
             for key2, c2 in other.coeffs.items():
-                key = tuple(w1 + w2 for w1, w2 in zip(key1, key2))
+                key = tuple(map(add, key1, key2))
                 out[key] = out.get(key, 0) + c1 * c2
         return self._like(_prune(out))
 
     def __repr__(self):
-        return f"NCTensor(k={self.k}, terms={len(self.coeffs)})"
+        """A polynomial prints as its sum of words; a tensor by its order and size."""
+        if self.k != 1:
+            return f"NCTensor(k={self.k}, terms={len(self.coeffs)})"
+        if not self.coeffs:
+            return "0"
+        bits = []
+        for (w,), c in sorted(self.coeffs.items()):
+            word = "".join(f"L{m}[{a},{b}]" for m, a, b in w) or "1"
+            bits.append(f"{c}*{word}" if c != 1 or not w else word)
+        return " + ".join(bits)
 
 
-def tensor2(p: NCPoly, q: NCPoly) -> NCTensor:
-    out = {}
-    for w1, c1 in p.coeffs.items():
-        for w2, c2 in q.coeffs.items():
-            out[(w1, w2)] = out.get((w1, w2), 0) + c1 * c2
-    return NCTensor(2, out)
+def gen(m: int, a: int, b: int) -> NCTensor:
+    """The generator at level m; level 0 collapses to delta_{a,b} . 1."""
+    if m < 0:
+        raise ValueError("level must be nonnegative")
+    if m == 0:
+        return NCTensor.one(1) if a == b else NCTensor(1)
+    return NCTensor(1, {(((m, a, b),),): 1})
+
+
+def tensor2(p: NCTensor, q: NCTensor) -> NCTensor:
+    """p (x) q: the slots of p followed by the slots of q."""
+    out: dict = {}
+    for key1, c1 in p.coeffs.items():
+        for key2, c2 in q.coeffs.items():
+            out[key1 + key2] = c1 * c2
+    return NCTensor(p.k + q.k, out)
 
 
 def coproduct_gen(m: int, a: int, b: int, n: int) -> NCTensor:
@@ -120,35 +96,33 @@ def coproduct_gen(m: int, a: int, b: int, n: int) -> NCTensor:
     return out
 
 
-def coproduct(p: NCPoly, n: int) -> NCTensor:
-    """Algebra-homomorphism extension of the generator coproduct."""
-    out = NCTensor(2)
-    for word, c in p.coeffs.items():
-        factor = NCTensor.one(2)
-        for (m, a, b) in word:
-            factor = factor * coproduct_gen(m, a, b, n)
-        out = out + c * factor
-    return out
+def tensor_coproduct(t: NCTensor, slot: int, table: dict) -> NCTensor:
+    """Apply the coproduct inside one slot, raising the tensor order by one.
 
-
-def tensor_coproduct(t: NCTensor, slot: int, n: int) -> NCTensor:
-    """Apply the coproduct inside one slot, raising the tensor order by one."""
+    ``table`` maps each generator to its coproduct (``coproduct_gen``).  The
+    coproduct is an algebra homomorphism, so the image of a word is the
+    product of its letters' images.
+    """
+    one = NCTensor.one(2)
     out: dict = {}
     for key, c in t.coeffs.items():
-        inner = coproduct(NCPoly({key[slot]: 1}), n)
-        for (w1, w2), c2 in inner.coeffs.items():
-            nk = key[:slot] + (w1, w2) + key[slot + 1:]
+        image = one
+        for g in key[slot]:
+            image = image * table[g]
+        head, tail = key[:slot], key[slot + 1:]
+        for pair, c2 in image.coeffs.items():
+            nk = head + pair + tail
             out[nk] = out.get(nk, 0) + c * c2
     return NCTensor(t.k + 1, out)
 
 
-def antipode_table(n: int, max_level: int) -> dict[Gen, NCPoly]:
+def antipode_table(n: int, max_level: int) -> dict[Gen, NCTensor]:
     """Solve s(L^{(m)}_{a,b}) = -sum_{k<m} sum_c s(L^{(k)}_{c,b}) L^{(m-k)}_{a,c} recursively."""
-    table: dict[Gen, NCPoly] = {}
+    table: dict[Gen, NCTensor] = {}
     for m in range(1, max_level + 1):
         for a in range(n):
             for b in range(n):
-                acc = NCPoly.zero()
+                acc = NCTensor(1)
                 for k in range(m):
                     for c in range(n):
                         s_prev = gen(0, c, b) if k == 0 else table[(k, c, b)]

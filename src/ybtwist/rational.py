@@ -1,8 +1,8 @@
 """The sparse linear-combination core, and exact bivariate polynomials.
 
-Every exact container in the package (algebra elements and tensors, matrices,
-polynomials in the spectral parameters, free noncommutative polynomials and
-their tensors) is a ``Sparse``: a dictionary ``coeffs`` from keys to non-zero
+Every exact container in the package (algebra tensors, whose one-leg case is
+an element, matrices, polynomials in the spectral parameters, and free
+noncommutative tensors, whose one-leg case is a polynomial) is a ``Sparse``: a dictionary ``coeffs`` from keys to non-zero
 exact coefficients.  Zero coefficients are never stored, so two equal
 combinations always have equal dictionaries and equality is syntactic.
 ``Sparse`` owns the vector-space arithmetic and the one first-difference

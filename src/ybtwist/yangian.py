@@ -24,7 +24,7 @@ from .algebra import AlgebraContext
 from .errors import LimitExceeded
 from .matrices import (ExactMatrix, _ybe_sides, embed_legs, flip_matrix, kron, rho,
                        solution_matrix, twist_matrix)
-from .ncpoly import NCPoly, antipode_table, coproduct_gen, gen, tensor_coproduct
+from .ncpoly import NCTensor, antipode_table, coproduct_gen, gen, tensor_coproduct
 from .rational import BivarPoly
 from .reports import PropertyReport
 
@@ -36,17 +36,19 @@ def _spacing() -> BivarPoly:
     return BivarPoly.var(0) - BivarPoly.var(1)
 
 
-def _flip(n: int) -> ExactMatrix:
-    """The flip P on the n^2 space, with constant-polynomial entries.
+def _cleared(pole: BivarPoly, a: ExactMatrix, n: int) -> ExactMatrix:
+    """pole . a + P on the n^2 space: an RTT operator a + P / pole, times its pole.
 
-    Every entry of a cleared operator is then a ``BivarPoly`` callers can evaluate.
+    R, L, R^F and L^F all take this form.  The flip P gets constant-polynomial
+    entries, so every entry of a cleared operator is a ``BivarPoly`` callers
+    can evaluate.
     """
-    return BivarPoly.const(1) * flip_matrix(n)
+    return pole * a + BivarPoly.const(1) * flip_matrix(n)
 
 
 def _l_cleared(n: int, var: int, shift: int = 1) -> ExactMatrix:
     """(lambda_var - shift) L = (lambda_var - shift) 1 + P on the (auxiliary, quantum) legs."""
-    return (BivarPoly.var(var) - shift) * ExactMatrix.identity(n * n) + _flip(n)
+    return _cleared(BivarPoly.var(var) - shift, ExactMatrix.identity(n * n), n)
 
 
 # ------------------------------------------------------------ the R-matrix
@@ -59,7 +61,7 @@ def yangian_r(n: int) -> ExactMatrix:
     """
     if n < 1:
         raise LimitExceeded("n must be at least 1")
-    return _spacing() * ExactMatrix.identity(n * n) + _flip(n)
+    return _cleared(_spacing(), ExactMatrix.identity(n * n), n)
 
 
 def unitarity_report(n: int) -> PropertyReport:
@@ -68,7 +70,7 @@ def unitarity_report(n: int) -> PropertyReport:
     With the poles cleared, u = lambda1 - lambda2: (u 1 + P) P (-u 1 + P) P = (1 - u^2) . 1.
     """
     u = _spacing()
-    lhs = yangian_r(n) * embed_legs(-u * ExactMatrix.identity(n * n) + _flip(n), n, 2, (1, 0))
+    lhs = yangian_r(n) * embed_legs(_cleared(-u, ExactMatrix.identity(n * n), n), n, 2, (1, 0))
     report = PropertyReport("unitarity")
     report.compare("unitarity", lhs, (1 - u * u) * ExactMatrix.identity(n * n))
     return report
@@ -211,19 +213,19 @@ def twisted_r_lambda(ctx: AlgebraContext) -> ExactMatrix:
 
     R^F(lambda) = r + P / (lambda1 - lambda2), carrying its pole as a factor.
     """
-    n = ctx.n
-    return _spacing() * solution_matrix(ctx) + _flip(n)
+    return _cleared(_spacing(), solution_matrix(ctx), ctx.n)
 
 
-def twisted_l(ctx: AlgebraContext, var: int = 0, shift: int = 1) -> ExactMatrix:
-    """(lambda - shift) L^F = F^op ((lambda - shift) 1 + P) F^{-1} on (auxiliary, quantum).
+def twisted_l(ctx: AlgebraContext, var: int = 0) -> ExactMatrix:
+    """(lambda - 1) L^F = (lambda - 1) r + P on (auxiliary, quantum), r the combinatorial solution.
 
-    L^F(lambda) = F^op L(lambda) F^{-1}, carrying the pole of L as a factor;
-    ``var`` names the spectral parameter lambda.
+    L^F(lambda) = F^op L(lambda) F^{-1} with L = 1 + P / (lambda - 1), carrying
+    its pole as a factor; ``var`` names the spectral parameter lambda.  The
+    closed form is exact: F^op P = P F, so F^op P F^{-1} = P, and
+    rho(F^op F^{-1}) = r.  ``check_twisted_rtt`` checks the same conjugation
+    for R^F.
     """
-    n = ctx.n
-    f_op = embed_legs(twist_matrix(ctx), n, 2, (1, 0))
-    return f_op * _l_cleared(n, var, shift) * rho(ctx, ctx.twist_inv)
+    return _cleared(BivarPoly.var(var) - 1, solution_matrix(ctx), ctx.n)
 
 
 def check_twisted_rtt(ctx: AlgebraContext) -> PropertyReport:
@@ -261,9 +263,11 @@ def coproduct_table(n: int, max_level: int = 3) -> dict:
 
 def coassociativity_report(n: int, max_level: int = 3) -> PropertyReport:
     """(Delta (x) id) Delta = (id (x) Delta) Delta on every generator, symbolically."""
+    table = coproduct_table(n, max_level)
+
     def fails(m, a, b):
-        d = coproduct_gen(m, a, b, n)
-        return tensor_coproduct(d, 0, n) != tensor_coproduct(d, 1, n)
+        d = table[(m, a, b)]
+        return tensor_coproduct(d, 0, table) != tensor_coproduct(d, 1, table)
 
     report = PropertyReport("coassociativity")
     w = next((key for key in iproduct(range(1, max_level + 1), range(n), range(n))
@@ -291,8 +295,8 @@ def antipode_series(n: int, max_level: int = MAX_LEVEL) -> tuple[dict, PropertyR
         w_left = w_right = None
         for a in range(n):
             for b in range(n):
-                left = NCPoly.zero()
-                right = NCPoly.zero()
+                left = NCTensor(1)
+                right = NCTensor(1)
                 for k in range(m + 1):
                     for c in range(n):
                         left = left + s_of(k, c, b) * gen(m - k, a, c)

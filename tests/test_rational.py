@@ -10,7 +10,7 @@ import pytest
 
 from ybtwist.errors import ValidationFailure
 from ybtwist.matrices import ExactMatrix
-from ybtwist.ncpoly import NCPoly, NCTensor, gen
+from ybtwist.ncpoly import NCTensor, gen
 from ybtwist.rational import BivarPoly, Sparse
 from ybtwist.reports import PropertyReport
 
@@ -94,8 +94,9 @@ def _sparse_samples(kind, ctx2, ctx4):
     if kind == "BivarPoly":
         return U * V - half * V, U - 3, [(ExactMatrix(1, {(0, 0): 1}), None)]
     if kind == "NCPoly":
-        return (gen(1, 0, 1) + half * gen(2, 1, 0), gen(1, 0, 1) - NCPoly.one(),
-                [(NCTensor(1, {((),): 1}), None)])
+        # a polynomial is the one-leg NCTensor
+        return (gen(1, 0, 1) + half * gen(2, 1, 0), gen(1, 0, 1) - NCTensor.one(1),
+                [(NCTensor(2, {((), ()): 1}), "order_mismatch")])
     if kind == "NCTensor":
         coeffs = {((), ((1, 0, 1),)): half, (((2, 1, 0),), ()): -3}
         return (NCTensor(2, coeffs), NCTensor(2, {((), ()): 1, ((), ((1, 0, 1),)): 2}),

@@ -8,7 +8,7 @@ import pytest
 import ybtwist as yb
 from ybtwist import yangian
 from ybtwist.matrices import ExactMatrix, flip_matrix
-from ybtwist.ncpoly import NCPoly, gen, tensor2
+from ybtwist.ncpoly import NCTensor, gen, tensor2, tensor_coproduct
 from ybtwist.rational import BivarPoly
 from ybtwist.yangian import (
     adjudicate_twisted_coproduct,
@@ -133,7 +133,7 @@ def test_twisted_rtt_all_braces_up_to_3(braces_up_to_4):
 def test_coproduct_displays():
     n = 2
     table = coproduct_table(n, 3)
-    one = NCPoly.one()
+    one = NCTensor.one(1)
     for a in range(n):
         for b in range(n):
             l1 = gen(1, a, b)
@@ -157,9 +157,41 @@ def test_coassociativity_symbolic():
     assert coassociativity_report(3, 2).ok
 
 
+def _displayed_coproduct(m, a, b, n):
+    """Delta(L^{(m)}_{a,b}) for m = 1, 2, as displayed."""
+    one = NCTensor.one(1)
+    out = tensor2(gen(m, a, b), one) + tensor2(one, gen(m, a, b))
+    if m == 2:
+        for c in range(n):
+            out = out + tensor2(gen(1, c, b), gen(1, a, c))
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_tensor_coproduct_multiplies_letter_images(n):
+    # Delta is an algebra homomorphism: a word of two or three letters maps to
+    # the product of its letters' coproducts, alone and beside another slot
+    table = coproduct_table(n, 2)
+    top = n - 1
+    words = [((1, 0, top), (2, top, 0)), ((2, 0, 0), (1, top, 0), (1, 0, top))]
+    other = gen(1, top, 0) + 3 * NCTensor.one(1)
+    images = []
+    for word in words:
+        poly = NCTensor(1, {(word,): 1})
+        expected = NCTensor.one(2)
+        for letter in word:
+            expected = expected * _displayed_coproduct(*letter, n)
+        images.append(expected)
+        assert tensor_coproduct(poly, 0, table) == expected
+        assert tensor_coproduct(tensor2(poly, other), 0, table) == tensor2(expected, other)
+        assert tensor_coproduct(tensor2(other, poly), 1, table) == tensor2(other, expected)
+    combo = NCTensor(1, {(words[0],): 2, (words[1],): -1})
+    assert tensor_coproduct(combo, 0, table) == 2 * images[0] - images[1]
+
+
 def test_coassociativity_witness_is_first(monkeypatch):
     # a coproduct that fails on every generator must report the first one
-    monkeypatch.setattr(yangian, "tensor_coproduct", lambda d, slot, n: slot)
+    monkeypatch.setattr(yangian, "tensor_coproduct", lambda d, slot, table: slot)
     report = coassociativity_report(2, 3)
     assert not report.ok
     assert report.checks[0].witness == (1, 0, 0)
@@ -194,17 +226,17 @@ def test_antipode_identities_vanish_at_level_4():
 
 def test_counit_of_generators():
     # eps kills every positive-level generator: only the empty word survives
-    assert gen(1, 0, 1).coeffs.get((), 0) == 0
-    assert NCPoly.one().coeffs.get((), 0) == 1
+    assert gen(1, 0, 1).coeffs.get(((),), 0) == 0
+    assert NCTensor.one(1).coeffs.get(((),), 0) == 1
     # (eps x id) Delta(L) = L, symbolically
     n = 2
     for a in range(n):
         for b in range(n):
             d = coproduct_table(n, 2)[(2, a, b)]
-            picked = NCPoly.zero()
+            picked = NCTensor(1)
             for (w1, w2), c in d.coeffs.items():
                 if w1 == ():
-                    picked = picked + NCPoly({w2: c})
+                    picked = picked + NCTensor(1, {(w2,): c})
             assert picked == gen(2, a, b)
 
 
