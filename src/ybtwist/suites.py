@@ -208,7 +208,10 @@ def yangian_suite(brace: SkewBrace, ceiling: int = YANGIAN_CEILING,
     ``SYMBOLIC_LEVEL``), never the brace's sigma/tau, twist or context, so
     (check name, n) determines the verdict.  With a ``shared`` dict (one per
     verify run) each is decided once per (name, n) and reused for every later
-    subject of that order.
+    subject of that order.  Their verdicts are also invariant under relabelling
+    range(n), so ``yangian`` decides the index-tuple checks (defining and
+    displayed relations, coassociativity, antipode series) on one tuple per
+    S_n orbit.
     """
     checks: list[dict] = []
     n = brace.n

@@ -12,6 +12,16 @@ coefficient comparison; a failure's witness is the first differing entry
 share one product, ``matrices._ybe_sides``, and the evaluation images of the
 level generators are built once per process (``_eval_image``).  Symbolic
 identities live in the free noncommutative algebra.
+
+The n-only checks (defining and displayed relations, coassociativity and the
+antipode identities) are natural under relabelling the indices by a
+permutation pi of range(n): pi maps E_{ji} to E_{pi j, pi i}, fixes the level-0
+images delta_ij . 1, and maps L^{(m)}_{ab} to L^{(m)}_{pi a, pi b} in the free
+algebra.  A verdict on an index tuple therefore depends only on its equality
+pattern, and each is decided on one representative per S_n orbit
+(``_patterns``): the least tuple of the orbit, so the first failing
+representative is the first failing tuple, and a count of violations adds the
+orbit sizes.
 """
 
 from __future__ import annotations
@@ -49,6 +59,26 @@ def _cleared(pole: BivarPoly, a: ExactMatrix, n: int) -> ExactMatrix:
 def _l_cleared(n: int, var: int, shift: int = 1) -> ExactMatrix:
     """(lambda_var - shift) L = (lambda_var - shift) 1 + P on the (auxiliary, quantum) legs."""
     return _cleared(BivarPoly.var(var) - shift, ExactMatrix.identity(n * n), n)
+
+
+def _patterns(n: int, k: int) -> list[tuple[tuple[int, ...], int]]:
+    """The S_n orbits on range(n)^k, as (least tuple, orbit size) in lexicographic order.
+
+    The least tuple of an orbit is its restricted growth string: it starts at
+    0, and each entry is at most one more than the largest entry before it.
+    An orbit with b distinct entries has n (n - 1) ... (n - b + 1) tuples, so
+    the sizes sum to n^k.
+    """
+    out: list[tuple[tuple[int, ...], int]] = [((), 1)]
+    for _ in range(k):
+        grown = []
+        for t, size in out:
+            b = max(t, default=-1) + 1
+            grown.extend((t + (v,), size) for v in range(b))
+            if b < n:
+                grown.append((t + (b,), size * (n - b)))
+        out = grown
+    return out
 
 
 # ------------------------------------------------------------ the R-matrix
@@ -103,18 +133,23 @@ def check_defining_relations(n: int, pmax: int = MAX_LEVEL, mmax: int = MAX_LEVE
 
     with A^{(q)}_{xy} the image of the level-q generator.  ``transpose``
     substitutes the wrong (transposed) images, as a negative control.
+
+    Decided on one (i, j, k, l) per S_n orbit: the witness is the first
+    failing tuple in (p, m, i, j, k, l) order, and ``violations`` counts every
+    failing tuple.
     """
     img = partial(_eval_image, n, transpose=transpose)
     report = PropertyReport("defining_relations")
     violations = 0
     first = None
+    patterns = _patterns(n, 4)
     for p in range(pmax + 1):
         for m in range(mmax + 1):
-            for i, j, k, l in iproduct(range(n), repeat=4):
+            for (i, j, k, l), size in patterns:
                 lhs = _comm(img(p + 1, i, j), img(m, k, l)) - _comm(img(p, i, j), img(m + 1, k, l))
                 rhs = img(m, k, j) * img(p, i, l) - img(p, k, j) * img(m, i, l)
                 if lhs != rhs:
-                    violations += 1
+                    violations += size
                     if first is None:
                         first = (p, m, i, j, k, l)
     report.add("relations", violations == 0, witness=first,
@@ -123,7 +158,11 @@ def check_defining_relations(n: int, pmax: int = MAX_LEVEL, mmax: int = MAX_LEVE
 
 
 def check_displayed_exchange_relations(n: int) -> PropertyReport:
-    """The four displayed low-order cases, evaluated in the representation."""
+    """The four displayed low-order cases, evaluated in the representation.
+
+    Each is decided on one (i, j, k, l) per S_n orbit; its witness is the
+    first failing tuple.
+    """
     img = partial(_eval_image, n)
 
     def delta(x, y, mat_level, i, j):
@@ -148,8 +187,9 @@ def check_displayed_exchange_relations(n: int) -> PropertyReport:
             delta(i, l, 3, k, j) - delta(k, j, 3, i, l),
         ),
     }
+    patterns = [t for t, _ in _patterns(n, 4)]
     for name, case in cases.items():
-        w = next((t for t in iproduct(range(n), repeat=4) if ne(*case(*t))), None)
+        w = next((t for t in patterns if ne(*case(*t))), None)
         report.add(name, w is None, witness=w)
     return report
 
@@ -262,7 +302,12 @@ def coproduct_table(n: int, max_level: int = 3) -> dict:
 
 
 def coassociativity_report(n: int, max_level: int = 3) -> PropertyReport:
-    """(Delta (x) id) Delta = (id (x) Delta) Delta on every generator, symbolically."""
+    """(Delta (x) id) Delta = (id (x) Delta) Delta on every generator, symbolically.
+
+    Decided on one (a, b) per S_n orbit at each level; the witness is the
+    first failing (m, a, b).  The table keeps every generator, because a
+    word's image needs each of its letters.
+    """
     table = coproduct_table(n, max_level)
 
     def fails(m, a, b):
@@ -270,8 +315,9 @@ def coassociativity_report(n: int, max_level: int = 3) -> PropertyReport:
         return tensor_coproduct(d, 0, table) != tensor_coproduct(d, 1, table)
 
     report = PropertyReport("coassociativity")
-    w = next((key for key in iproduct(range(1, max_level + 1), range(n), range(n))
-              if fails(*key)), None)
+    pairs = [t for t, _ in _patterns(n, 2)]
+    w = next(((m, a, b) for m in range(1, max_level + 1) for a, b in pairs if fails(m, a, b)),
+             None)
     report.add("coassociativity", w is None, witness=w, detail={"max_level": max_level})
     return report
 
@@ -282,6 +328,8 @@ def antipode_series(n: int, max_level: int = MAX_LEVEL) -> tuple[dict, PropertyR
     Returns the table s(L^{(m)}_{a,b}) for m <= max_level together with a
     report asserting sum_c sum_k s(L^{(k)}_{c,b}) L^{(m-k)}_{a,c} = 0 and
     sum_c sum_k L^{(k)}_{c,b} s(L^{(m-k)}_{a,c}) = 0 in the free algebra.
+    The table is full; the identities are decided on one (a, b) per S_n orbit
+    at each level, and a witness is the first failing (m, a, b).
     """
     if not 1 <= max_level <= MAX_LEVEL:
         raise LimitExceeded(f"level {max_level} outside 1..{MAX_LEVEL}")
@@ -293,18 +341,17 @@ def antipode_series(n: int, max_level: int = MAX_LEVEL) -> tuple[dict, PropertyR
 
     for m in range(1, max_level + 1):
         w_left = w_right = None
-        for a in range(n):
-            for b in range(n):
-                left = NCTensor(1)
-                right = NCTensor(1)
-                for k in range(m + 1):
-                    for c in range(n):
-                        left = left + s_of(k, c, b) * gen(m - k, a, c)
-                        right = right + gen(k, c, b) * s_of(m - k, a, c)
-                if not left.is_zero and w_left is None:
-                    w_left = (m, a, b)
-                if not right.is_zero and w_right is None:
-                    w_right = (m, a, b)
+        for (a, b), _ in _patterns(n, 2):
+            left = NCTensor(1)
+            right = NCTensor(1)
+            for k in range(m + 1):
+                for c in range(n):
+                    left = left + s_of(k, c, b) * gen(m - k, a, c)
+                    right = right + gen(k, c, b) * s_of(m - k, a, c)
+            if not left.is_zero and w_left is None:
+                w_left = (m, a, b)
+            if not right.is_zero and w_right is None:
+                w_right = (m, a, b)
         report.add(f"left_identity_level{m}", w_left is None, witness=w_left)
         report.add(f"right_identity_level{m}", w_right is None, witness=w_right)
     return table, report

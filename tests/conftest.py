@@ -2,17 +2,25 @@
 
 The oracles here re-derive enumeration counts and validity with none of the
 library's search code: group tables come from filtering raw row-permutation
-products, braces from a naive pair scan over those tables.  They are the
-reference the fast implementations are checked against.
+products, braces from a naive pair scan over those tables.  The n-only
+yangian oracles decide every index tuple one by one, where the library
+decides one tuple per S_n orbit.  They are the reference the fast
+implementations are checked against.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import permutations, product
+from operator import ne
 
 import pytest
 
 import ybtwist as yb
+from ybtwist import yangian
+from ybtwist.matrices import ExactMatrix
+from ybtwist.ncpoly import NCTensor, gen
+from ybtwist.reports import PropertyReport
 
 
 # ----------------------------------------------------------------- oracles
@@ -74,6 +82,103 @@ def oracle_brace_pairs(n: int, skew: bool = True) -> list[tuple]:
             if ok:
                 found.append((add, mul))
     return found
+
+
+# The n-only yangian checks, tuple by tuple.  Each reads the module
+# attributes ``yangian._eval_image``, ``yangian.coproduct_table`` and
+# ``yangian.tensor_coproduct`` at call time, so a test that patches one
+# patches the library check and its oracle alike.
+
+
+def _comm(a, b):
+    return a * b - b * a
+
+
+def oracle_defining_relations(n: int, pmax: int, mmax: int,
+                              transpose: bool = False) -> PropertyReport:
+    img = partial(yangian._eval_image, n, transpose=transpose)
+    report = PropertyReport("defining_relations")
+    violations = 0
+    first = None
+    for p in range(pmax + 1):
+        for m in range(mmax + 1):
+            for i, j, k, l in product(range(n), repeat=4):
+                lhs = _comm(img(p + 1, i, j), img(m, k, l)) - _comm(img(p, i, j), img(m + 1, k, l))
+                rhs = img(m, k, j) * img(p, i, l) - img(p, k, j) * img(m, i, l)
+                if lhs != rhs:
+                    violations += 1
+                    if first is None:
+                        first = (p, m, i, j, k, l)
+    report.add("relations", violations == 0, witness=first,
+               detail={"violations": violations, "pmax": pmax, "mmax": mmax})
+    return report
+
+
+def oracle_displayed_relations(n: int) -> PropertyReport:
+    img = partial(yangian._eval_image, n)
+
+    def delta(x, y, level, i, j):
+        return img(level, i, j) if x == y else ExactMatrix.zero(n)
+
+    cases = {
+        "level1_level1": lambda i, j, k, l: (
+            _comm(img(1, i, j), img(1, k, l)),
+            delta(i, l, 1, k, j) - delta(k, j, 1, i, l)),
+        "level2_level1": lambda i, j, k, l: (
+            _comm(img(2, i, j), img(1, k, l)),
+            delta(i, l, 2, k, j) - delta(k, j, 2, i, l)),
+        "level3_minus_level22": lambda i, j, k, l: (
+            _comm(img(3, i, j), img(1, k, l)) - _comm(img(2, i, j), img(2, k, l)),
+            img(1, k, j) * img(2, i, l) - img(2, k, j) * img(1, i, l)),
+        "level3_level1": lambda i, j, k, l: (
+            _comm(img(3, i, j), img(1, k, l)),
+            delta(i, l, 3, k, j) - delta(k, j, 3, i, l)),
+    }
+    report = PropertyReport("displayed_exchange_relations")
+    for name, case in cases.items():
+        w = next((t for t in product(range(n), repeat=4) if ne(*case(*t))), None)
+        report.add(name, w is None, witness=w)
+    return report
+
+
+def oracle_coassociativity(n: int, max_level: int) -> PropertyReport:
+    table = yangian.coproduct_table(n, max_level)
+
+    def fails(m, a, b):
+        d = table[(m, a, b)]
+        return yangian.tensor_coproduct(d, 0, table) != yangian.tensor_coproduct(d, 1, table)
+
+    report = PropertyReport("coassociativity")
+    w = next((key for key in product(range(1, max_level + 1), range(n), range(n))
+              if fails(*key)), None)
+    report.add("coassociativity", w is None, witness=w, detail={"max_level": max_level})
+    return report
+
+
+def oracle_antipode_series(n: int, max_level: int) -> tuple[dict, PropertyReport]:
+    table = yangian.antipode_table(n, max_level)
+    report = PropertyReport("antipode_series")
+
+    def s_of(k, c, b):
+        return gen(0, c, b) if k == 0 else table[(k, c, b)]
+
+    for m in range(1, max_level + 1):
+        w_left = w_right = None
+        for a in range(n):
+            for b in range(n):
+                left = NCTensor(1)
+                right = NCTensor(1)
+                for k in range(m + 1):
+                    for c in range(n):
+                        left = left + s_of(k, c, b) * gen(m - k, a, c)
+                        right = right + gen(k, c, b) * s_of(m - k, a, c)
+                if not left.is_zero and w_left is None:
+                    w_left = (m, a, b)
+                if not right.is_zero and w_right is None:
+                    w_right = (m, a, b)
+        report.add(f"left_identity_level{m}", w_left is None, witness=w_left)
+        report.add(f"right_identity_level{m}", w_right is None, witness=w_right)
+    return table, report
 
 
 # ---------------------------------------------------------------- fixtures
