@@ -207,17 +207,31 @@ def enumerate_braces(n: int, skew: bool = True, ceiling: int = DEFAULT_CEILING) 
 
     With skew=False the additive table is restricted to abelian groups.
     Pairs appear sorted by (add, mul) flattened tables, matching the
-    enumeration order of the underlying group tables.
+    enumeration order of the underlying group tables.  A pair is a skew brace
+    exactly when every lambda_a(b) = -a + a o b is an automorphism of (A, +)
+    (Guarnieri-Vendramin), so only pairs whose rows lambda_1..lambda_{n-1}
+    are all automorphisms reach validate_brace, which still decides each one.
     """
     groups = enumerate_group_tables(n, ceiling)
     adds = groups if skew else [g for g in groups if g.is_abelian]
     out: list[SkewBrace] = []
     for add in adds:
+        at, neg = add.table, add.inverses
+        is_auto: dict[tuple[int, ...], bool] = {}
+
+        def automorphism(lam: tuple[int, ...]) -> bool:
+            # lambda(x + y) = lambda(x) + lambda(y); x = 0 holds as lambda(0) = 0
+            if lam not in is_auto:
+                is_auto[lam] = all(
+                    lam[at[x][y]] == at[lam[x]][lam[y]] for x in range(1, n) for y in range(1, n)
+                )
+            return is_auto[lam]
+
+        minus = [at[neg[a]].__getitem__ for a in range(n)]  # b -> -a + b
         for mul in groups:
-            try:
+            mt = mul.table
+            if all(automorphism(tuple(map(minus[a], mt[a]))) for a in range(1, n)):
                 out.append(validate_brace(add, mul))
-            except ValidationFailure:
-                continue
     return out
 
 

@@ -2,21 +2,23 @@
 
 Elements are the integers 0..n-1 and the neutral element is always 0, so a
 group here is nothing but an n x n Cayley table passing the Latin,
-associativity, neutral and inverse axioms.
+associativity, neutral and inverse axioms.  Enumeration searches the
+left-regular representations of the groups rather than the table cells.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import permutations
 
 from .errors import LimitExceeded, ValidationFailure
 
 Row = tuple[int, ...]
 Table = tuple[Row, ...]
 
-#: Largest order enumerate_group_tables accepts by default.  Backtracking is
-#: comfortable up to 6; the downstream brace pair scan is quadratic in the
-#: number of tables, which explodes past that.
+#: Largest order enumerate_group_tables accepts by default.  The tables
+#: themselves come quickly through order 8 (2760 of them), but the downstream
+#: brace pair scan is quadratic in the number of tables, which explodes there.
 DEFAULT_CEILING = 6
 
 
@@ -115,60 +117,79 @@ def validate_group(rows) -> GroupTable:
     return GroupTable(n, table, tuple(inverses))
 
 
+def _semiregular(n: int) -> dict[int, list[Row]]:
+    """The fixed-point-free permutations of 0..n-1 whose cycles share one length,
+    keyed by the image of 0.  Every non-identity element of a regular group of
+    degree n has this shape."""
+    out: dict[int, list[Row]] = {c: [] for c in range(1, n)}
+    perm = [0] * n
+
+    def cycles(d: int, free: tuple[int, ...]) -> None:
+        # A d-cycle through the least free point, then cycles covering the rest.
+        if not free:
+            out[perm[0]].append(tuple(perm))
+            return
+        for tail in permutations(free[1:], d - 1):
+            cycle = (free[0], *tail)
+            for x, y in zip(cycle, cycle[1:] + cycle[:1]):
+                perm[x] = y
+            cycles(d, tuple(x for x in free[1:] if x not in tail))
+
+    for d in range(2, n + 1):
+        if n % d == 0:
+            cycles(d, tuple(range(n)))
+    return out
+
+
 def enumerate_group_tables(n: int, ceiling: int = DEFAULT_CEILING) -> list[GroupTable]:
     """Every group table on 0..n-1 with neutral 0, each exactly once.
 
-    Output is sorted by the flattened table, lexicographically; this is a
-    consequence of filling cells row-major with ascending candidates, so runs
-    are reproducible byte for byte.
+    A table is its left-regular representation: row a is the permutation
+    L_a = (b -> a b), with L_a(0) = a and L_a L_b = L_{L_a(b)} (Cayley).  The
+    search fixes the least undetermined row c to each semiregular permutation
+    sending 0 to c, closes the rows under composition, and abandons the branch
+    as soon as two different permutations send 0 to the same point.  The
+    finished group determines every choice made on the way, so each table is
+    found once.  Output is sorted by the flattened table, lexicographically,
+    so runs are reproducible byte for byte.
     """
     if n < 1:
         raise ValidationFailure("bad_order", n)
     if n > ceiling:
         raise LimitExceeded(f"order {n} exceeds the enumeration ceiling {ceiling}")
-    if n == 1:
-        return [validate_group([[0]])]
+    candidates = _semiregular(n)
+    found: list[Table] = []
 
-    grid = [[-1] * n for _ in range(n)]
-    for a in range(n):
-        grid[0][a] = a
-        grid[a][0] = a
-    row_free = [set() if a == 0 else set(range(n)) - {a} for a in range(n)]
-    col_free = [set() if b == 0 else set(range(n)) - {b} for b in range(n)]
-    cells = [(a, b) for a in range(1, n) for b in range(1, n)]
-    out: list[GroupTable] = []
+    def close(rows: list, gens: tuple[Row, ...], p: Row) -> list | None:
+        # The determined rows are the group <gens>.  Right-multiply them by p,
+        # then every new row by every generator, until nothing is new.
+        rows = list(rows)
+        gens = (p, *gens)
+        work = [(x, (p,)) for x in rows if x is not None]
+        for x, by in work:
+            for g in by:
+                q = tuple(map(x.__getitem__, g))
+                known = rows[q[0]]
+                if known is None:
+                    rows[q[0]] = q
+                    work.append((q, gens))
+                elif known != q:
+                    return None
+        return rows
 
-    def partial_ok(a: int, b: int, v: int) -> bool:
-        # Associativity instances that placing v = a*b makes fully determined.
-        for c in range(n):
-            bc = grid[b][c]
-            if bc >= 0:
-                left, right = grid[v][c], grid[a][bc]
-                if left >= 0 and right >= 0 and left != right:
-                    return False
-            ca = grid[c][a]
-            if ca >= 0:
-                left, right = grid[ca][b], grid[c][v]
-                if left >= 0 and right >= 0 and left != right:
-                    return False
-        return True
-
-    def fill(k: int) -> None:
-        if k == len(cells):
-            rows = tuple(tuple(r) for r in grid)
-            if _is_associative(rows) is None:
-                out.append(validate_group(rows))
+    def search(rows: list, gens: tuple[Row, ...]) -> None:
+        c = next((a for a, r in enumerate(rows) if r is None), None)
+        if c is None:
+            found.append(tuple(rows))
             return
-        a, b = cells[k]
-        for v in sorted(row_free[a] & col_free[b]):
-            grid[a][b] = v
-            if partial_ok(a, b, v):
-                row_free[a].discard(v)
-                col_free[b].discard(v)
-                fill(k + 1)
-                row_free[a].add(v)
-                col_free[b].add(v)
-            grid[a][b] = -1
+        # L_c L_a = L_{c a} lies in the coset cH, off the determined group H.
+        determined = [a for a, r in enumerate(rows) if r is not None]
+        for p in candidates[c]:
+            if any(rows[p[a]] is not None for a in determined):
+                continue
+            closed = close(rows, gens, p)
+            if closed is not None:
+                search(closed, (p, *gens))
 
-    fill(0)
-    return out
+    search([tuple(range(n))] + [None] * (n - 1), ())
+    return [validate_group(t) for t in sorted(found)]

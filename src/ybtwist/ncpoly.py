@@ -69,31 +69,30 @@ class NCTensor(Sparse):
         return " + ".join(bits)
 
 
+def _word(m: int, a: int, b: int) -> tuple | None:
+    """The word of the generator at level m, or None where it is zero."""
+    if m:
+        return ((m, a, b),)
+    return () if a == b else None
+
+
 def gen(m: int, a: int, b: int) -> NCTensor:
     """The generator at level m; level 0 collapses to delta_{a,b} . 1."""
     if m < 0:
         raise ValueError("level must be nonnegative")
-    if m == 0:
-        return NCTensor.one(1) if a == b else NCTensor(1)
-    return NCTensor(1, {(((m, a, b),),): 1})
-
-
-def tensor2(p: NCTensor, q: NCTensor) -> NCTensor:
-    """p (x) q: the slots of p followed by the slots of q."""
-    out: dict = {}
-    for key1, c1 in p.coeffs.items():
-        for key2, c2 in q.coeffs.items():
-            out[key1 + key2] = c1 * c2
-    return NCTensor(p.k + q.k, out)
+    w = _word(m, a, b)
+    return NCTensor(1, {} if w is None else {(w,): 1})
 
 
 def coproduct_gen(m: int, a: int, b: int, n: int) -> NCTensor:
     """Delta(L^{(m)}_{a,b}) = sum_c sum_{k=0..m} L^{(k)}_{c,b} (x) L^{(m-k)}_{a,c}."""
-    out = NCTensor(2)
+    out: dict = {}
     for c in range(n):
         for k in range(m + 1):
-            out = out + tensor2(gen(k, c, b), gen(m - k, a, c))
-    return out
+            left, right = _word(k, c, b), _word(m - k, a, c)
+            if left is not None and right is not None:
+                out[(left, right)] = out.get((left, right), 0) + 1
+    return NCTensor(2, out)
 
 
 def tensor_coproduct(t: NCTensor, slot: int, table: dict) -> NCTensor:
@@ -122,10 +121,13 @@ def antipode_table(n: int, max_level: int) -> dict[Gen, NCTensor]:
     for m in range(1, max_level + 1):
         for a in range(n):
             for b in range(n):
-                acc = NCTensor(1)
+                acc: dict = {}
                 for k in range(m):
                     for c in range(n):
                         s_prev = gen(0, c, b) if k == 0 else table[(k, c, b)]
-                        acc = acc + s_prev * gen(m - k, a, c)
-                table[(m, a, b)] = -acc
+                        last = (m - k, a, c)
+                        for (w,), v in s_prev.coeffs.items():
+                            key = (w + (last,),)
+                            acc[key] = acc.get(key, 0) - v
+                table[(m, a, b)] = NCTensor(1, acc)
     return table

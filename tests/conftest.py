@@ -2,10 +2,11 @@
 
 The oracles here re-derive enumeration counts and validity with none of the
 library's search code: group tables come from filtering raw row-permutation
-products, braces from a naive pair scan over those tables.  The n-only
-yangian oracles decide every index tuple one by one, where the library
-decides one tuple per S_n orbit.  They are the reference the fast
-implementations are checked against.
+products or from a cell-by-cell backtracker, braces from a naive pair scan
+over those tables.  The n-only yangian oracles decide every index tuple one
+by one, where the library decides one tuple per S_n orbit, and the symbolic
+coproduct and antipode tables are rebuilt as sums of tensors, term by term.
+They are the reference the fast implementations are checked against.
 """
 
 from __future__ import annotations
@@ -54,6 +55,71 @@ def oracle_group_tables(n: int) -> list[tuple[tuple[int, ...], ...]]:
         if has_inverses:
             tables.append(table)
     return sorted(tables)
+
+
+def backtrack_group_tables(n: int) -> list[tuple[tuple[int, ...], ...]]:
+    """All group tables with neutral 0, filling cells row-major with ascending
+    candidates and pruning every associativity instance a cell completes."""
+    grid = [[-1] * n for _ in range(n)]
+    for a in range(n):
+        grid[0][a] = a
+        grid[a][0] = a
+    row_free = [set() if a == 0 else set(range(n)) - {a} for a in range(n)]
+    col_free = [set() if b == 0 else set(range(n)) - {b} for b in range(n)]
+    cells = [(a, b) for a in range(1, n) for b in range(1, n)]
+    out = []
+
+    def partial_ok(a: int, b: int, v: int) -> bool:
+        # Associativity instances that placing v = a*b makes fully determined.
+        for c in range(n):
+            bc = grid[b][c]
+            if bc >= 0:
+                left, right = grid[v][c], grid[a][bc]
+                if left >= 0 and right >= 0 and left != right:
+                    return False
+            ca = grid[c][a]
+            if ca >= 0:
+                left, right = grid[ca][b], grid[c][v]
+                if left >= 0 and right >= 0 and left != right:
+                    return False
+        return True
+
+    def fill(k: int) -> None:
+        if k == len(cells):
+            rows = tuple(tuple(r) for r in grid)
+            if all(rows[rows[a][b]][c] == rows[a][rows[b][c]]
+                   for a in range(n) for b in range(n) for c in range(n)):
+                out.append(rows)
+            return
+        a, b = cells[k]
+        for v in sorted(row_free[a] & col_free[b]):
+            grid[a][b] = v
+            if partial_ok(a, b, v):
+                row_free[a].discard(v)
+                col_free[b].discard(v)
+                fill(k + 1)
+                row_free[a].add(v)
+                col_free[b].add(v)
+            grid[a][b] = -1
+
+    fill(0)
+    return out
+
+
+def validated_pairs(n: int, skew: bool = True) -> list[tuple]:
+    """Every (add, mul) pair of backtracked tables that validate_brace accepts."""
+    groups = [yb.validate_group(t) for t in backtrack_group_tables(n)]
+    found = []
+    for add in groups:
+        if not skew and not add.is_abelian:
+            continue
+        for mul in groups:
+            try:
+                yb.validate_brace(add, mul)
+            except yb.ValidationFailure:
+                continue
+            found.append((add.table, mul.table))
+    return found
 
 
 def oracle_brace_pairs(n: int, skew: bool = True) -> list[tuple]:
@@ -179,6 +245,40 @@ def oracle_antipode_series(n: int, max_level: int) -> tuple[dict, PropertyReport
         report.add(f"left_identity_level{m}", w_left is None, witness=w_left)
         report.add(f"right_identity_level{m}", w_right is None, witness=w_right)
     return table, report
+
+
+# The symbolic tables as sums of tensors, one pruned sum per term.
+
+
+def tensor2(p: NCTensor, q: NCTensor) -> NCTensor:
+    """p (x) q: the slots of p followed by the slots of q."""
+    out: dict = {}
+    for key1, c1 in p.coeffs.items():
+        for key2, c2 in q.coeffs.items():
+            out[key1 + key2] = c1 * c2
+    return NCTensor(p.k + q.k, out)
+
+
+def oracle_coproduct_gen(m: int, a: int, b: int, n: int) -> NCTensor:
+    out = NCTensor(2)
+    for c in range(n):
+        for k in range(m + 1):
+            out = out + tensor2(gen(k, c, b), gen(m - k, a, c))
+    return out
+
+
+def oracle_antipode_table(n: int, max_level: int) -> dict:
+    table: dict = {}
+    for m in range(1, max_level + 1):
+        for a in range(n):
+            for b in range(n):
+                acc = NCTensor(1)
+                for k in range(m):
+                    for c in range(n):
+                        s_prev = gen(0, c, b) if k == 0 else table[(k, c, b)]
+                        acc = acc + s_prev * gen(m - k, a, c)
+                table[(m, a, b)] = -acc
+    return table
 
 
 # ---------------------------------------------------------------- fixtures

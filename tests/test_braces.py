@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 import ybtwist as yb
-from conftest import oracle_brace_pairs
+from conftest import oracle_brace_pairs, validated_pairs
 
 
 def test_trivial_brace_valid(trivial2):
@@ -125,6 +125,21 @@ def test_enumerate_braces_skew_flag_matches_oracle():
         assert [
             (b.add.table, b.mul.table) for b in yb.enumerate_braces(n, skew=False)
         ] == oracle_brace_pairs(n, skew=False)
+
+
+@pytest.mark.parametrize("skew", [True, False])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_enumerate_braces_matches_validated_pair_scan(n, skew):
+    found = yb.enumerate_braces(n, skew=skew)
+    assert [(b.add.table, b.mul.table) for b in found] == validated_pairs(n, skew)
+
+
+def test_order7_braces_are_trivial():
+    # every group of order 7 is cyclic, and Z7 carries only the trivial brace
+    assert len(yb.enumerate_group_tables(7, ceiling=7)) == 120
+    found = yb.enumerate_braces(7, skew=True, ceiling=7)
+    assert len(found) == 120
+    assert all(b.mul.table == b.add.table for b in found)
 
 
 def test_involutive(trivial2, z4_radical, braces_up_to_4):

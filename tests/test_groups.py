@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 import ybtwist as yb
-from conftest import cyclic_rows, oracle_group_tables
+from conftest import backtrack_group_tables, cyclic_rows, oracle_group_tables
 
 # A reduced Latin square of order 5 that is not associative (loops of order
 # up to 4 are groups, so 5 is the smallest order where this is possible).
@@ -72,6 +72,20 @@ def test_enumeration_matches_oracle(n, count):
     oracle = oracle_group_tables(n)
     assert len(tables) == len(oracle) == count
     assert [g.table for g in tables] == oracle
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_enumeration_matches_backtracking_oracle(n):
+    # table for table and in order, through the first order past the ceiling
+    assert [g.table for g in yb.enumerate_group_tables(n, ceiling=7)] == backtrack_group_tables(n)
+
+
+def test_order8_group_tables():
+    # 5 isomorphism types: 3 abelian (Z8, Z4 x Z2, Z2^3) and 2 not (D4, Q8)
+    tables = yb.enumerate_group_tables(8, ceiling=8)
+    assert len(tables) == 2760
+    assert sum(g.is_abelian for g in tables) == 1920
+    assert len({g.table for g in tables}) == 2760
 
 
 def test_enumeration_counts_regression():

@@ -6,9 +6,10 @@ from __future__ import annotations
 import pytest
 
 import ybtwist as yb
+from conftest import oracle_antipode_table, oracle_coproduct_gen, tensor2
 from ybtwist import yangian
 from ybtwist.matrices import ExactMatrix, flip_matrix
-from ybtwist.ncpoly import NCTensor, gen, tensor2, tensor_coproduct
+from ybtwist.ncpoly import NCTensor, antipode_table, coproduct_gen, gen, tensor_coproduct
 from ybtwist.rational import BivarPoly
 from ybtwist.yangian import (
     adjudicate_twisted_coproduct,
@@ -150,6 +151,15 @@ def test_coproduct_displays():
                 expected3 = expected3 + tensor2(gen(1, c, b), gen(2, a, c))
                 expected3 = expected3 + tensor2(gen(2, c, b), gen(1, a, c))
             assert table[(3, a, b)] == expected3
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_symbolic_tables_match_term_by_term_sums(n):
+    for m in range(0, 5):
+        for a in range(n):
+            for b in range(n):
+                assert coproduct_gen(m, a, b, n) == oracle_coproduct_gen(m, a, b, n)
+    assert antipode_table(n, 4) == oracle_antipode_table(n, 4)
 
 
 def test_coassociativity_symbolic():
