@@ -69,12 +69,9 @@ def cmd_verify(args) -> int:
     obj = _load_json(args.file)
     subjects = jsonio.load_subjects(obj)
     report_subjects = []
-    totals = {"pass": 0, "fail": 0, "skipped": 0}
     shared: dict = {}  # n-only yangian verdicts, reused within this run only
     for brace in subjects:
         checks = suites.run_suites(brace, args.level, ceilings, shared)
-        for c in checks:
-            totals[c["status"]] += 1
         report_subjects.append({
             "digest": jsonio.brace_digest(brace),
             "order": brace.n,
@@ -85,10 +82,10 @@ def cmd_verify(args) -> int:
         "version": 1,
         "level": args.level,
         "subjects": report_subjects,
-        "summary": totals,
+        "summary": _status_counts(report_subjects),
     }
     _emit(report, args.out)
-    return 0 if totals["fail"] == 0 else 1
+    return 0 if report["summary"]["fail"] == 0 else 1
 
 
 def cmd_solution(args) -> int:
@@ -102,28 +99,43 @@ def cmd_solution(args) -> int:
     return 0
 
 
+def _status_counts(subjects: list) -> dict | None:
+    """How many checks of the report subjects have each status; None unless every
+    subject is an object with a checks list of objects with such a status."""
+    counts = {"pass": 0, "fail": 0, "skipped": 0}
+    for subject in subjects:
+        checks = subject.get("checks") if isinstance(subject, dict) else None
+        if not isinstance(checks, list):
+            return None
+        for check in checks:
+            if not isinstance(check, dict) or check.get("status") not in ("pass", "fail", "skipped"):
+                return None
+            counts[check["status"]] += 1
+    return counts
+
+
 def _load_report(path: str) -> dict:
-    """A verify report: a subjects list, integer summary counts, a string level."""
+    """A verify report: subjects, a string level and summary counts equal to theirs."""
     report = _load_json(path)
     summary = report.get("summary", {}) if isinstance(report, dict) else None
-    if (not isinstance(summary, dict) or not isinstance(report.get("subjects"), list)
-            or not isinstance(report.get("level"), (str, type(None)))
-            or any(type(summary.get(k, 0)) is not int for k in ("pass", "fail", "skipped"))):
+    subjects = report.get("subjects") if isinstance(summary, dict) else None
+    counts = _status_counts(subjects) if isinstance(subjects, list) else None
+    if (counts is None or not isinstance(report.get("level"), (str, type(None)))
+            or any(type(summary.get(k, 0)) is not int or summary.get(k, 0) != v
+                   for k, v in counts.items())):
         raise ValidationFailure("parse", path, f"{path} is not a verification report")
     return report
 
 
 def cmd_report_merge(args) -> int:
     subjects = []
-    totals = {"pass": 0, "fail": 0, "skipped": 0}
     levels = set()
     for path in args.files:
         report = _load_report(path)
         subjects.extend(report["subjects"])
-        for key in totals:
-            totals[key] += report.get("summary", {}).get(key, 0)
         levels.add(report.get("level"))
     level = levels.pop() if len(levels) == 1 else "mixed"
+    totals = _status_counts(subjects)
     merged = {"version": 1, "level": level or "mixed", "subjects": subjects, "summary": totals}
     _emit(merged, args.out)
     return 0 if totals["fail"] == 0 else 1

@@ -5,8 +5,9 @@ Every matrix is one ``ExactMatrix``: a ``Sparse`` combination whose
 ``BivarPoly`` polynomials in the spectral parameters.  A permutation
 matrix is an ``ExactMatrix`` whose entries are 1; where a check composes
 many of them it works on their column -> row lists.  Tensor-leg embeddings
-are done by index arithmetic, never by materializing Kronecker factors:
-``embed_legs`` places a matrix and ``_on_legs`` a column -> row list.
+are done by one additive index map, ``_placements``, never by materializing
+Kronecker factors: ``embed_legs`` places a matrix and ``_on_legs`` a column ->
+row list on any tuple of distinct legs, leg 0 the most significant digit.
 ``rho`` represents an algebra tensor of any order, one n-dimensional leg per
 tensor leg, and is the only route from the algebra into matrices.  A
 failed matrix identity is witnessed by its first differing entry
@@ -95,10 +96,6 @@ def _as_mapping(m: ExactMatrix) -> list[int]:
     return col_to_row
 
 
-def _from_mapping(col_to_row) -> ExactMatrix:
-    return ExactMatrix(len(col_to_row), {(r, c): 1 for c, r in enumerate(col_to_row)})
-
-
 def flip_matrix(n: int) -> ExactMatrix:
     """The permutation P with P(x (x) y) = y (x) x on the n^2-dimensional space."""
     return ExactMatrix(n * n, {(i * n + j, j * n + i): 1 for i in range(n) for j in range(n)})
@@ -113,28 +110,30 @@ def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(a.dim * db, out)
 
 
+def _placements(n: int, k: int, legs) -> tuple[list[int], list[int]]:
+    """(on, off): the k-leg index whose digits on ``legs`` spell s, and whose other
+    digits spell o, is on[s] + off[o]; leg 0 is the most significant base-n digit."""
+    maps = []
+    for part in (legs, [leg for leg in range(k) if leg not in legs]):
+        index = [0]
+        for leg in part:
+            index = [i + d * n ** (k - 1 - leg) for i in index for d in range(n)]
+        maps.append(index)
+    return maps[0], maps[1]
+
+
 def embed_legs(m: ExactMatrix, n: int, k: int, legs: tuple[int, ...]) -> ExactMatrix:
     """Place a matrix acting on len(legs) n-dimensional legs into a k-leg space.
 
     The matrix dimension must be n^len(legs); rows and columns are identified
     with base-n digit strings and the free legs carry the identity.
     """
-    r = len(legs)
-    others = [s for s in range(k) if s not in legs]
+    on, off = _placements(n, k, legs)
     out: dict = {}
     for (row, col), v in m.coeffs.items():
-        rd = _digits(row, n, r)
-        cd = _digits(col, n, r)
-        for fill in iproduct(range(n), repeat=len(others)):
-            full_r = [0] * k
-            full_c = [0] * k
-            for leg, d1, d2 in zip(legs, rd, cd):
-                full_r[leg] = d1
-                full_c[leg] = d2
-            for s, d in zip(others, fill):
-                full_r[s] = d
-                full_c[s] = d
-            out[(_undigits(full_r, n), _undigits(full_c, n))] = v
+        r, c = on[row], on[col]
+        for o in off:
+            out[(r + o, c + o)] = v
     return ExactMatrix(n ** k, out)
 
 
@@ -144,21 +143,6 @@ def _ybe_sides(x: ExactMatrix, y: ExactMatrix, z: ExactMatrix, n: int) -> tuple:
     y13 = embed_legs(y, n, 3, (0, 2))
     z23 = embed_legs(z, n, 3, (1, 2))
     return x12 * y13 * z23, z23 * y13 * x12
-
-
-def _digits(x: int, n: int, k: int) -> tuple[int, ...]:
-    out = []
-    for _ in range(k):
-        x, d = divmod(x, n)
-        out.append(d)
-    return tuple(reversed(out))
-
-
-def _undigits(ds, n: int) -> int:
-    x = 0
-    for d in ds:
-        x = x * n + d
-    return x
 
 
 # --------------------------------------------------- fundamental representation
@@ -343,8 +327,8 @@ def nfold_twist_matrix(ctx: AlgebraContext, k: int) -> tuple[ExactMatrix, Proper
     # are built as call arguments, so each is freed once its product exists.
     prev = twist_map(k - 1)
     head = n ** (k - 1)
-    lhs = compose_maps(_on_legs(prev, size, n), tail_piece())  # F_{1..k-1} (x) 1
-    rhs = compose_maps(_on_legs(prev, size, 1), one_slot())    # 1 (x) F_{2..k}
+    lhs = compose_maps(_on_legs(prev, n, k, range(k - 1)), tail_piece())  # F_{1..k-1} (x) 1
+    rhs = compose_maps(_on_legs(prev, n, k, range(1, k)), one_slot())     # 1 (x) F_{2..k}
     sides = [("recursion", lhs, rhs), ("closed_form", lhs, twist_map(k))]
 
     # P_{j,j+1} F P_{j,j+1} = R_{j,j+1} F.  R is a permutation once
@@ -353,22 +337,22 @@ def nfold_twist_matrix(ctx: AlgebraContext, k: int) -> tuple[ExactMatrix, Proper
     flip = _as_mapping(flip_matrix(n))
     r = _as_mapping(solution_matrix(ctx))
     for j in range(k - 1):
-        low = n ** (k - 2 - j)  # weight of the digit of leg j + 2
-        swap, emb = _on_legs(flip, size, low), _on_legs(r, size, low)
+        swap, emb = _on_legs(flip, n, k, (j, j + 1)), _on_legs(r, n, k, (j, j + 1))
         sides.append((f"exchange_law_legs_{j + 1}_{j + 2}",
                       [swap[lhs[swap[c]]] for c in range(size)],
                       [emb[lhs[c]] for c in range(size)]))
     for name, a, b in sides:
         c = next((c for c in range(size) if a[c] != b[c]), None)
         report.add(name, c is None, None if c is None else {"column": c, "lhs": a[c], "rhs": b[c]})
-    return _from_mapping(lhs), report
+    return ExactMatrix(size, {(row, col): 1 for col, row in enumerate(lhs)}), report
 
 
-def _on_legs(legs_map: list[int], size: int, low: int) -> list[int]:
-    """A mapping on adjacent legs whose lowest digit has weight ``low``, on all of ``size``.
-
-    ``legs_map`` permutes the len(legs_map) basis states of those legs; the
-    other legs carry the identity.
-    """
-    block = len(legs_map) * low
-    return [c - c % block + legs_map[c % block // low] * low + c % low for c in range(size)]
+def _on_legs(legs_map: list[int], n: int, k: int, legs) -> list[int]:
+    """``legs_map``, a column -> row list on the distinct ``legs``, as one on all k
+    legs that is the identity on the others."""
+    on, off = _placements(n, k, legs)
+    out = [0] * n ** k
+    for s, t in enumerate(legs_map):
+        for o in off:
+            out[on[s] + o] = on[t] + o
+    return out

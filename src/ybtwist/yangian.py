@@ -34,7 +34,7 @@ from .algebra import AlgebraContext
 from .errors import LimitExceeded
 from .matrices import (ExactMatrix, _ybe_sides, embed_legs, flip_matrix, kron, rho,
                        solution_matrix, twist_matrix)
-from .ncpoly import NCTensor, antipode_table, coproduct_gen, gen, tensor_coproduct
+from .ncpoly import _word, antipode_table, coproduct_gen, gen, tensor_coproduct
 from .rational import BivarPoly
 from .reports import PropertyReport
 
@@ -342,15 +342,18 @@ def antipode_series(n: int, max_level: int = MAX_LEVEL) -> tuple[dict, PropertyR
     for m in range(1, max_level + 1):
         w_left = w_right = None
         for (a, b), _ in _patterns(n, 2):
-            left = NCTensor(1)
-            right = NCTensor(1)
+            left, right = {}, {}  # word -> coefficient of each side, term by term
             for k in range(m + 1):
                 for c in range(n):
-                    left = left + s_of(k, c, b) * gen(m - k, a, c)
-                    right = right + gen(k, c, b) * s_of(m - k, a, c)
-            if not left.is_zero and w_left is None:
+                    if (lw := _word(m - k, a, c)) is not None:
+                        for (w,), v in s_of(k, c, b).coeffs.items():
+                            left[w + lw] = left.get(w + lw, 0) + v
+                    if (rw := _word(k, c, b)) is not None:
+                        for (w,), v in s_of(m - k, a, c).coeffs.items():
+                            right[rw + w] = right.get(rw + w, 0) + v
+            if any(left.values()) and w_left is None:
                 w_left = (m, a, b)
-            if not right.is_zero and w_right is None:
+            if any(right.values()) and w_right is None:
                 w_right = (m, a, b)
         report.add(f"left_identity_level{m}", w_left is None, witness=w_left)
         report.add(f"right_identity_level{m}", w_right is None, witness=w_right)

@@ -6,7 +6,9 @@ products or from a cell-by-cell backtracker, braces from a naive pair scan
 over those tables.  The n-only yangian oracles decide every index tuple one
 by one, where the library decides one tuple per S_n orbit, and the symbolic
 coproduct and antipode tables are rebuilt as sums of tensors, term by term.
-They are the reference the fast implementations are checked against.
+Tensor legs are placed digit by digit (``oracle_embed_legs``), where the
+library adds one precomputed offset per leg group.  They are the reference
+the fast implementations are checked against.
 """
 
 from __future__ import annotations
@@ -148,6 +150,40 @@ def oracle_brace_pairs(n: int, skew: bool = True) -> list[tuple]:
             if ok:
                 found.append((add, mul))
     return found
+
+
+def oracle_embed_legs(m: ExactMatrix, n: int, k: int, legs: tuple[int, ...]) -> ExactMatrix:
+    """A matrix on len(legs) n-dimensional legs, placed into a k-leg space.
+
+    Each row and column index is split into its base-n digits (leg 0 the most
+    significant), the digits are written onto ``legs``, every filling of the
+    free legs is enumerated on both sides alike, and the digits are joined.
+    """
+    def digits(x: int, r: int) -> list[int]:
+        out = []
+        for _ in range(r):
+            x, d = divmod(x, n)
+            out.append(d)
+        return out[::-1]
+
+    def undigits(ds) -> int:
+        x = 0
+        for d in ds:
+            x = x * n + d
+        return x
+
+    others = [s for s in range(k) if s not in legs]
+    out: dict = {}
+    for (row, col), v in m.coeffs.items():
+        rd, cd = digits(row, len(legs)), digits(col, len(legs))
+        for fill in product(range(n), repeat=len(others)):
+            full_r, full_c = [0] * k, [0] * k
+            for leg, d1, d2 in zip(legs, rd, cd):
+                full_r[leg], full_c[leg] = d1, d2
+            for s, d in zip(others, fill):
+                full_r[s] = full_c[s] = d
+            out[(undigits(full_r), undigits(full_c))] = v
+    return ExactMatrix(n ** k, out)
 
 
 # The n-only yangian checks, tuple by tuple.  Each reads the module

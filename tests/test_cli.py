@@ -228,14 +228,22 @@ def test_report_merge(z4_radical_file, trivial2_file, tmp_path, capsys):
 
 
 def test_report_merge_rejects_malformed_reports(tmp_path, capsys):
-    for i, obj in enumerate([[], {"summary": {}}, {"subjects": 5},
-                             {"subjects": [], "summary": 5},
-                             {"subjects": [], "summary": {"pass": "x"}},
-                             {"subjects": [], "level": ["map"]}]):
-        path = write_json(tmp_path / f"r{i}.json", obj)
-        assert main(["report-merge", path]) == 2
+    # each case is one report-merge call; its first report is the malformed one
+    failed = {"checks": [{"name": "map.braid", "status": "fail"}]}
+    cases = [[[]], [{"summary": {}}], [{"subjects": 5}],
+             [{"subjects": [], "summary": 5}],
+             [{"subjects": [], "summary": {"pass": "x"}}],
+             [{"subjects": [], "level": ["map"]}],
+             # counts that cancel across files, or disagree with the checks
+             [{"subjects": [], "summary": {"fail": 1}}, {"subjects": [], "summary": {"fail": -1}}],
+             [{"subjects": [failed], "summary": {"pass": 0, "fail": 0, "skipped": 0}}],
+             [{"subjects": [1, 2], "summary": {}}],
+             [{"subjects": [{"checks": [{"status": "ok"}]}], "summary": {}}]]
+    for i, objs in enumerate(cases):
+        paths = [write_json(tmp_path / f"r{i}_{j}.json", obj) for j, obj in enumerate(objs)]
+        assert main(["report-merge", *paths]) == 2
         err = json.loads(capsys.readouterr().err)
-        assert err["error"] == "parse" and err["witness"] == path
+        assert err["error"] == "parse" and err["witness"] == paths[0]
 
 
 def test_check_names_are_a_stable_contract():

@@ -2,20 +2,26 @@
 
 from __future__ import annotations
 
+import random
+from fractions import Fraction
+from itertools import permutations
 from itertools import product as iproduct
 
 import pytest
 
 import ybtwist as yb
+from conftest import oracle_embed_legs
 from ybtwist import jsonio, matrices
 from ybtwist.algebra import AlgebraContext, slot_coproduct
 from ybtwist.matrices import (
     ExactMatrix,
+    _on_legs,
     embed_legs,
     flip_matrix,
     nfold_twist_matrix,
     rho_basis_entry,
 )
+from ybtwist.rational import BivarPoly
 from ybtwist.suites import matrix_suite
 
 
@@ -207,12 +213,12 @@ def test_nfold_twist_matrix_leg_count_guard(trivial2_ctx, z4_radical_ctx):
 
 def _oracle_twist(ctx, k: int) -> ExactMatrix:
     # F_{1..j} = (F_{1..j-1} (x) 1) . rho((Delta^{(j-2)} (x) id) F), with dict-backed
-    # ExactMatrix products and embed_legs, not mapping compositions
+    # ExactMatrix products and oracle leg placements, not mapping compositions
     f = yb.rho(ctx, ctx.twist)
     tail = ctx.twist
     for j in range(3, k + 1):
         tail = slot_coproduct(tail, 0)
-        f = embed_legs(f, ctx.n, j, tuple(range(j - 1))) * yb.rho(ctx, tail)
+        f = oracle_embed_legs(f, ctx.n, j, tuple(range(j - 1))) * yb.rho(ctx, tail)
     return f
 
 
@@ -231,8 +237,8 @@ def test_nfold_twist_matrix_exchange_law_oracle(braces_up_to_4, z6_brace):
             assert [c.name for c in report.checks] == ["recursion", "closed_form", *exchange]
             assert report.check("recursion").passed and report.check("closed_form").passed
             for j in range(k - 1):
-                pj = embed_legs(p, n, k, (j, j + 1))
-                rj = embed_legs(r, n, k, (j, j + 1))
+                pj = oracle_embed_legs(p, n, k, (j, j + 1))
+                rj = oracle_embed_legs(r, n, k, (j, j + 1))
                 assert report.check(exchange[j]).passed == (pj * f * pj == rj * f)
 
 
@@ -264,7 +270,7 @@ def test_nfold_twist_matrix_witness_is_first_column(z4_radical_ctx, k):
             total = ctx.add[total][b]
         for a in range(n):
             piece[tuple(b * n for b in heads) + (a * n + clean.circle_inv[total],)] = 1
-    bad = (embed_legs(_oracle_twist(clean, k - 1), n, k, tuple(range(k - 1)))
+    bad = (oracle_embed_legs(_oracle_twist(clean, k - 1), n, k, tuple(range(k - 1)))
            * yb.rho(clean, clean.tensor(k, piece)))
 
     def columns(m):
@@ -281,7 +287,7 @@ def test_nfold_twist_matrix_witness_is_first_column(z4_radical_ctx, k):
         assert not report.check(name).passed and report.check(name).witness == expected
     p, r = flip_matrix(n), yb.solution_matrix(clean)
     for j in range(k - 1):
-        pj, rj = embed_legs(p, n, k, (j, j + 1)), embed_legs(r, n, k, (j, j + 1))
+        pj, rj = oracle_embed_legs(p, n, k, (j, j + 1)), oracle_embed_legs(r, n, k, (j, j + 1))
         check = report.check(f"exchange_law_legs_{j + 1}_{j + 2}")
         assert check.witness == witness(pj * bad * pj, rj * bad)
         assert check.passed == (check.witness is None)
@@ -299,3 +305,33 @@ def test_swap_legs_is_flip_conjugation():
     m = ExactMatrix(4, {(0, 1): 2, (3, 2): 5})
     p = flip_matrix(2)
     assert embed_legs(m, 2, 2, (1, 0)) == p * m * p
+
+
+def _random_entry(rng, ring: str):
+    v = rng.choice([-3, -2, -1, 1, 2, 5])
+    if ring == "fraction":
+        return Fraction(v, rng.randint(2, 7))
+    if ring == "poly":
+        return BivarPoly({(rng.randint(0, 2), rng.randint(0, 2)): v, (0, 0): 1})
+    return v
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_leg_placements_match_digit_oracle(k):
+    # every ordered tuple of distinct legs, e.g. (0, 2), (1, 0) and (2, 0, 1)
+    rng = random.Random(k)
+    for n in (1, 2, 3):
+        for r in range(1, k + 1):
+            dim = n ** r
+            for legs in permutations(range(k), r):
+                for ring in ("int", "fraction", "poly"):
+                    cells = rng.sample(range(dim * dim), min(dim * dim, 2 * dim))
+                    m = ExactMatrix(dim, {divmod(x, dim): _random_entry(rng, ring)
+                                          for x in cells})
+                    assert embed_legs(m, n, k, legs) == oracle_embed_legs(m, n, k, legs)
+                perm = list(range(dim))
+                rng.shuffle(perm)
+                placed = _on_legs(perm, n, k, legs)
+                expected = oracle_embed_legs(
+                    ExactMatrix(dim, {(t, s): 1 for s, t in enumerate(perm)}), n, k, legs)
+                assert {(t, s): 1 for s, t in enumerate(placed)} == expected.coeffs

@@ -16,7 +16,7 @@ from itertools import product
 import pytest
 
 import ybtwist as yb
-from ybtwist.matrices import embed_legs
+from conftest import oracle_embed_legs
 from ybtwist.yangian import _l_cleared, twisted_l, twisted_r_lambda, yangian_r
 
 POINTS = [(3, 5), (Fraction(1, 2), -2), (Fraction(7, 3), Fraction(4, 5)), (-1, Fraction(2, 7))]
@@ -127,8 +127,10 @@ def three_leg_sides(r, l1, l2, n):
 
 
 def library_sides(r, l1, l2, n):
-    r12 = embed_legs(r, n, 3, (0, 1))
-    l1, l2 = embed_legs(l1, n, 3, (0, 2)), embed_legs(l2, n, 3, (1, 2))
+    """Both sides of RTT from the library's cleared operators, placed on their
+    legs by the digit-by-digit oracle."""
+    r12 = oracle_embed_legs(r, n, 3, (0, 1))
+    l1, l2 = oracle_embed_legs(l1, n, 3, (0, 2)), oracle_embed_legs(l2, n, 3, (1, 2))
     return r12 * l1 * l2, l2 * l1 * r12
 
 
