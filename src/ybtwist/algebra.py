@@ -10,6 +10,11 @@ antipodes all live in finite coefficient tables and every identity is decided
 by exact coefficient comparison.  Coefficients are ints or Fractions; nothing
 in this module touches floating point.
 
+This is the algebra of the action groupoid of (B, o) on B through sigma:
+h_a w_g is the arrow from source sigma_g^{-1}(a) to target a, and a product
+survives iff the left source is the right target.  The context's per-basis
+``target`` and ``source`` lists are the only code that knows this rule.
+
 There is one container, ``TensorElement``: an algebra element is the one-leg
 tensor.  Each structure map (Delta, Delta_F, eps, s, s~) is one per-basis
 table on the context, and one slot kernel applies any of them to any slot of
@@ -34,8 +39,9 @@ class AlgebraContext:
     """Immutable tables driving all products in the twist algebra of one skew brace.
 
     The basis index of the monomial h_a w_g is a*n + g.  ``prod`` is the flat
-    multiplication table over basis indices, with -1 marking products that
-    vanish.  An algebra element is a one-leg tensor, keyed by ``(i,)``.
+    multiplication table over basis indices, built from the ends ``target`` and
+    ``source``, with -1 marking products that vanish.  An algebra element is a
+    one-leg tensor, keyed by ``(i,)``.
 
     Built lazily, once per context: the twist, its inverse and the twisted
     R-matrix, and one per-basis table for each structure map -- ``cop``
@@ -60,20 +66,10 @@ class AlgebraContext:
         self.neg = brace.add.inverses
         self.is_brace = brace.is_brace
 
-        dim = self.dim
-        prod = [-1] * (dim * dim)
-        for a in range(n):
-            for g in range(n):
-                i = a * n + g
-                b_req = self.sigma_inv[g][a]
-                circ_g = self.circle[g]
-                base = i * dim
-                for h in range(n):
-                    prod[base + b_req * n + h] = a * n + circ_g[h]
-        self.prod = prod
-        # The opposite algebra's table: prod_op[j*dim + i] is the product e_i e_j,
-        # so multiplying on the left is multiplying on the right in A^op.
-        self.prod_op = [prod[i * dim + j] for j in range(dim) for i in range(dim)]
+        # the ends of the arrow h_a w_g: target a, source sigma_g^{-1}(a)
+        self.target = [i // n for i in range(self.dim)]
+        self.source = [self.sigma_inv[g][a] for a in range(n) for g in range(n)]
+        self.prod = _groupoid_product(self)
         self._construction_checks()
 
     # ------------------------------------------------------------------ basics
@@ -202,26 +198,41 @@ class AlgebraContext:
     # --------------------------------------------------------------- sanity
 
     def _construction_checks(self) -> None:
-        dim, prod = self.dim, self.prod
-        for i in range(dim):
-            base_i = i * dim
-            for j in range(dim):
-                ij = prod[base_i + j]
-                base_ij = ij * dim
-                base_j = j * dim
-                for k in range(dim):
-                    left = prod[base_ij + k] if ij >= 0 else -1
-                    jk = prod[base_j + k]
-                    right = prod[base_i + jk] if jk >= 0 else -1
-                    if left != right:
-                        raise CheckFailed("associativity", (i, j, k))
+        # Premise: o is associative, sigma an action (source(h_a w_{g o h}) =
+        # source(h_{source(h_a w_g)} w_h)) and prod the groupoid rule.  Then for
+        # e_i = h_a w_g, e_j = h_b w_h, e_k = h_c w_l both bracketings survive iff
+        # b = source_i and c = source(h_a w_{g o h}) = source(h_b w_h), and are then
+        # h_a w_{g o h o l}: the product is associative, so the dim^3 scan, run only
+        # when the premise fails, keeps its verdict and first witness on any table.
+        n, dim, prod, circle, source = self.n, self.dim, self.prod, self.circle, self.source
+        premise = prod == _groupoid_product(self) and all(
+            circle[circle[g][h]][x] == circle[g][circle[h][x]]
+            and source[x * n + circle[g][h]] == source[source[x * n + g] * n + h]
+            for g in range(n) for h in range(n) for x in range(n))
+        if not premise:
+            for i, j, k in iproduct(range(dim), repeat=3):
+                ij, jk = prod[i * dim + j], prod[j * dim + k]
+                if (prod[ij * dim + k] if ij >= 0 else -1) != (prod[i * dim + jk] if jk >= 0 else -1):
+                    raise CheckFailed("associativity", (i, j, k))
         # one = sum_a h_a w_0, so one e_i = e_i = e_i one iff exactly one product
         # survives on each side, and it is e_i
-        units = range(0, dim, self.n)
+        units = range(0, dim, n)
         for i in range(dim):
             if ([p for u in units if (p := prod[u * dim + i]) >= 0] != [i]
                     or [p for u in units if (p := prod[i * dim + u]) >= 0] != [i]):
                 raise CheckFailed("unit", i)
+
+
+def _groupoid_product(ctx: AlgebraContext) -> list[int]:
+    """The product table from the ends: e_i e_j = e_{target_i n + g_i o g_j} for the
+    j = source_i n + g_j with target_j = source_i, and -1 (zero) otherwise."""
+    n, dim, target, source, circle = ctx.n, ctx.dim, ctx.target, ctx.source, ctx.circle
+    prod = [-1] * (dim * dim)
+    for i in range(dim):
+        base, head, circ = i * dim + source[i] * n, target[i] * n, circle[i % n]
+        for h in range(n):
+            prod[base + h] = head + circ[h]
+    return prod
 
 
 class TensorElement(Sparse):
@@ -254,7 +265,7 @@ class TensorElement(Sparse):
         if not isinstance(other, TensorElement):
             return NotImplemented
         _same_order(self, other)
-        return _leg_product(self, other, tuple(range(self.k)), self.ctx.prod)
+        return _leg_product(self, other, tuple(range(self.k)), True)
 
     def slot_swap(self, i: int, j: int) -> TensorElement:
         out: dict = {}
@@ -283,6 +294,12 @@ def _same_ctx(x, y) -> None:
 def _same_order(x, y) -> None:
     if x.k != y.k:
         raise ValidationFailure("order_mismatch", (x.k, y.k))
+
+
+def _check_legs(legs, k: int) -> None:
+    """Reject a leg tuple with a repeated leg or a leg outside range(k)."""
+    if len(set(legs)) != len(legs) or not all(0 <= leg < k for leg in legs):
+        raise ValidationFailure("bad_legs", tuple(legs), f"legs {tuple(legs)} must be distinct and in 0..{k - 1}")
 
 
 def _one_leg(x: TensorElement) -> TensorElement:
@@ -367,29 +384,15 @@ def twisted_antipode(x: TensorElement) -> TensorElement:
 # ----------------------------------------------------------- tensor utilities
 
 
-def embed_two(ctx: AlgebraContext, t2: TensorElement, k: int, i: int, j: int) -> TensorElement:
-    """Place a 2-tensor at legs (i, j) of a k-tensor, units elsewhere."""
-    n = ctx.n
-    others = [s for s in range(k) if s not in (i, j)]
-    acc: dict = {}
-    for (p, q), c in t2.coeffs.items():
-        for fill in iproduct(range(n), repeat=len(others)):
-            key = [0] * k
-            key[i], key[j] = p, q
-            for s, a in zip(others, fill):
-                key[s] = a * n
-            acc[tuple(key)] = acc.get(tuple(key), 0) + c
-    return TensorElement(ctx, k, _prune(acc))
-
-
 def apply_right(x: TensorElement, t: TensorElement, legs: tuple[int, ...]) -> TensorElement:
     """x multiplied on the right by the m-tensor t embedded at ``legs``, units elsewhere.
 
     Equals x * (t placed at ``legs`` of a unit-padded x.k-tensor) but touches only
     the legs in ``legs``: multiplying a slot by the unit leaves it unchanged.
-    ``x * y`` is the case where ``legs`` is every leg.
+    ``x * y`` is the case where ``legs`` is every leg, and t placed at ``legs``
+    of a k-tensor is ``apply_right(ctx.unit_tensor(k), t, legs)``.
     """
-    return _leg_product(x, t, legs, x.ctx.prod)
+    return _leg_product(x, t, legs, True)
 
 
 def apply_left(t: TensorElement, legs: tuple[int, ...], x: TensorElement) -> TensorElement:
@@ -398,41 +401,39 @@ def apply_left(t: TensorElement, legs: tuple[int, ...], x: TensorElement) -> Ten
     Equals (t placed at ``legs`` of a unit-padded x.k-tensor) * x; the legs
     outside ``legs`` keep x's slots unchanged.
     """
-    return _leg_product(x, t, legs, x.ctx.prod_op)
+    return _leg_product(x, t, legs, False)
 
 
-def _leg_product(x: TensorElement, t: TensorElement, legs: tuple[int, ...], table) -> TensorElement:
-    # Slot legs[m] of each key of x becomes table[slot * dim + t_key[m]].  The
-    # terms of t are grouped by their first slot, so one lookup discards a whole
-    # group whose first-leg product vanishes.
+def _leg_product(x: TensorElement, t: TensorElement, legs: tuple[int, ...], t_right: bool) -> TensorElement:
+    # One join: a slot product survives iff the left slot's source is the right
+    # slot's target.  t's terms are indexed by their ends on ``legs`` that meet
+    # x (targets when t multiplies on the right, sources on the left), and each
+    # term of x looks up, by its own opposite ends, exactly its surviving partners.
     _same_ctx(x, t)
     if t.k != len(legs):
         raise ValidationFailure("order_mismatch", (t.k, len(legs)))
+    _check_legs(legs, x.k)
     ctx = x.ctx
-    dim = ctx.dim
-    first, rest = legs[0], legs[1:]
-    grouped: dict = {}
+    dim, prod = ctx.dim, ctx.prod
+    # the product of slots s of x and u of t is prod[s * x_step + u * t_step]
+    t_ends, x_ends, x_step, t_step = ((ctx.target, ctx.source, dim, 1) if t_right
+                                      else (ctx.source, ctx.target, 1, dim))
+    by_ends: dict = {}
     for tkey, c in t.coeffs.items():
-        grouped.setdefault(tkey[0], []).append((tkey[1:], c))
-    groups = list(grouped.items())
+        by_ends.setdefault(tuple([t_ends[s] for s in tkey]), []).append(
+            ([s * t_step for s in tkey], c))
     acc: dict = {}
     for key, c1 in x.coeffs.items():
-        base = key[first] * dim
-        for s, members in groups:
-            p = table[base + s]
-            if p < 0:
-                continue
-            for tail, c2 in members:
-                nk = list(key)
-                nk[first] = p
-                for leg, s2 in zip(rest, tail):
-                    q = table[key[leg] * dim + s2]
-                    if q < 0:
-                        break
-                    nk[leg] = q
-                else:
-                    out = tuple(nk)
-                    acc[out] = acc.get(out, 0) + c1 * c2
+        partners = by_ends.get(tuple([x_ends[key[leg]] for leg in legs]))
+        if partners is None:
+            continue
+        bases = [key[leg] * x_step for leg in legs]
+        for offsets, c2 in partners:
+            nk = list(key)
+            for leg, b, o in zip(legs, bases, offsets):
+                nk[leg] = prod[b + o]
+            out = tuple(nk)
+            acc[out] = acc.get(out, 0) + c1 * c2
     return TensorElement(ctx, x.k, _prune(acc))
 
 
@@ -482,36 +483,30 @@ def mul_slots(t: TensorElement) -> TensorElement:
 # ------------------------------------------------------------- verifications
 
 
-def _pair_products(lefts: list[dict], rights: list[dict], prod: list[int], dim: int):
+def _pair_products(lefts: list[dict], rights: list[dict], ctx: AlgebraContext):
     """Yield, for each left 2-tensor in order, {j: lefts[i] * rights[j]} with pruned
     coefficients; a j absent from the dict means that product is zero.
 
-    The right factors are indexed by their term (p', q'), so a left term (p, q)
-    visits only the right terms with e_p e_p' != 0 and e_q e_q' != 0, read from
-    ``prod``: about n^5 lookups for n^2 factors of n terms a side, where the
-    n^4 tensor products would pair n^2 terms each.
+    The right factors' terms (p', q') are indexed by their targets, so a left
+    term (p, q) looks up, by its sources, exactly the right terms whose two slot
+    products survive: about n^5 pairs for n^2 factors of n terms a side.
     """
-    by_term: list[dict] = [{} for _ in range(dim)]  # p' -> q' -> [(j, c')]
+    dim, prod, target, source = ctx.dim, ctx.prod, ctx.target, ctx.source
+    by_ends: dict = {}  # (target p', target q') -> [(p', q', j, c')]
     for j, right in enumerate(rights):
         for (p2, q2), c2 in right.items():
-            by_term[p2].setdefault(q2, []).append((j, c2))
-    partners = [[(s, ps) for s in range(dim) if (ps := prod[r * dim + s]) >= 0]
-                for r in range(dim)]
+            by_ends.setdefault((target[p2], target[q2]), []).append((p2, q2, j, c2))
     for left in lefts:
         acc: dict = {}
         for (p, q), c in left.items():
-            q_partners = partners[q]
-            for p2, pp in partners[p]:
-                seconds = by_term[p2]
-                if not seconds:
-                    continue
-                for q2, qq in q_partners:
-                    hits = seconds.get(q2)
-                    if hits:
-                        key = (pp, qq)
-                        for j, c2 in hits:
-                            out = acc.setdefault(j, {})
-                            out[key] = out.get(key, 0) + c * c2
+            hits = by_ends.get((source[p], source[q]))
+            if hits is None:
+                continue
+            pb, qb = p * dim, q * dim
+            for p2, q2, j, c2 in hits:
+                key = (prod[pb + p2], prod[qb + q2])
+                out = acc.setdefault(j, {})
+                out[key] = out.get(key, 0) + c * c2
         yield {j: terms for j, out in acc.items() if (terms := _prune(out))}
 
 
@@ -522,7 +517,7 @@ def _homomorphism_witness(ctx: AlgebraContext, table: list[dict]) -> tuple[int, 
     dim, prod = ctx.dim, ctx.prod
     images = [_prune(image) for image in table]
     empty: dict = {}
-    for i, products in enumerate(_pair_products(images, images, prod, dim)):
+    for i, products in enumerate(_pair_products(images, images, ctx)):
         base = i * dim
         for j in range(dim):
             k = prod[base + j]
@@ -628,8 +623,9 @@ def _twist_12_3(ctx: AlgebraContext) -> TensorElement:
 def verify_universal_ybe(ctx: AlgebraContext, rf: TensorElement | None = None) -> PropertyReport:
     """Check R12 R13 R23 = R23 R13 R12 in the three-fold tensor algebra."""
     r = ctx.twisted_r_matrix if rf is None else rf
-    lhs = apply_right(apply_right(embed_two(ctx, r, 3, 0, 1), r, (0, 2)), r, (1, 2))
-    rhs = apply_right(apply_right(embed_two(ctx, r, 3, 1, 2), r, (0, 2)), r, (0, 1))
+    unit3 = ctx.unit_tensor(3)
+    lhs = apply_right(apply_right(apply_right(unit3, r, (0, 1)), r, (0, 2)), r, (1, 2))
+    rhs = apply_right(apply_right(apply_right(unit3, r, (1, 2)), r, (0, 2)), r, (0, 1))
     report = PropertyReport("universal_ybe")
     report.compare("ybe", lhs, rhs)
     return report
@@ -653,10 +649,9 @@ def verify_quasitriangularity(ctx: AlgebraContext) -> PropertyReport:
             break
     report.add("intertwines_coproduct", w is None, witness=w)
 
-    report.compare("fusion_first_leg", slot_coproduct(rf, 0, twisted=True),
-                   apply_right(embed_two(ctx, rf, 3, 0, 2), rf, (1, 2)))
-    report.compare("fusion_second_leg", slot_coproduct(rf, 1, twisted=True),
-                   apply_right(embed_two(ctx, rf, 3, 0, 2), rf, (0, 1)))
+    r13 = apply_right(ctx.unit_tensor(3), rf, (0, 2))
+    report.compare("fusion_first_leg", slot_coproduct(rf, 0, twisted=True), apply_right(r13, rf, (1, 2)))
+    report.compare("fusion_second_leg", slot_coproduct(rf, 1, twisted=True), apply_right(r13, rf, (0, 1)))
 
     one = ctx.one()
     w = counit_slot(rf, 0).first_diff(one) or counit_slot(rf, 1).first_diff(one)

@@ -20,7 +20,7 @@ from __future__ import annotations
 from itertools import product as iproduct
 from math import isqrt
 
-from .algebra import AlgebraContext, TensorElement
+from .algebra import AlgebraContext, TensorElement, _check_legs
 from .braces import YBMap
 from .errors import CheckFailed, LimitExceeded, ValidationFailure
 from .rational import Sparse, _prune
@@ -112,7 +112,9 @@ def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
 
 def _placements(n: int, k: int, legs) -> tuple[list[int], list[int]]:
     """(on, off): the k-leg index whose digits on ``legs`` spell s, and whose other
-    digits spell o, is on[s] + off[o]; leg 0 is the most significant base-n digit."""
+    digits spell o, is on[s] + off[o]; leg 0 is the most significant base-n digit.
+    Repeated or out-of-range legs raise ValidationFailure("bad_legs")."""
+    _check_legs(legs, k)
     maps = []
     for part in (legs, [leg for leg in range(k) if leg not in legs]):
         index = [0]
@@ -125,10 +127,12 @@ def _placements(n: int, k: int, legs) -> tuple[list[int], list[int]]:
 def embed_legs(m: ExactMatrix, n: int, k: int, legs: tuple[int, ...]) -> ExactMatrix:
     """Place a matrix acting on len(legs) n-dimensional legs into a k-leg space.
 
-    The matrix dimension must be n^len(legs); rows and columns are identified
-    with base-n digit strings and the free legs carry the identity.
+    The matrix dimension must be n^len(legs) ("dim_mismatch"); rows and columns
+    are identified with base-n digit strings and the free legs carry the identity.
     """
     on, off = _placements(n, k, legs)
+    if m.dim != len(on):
+        raise ValidationFailure("dim_mismatch", (m.dim, len(on)))
     out: dict = {}
     for (row, col), v in m.coeffs.items():
         r, c = on[row], on[col]
@@ -149,9 +153,8 @@ def _ybe_sides(x: ExactMatrix, y: ExactMatrix, z: ExactMatrix, n: int) -> tuple:
 
 
 def rho_basis_entry(ctx: AlgebraContext, i: int) -> tuple[int, int]:
-    """Image of the basis monomial h_a w_g: the single entry e_{a, sigma_g^{-1}(a)}."""
-    a, g = divmod(i, ctx.n)
-    return a, ctx.sigma_inv[g][a]
+    """Image of h_a w_g: the matrix unit e_{target, source} = e_{a, sigma_g^{-1}(a)}."""
+    return ctx.target[i], ctx.source[i]
 
 
 def rho(ctx: AlgebraContext, t: TensorElement) -> ExactMatrix:

@@ -7,8 +7,13 @@ over those tables.  The n-only yangian oracles decide every index tuple one
 by one, where the library decides one tuple per S_n orbit, and the symbolic
 coproduct and antipode tables are rebuilt as sums of tensors, term by term.
 Tensor legs are placed digit by digit (``oracle_embed_legs``), where the
-library adds one precomputed offset per leg group.  They are the reference
-the fast implementations are checked against.
+library adds one precomputed offset per leg group.  The twist algebra's
+product table and its matrix units come straight from the paper's rule on the
+raw group tables (``oracle_product_rule``), where the library reads them from
+the groupoid ends, and associativity is the full triple scan
+(``oracle_associativity_witness``), which the library runs only when its
+premise fails.  They are the reference the fast implementations are checked
+against.
 """
 
 from __future__ import annotations
@@ -184,6 +189,36 @@ def oracle_embed_legs(m: ExactMatrix, n: int, k: int, legs: tuple[int, ...]) -> 
                 full_r[s] = full_c[s] = d
             out[(undigits(full_r), undigits(full_c))] = v
     return ExactMatrix(n ** k, out)
+
+
+def oracle_product_rule(brace) -> tuple[list[int], list[tuple[int, int]]]:
+    """(prod, rho) of the twist algebra of ``brace`` from its raw tables.
+
+    prod is the flat table of (h_a w_g)(h_b w_h) = [a = sigma_g(b)] h_a w_{g o h}
+    over basis indices a*n + g (-1 for zero), and rho[a*n + g] = (a, b) with
+    sigma_g(b) = a, the matrix unit of h_a w_g.  sigma_g(b) = -g + g o b is
+    computed from the addition and multiplication tables directly.
+    """
+    n, add, mul = brace.n, brace.add.table, brace.mul.table
+    neg = [next(x for x in range(n) if add[g][x] == 0) for g in range(n)]
+
+    def sigma(g, b):
+        return add[neg[g]][mul[g][b]]
+
+    prod = [a * n + mul[g][h] if a == sigma(g, b) else -1
+            for a, g, b, h in product(range(n), repeat=4)]
+    rho = [(a, next(b for b in range(n) if sigma(g, b) == a))
+           for a, g in product(range(n), repeat=2)]
+    return prod, rho
+
+
+def oracle_associativity_witness(prod: list[int], dim: int) -> tuple[int, int, int] | None:
+    """The first (i, j, k) in row-major order with (e_i e_j) e_k != e_i (e_j e_k)."""
+    def mul(i, j):
+        return -1 if i < 0 or j < 0 else prod[i * dim + j]
+
+    return next(((i, j, k) for i, j, k in product(range(dim), repeat=3)
+                 if mul(mul(i, j), k) != mul(i, mul(j, k))), None)
 
 
 # The n-only yangian checks, tuple by tuple.  Each reads the module

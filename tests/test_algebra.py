@@ -7,8 +7,11 @@ from fractions import Fraction
 import pytest
 
 import ybtwist as yb
+from conftest import oracle_associativity_witness, oracle_product_rule
+from ybtwist import jsonio
 from ybtwist.algebra import (
     AlgebraContext,
+    _groupoid_product,
     counit_slot,
     map_slot,
     mul_slots,
@@ -16,6 +19,7 @@ from ybtwist.algebra import (
     slot_coproduct,
     verify_hopf_axioms,
 )
+from ybtwist.matrices import rho_basis_entry
 from ybtwist.suites import run_suites
 
 
@@ -364,6 +368,55 @@ def test_construction_check_rejects_corrupted_tables(z4_radical_ctx):
     with pytest.raises(yb.CheckFailed) as exc:
         ctx._construction_checks()
     assert (exc.value.kind, exc.value.witness) == ("unit", 0)
+
+
+def test_product_table_and_rho_follow_the_brace_rule():
+    # every context of orders 1-6 (the 219 of 299 labelled skew braces whose
+    # sigma/tau derive); the full associativity scan on orders <= 5
+    built = 0
+    for n in range(1, 7):
+        for b in yb.enumerate_braces(n):
+            try:
+                ctx = AlgebraContext(b)
+            except yb.ValidationFailure:
+                continue
+            prod, rho = oracle_product_rule(b)
+            assert ctx.prod == prod, jsonio.brace_digest(b)
+            assert [rho_basis_entry(ctx, i) for i in range(ctx.dim)] == rho
+            if n <= 5:
+                assert oracle_associativity_witness(ctx.prod, ctx.dim) is None
+            built += 1
+    assert built == 219
+
+
+def test_construction_check_scans_when_sigma_is_not_an_action(z4_radical_ctx):
+    # sigma_1^{-1} = (0 3 2 1) becomes (0 2 3 1), which is not an involution
+    # although 1 o 1 = 0; prod then follows the groupoid rule of a non-action,
+    # so only the action part of the premise fails and the full scan must name
+    # the oracle's first non-associative triple
+    ctx = AlgebraContext(z4_radical_ctx.brace)
+    n = ctx.n
+    sigma_inv = [list(row) for row in ctx.sigma_inv]
+    sigma_inv[1][1], sigma_inv[1][2] = sigma_inv[1][2], sigma_inv[1][1]
+    ctx.sigma_inv = tuple(map(tuple, sigma_inv))
+    ctx.source = [sigma_inv[g][a] for a in range(n) for g in range(n)]
+    ctx.prod = _groupoid_product(ctx)
+    expected = oracle_associativity_witness(ctx.prod, ctx.dim)
+    assert expected is not None
+    with pytest.raises(yb.CheckFailed) as exc:
+        ctx._construction_checks()
+    assert (exc.value.kind, exc.value.witness) == ("associativity", expected)
+
+
+def test_construction_check_witness_on_corrupted_product(z4_radical_ctx):
+    # a corrupted prod fails the premise, and the scan names the oracle's triple
+    ctx = AlgebraContext(z4_radical_ctx.brace)
+    ctx.prod[5 * ctx.dim + 5] = 0
+    expected = oracle_associativity_witness(ctx.prod, ctx.dim)
+    assert expected is not None
+    with pytest.raises(yb.CheckFailed) as exc:
+        ctx._construction_checks()
+    assert (exc.value.kind, exc.value.witness) == ("associativity", expected)
 
 
 def test_nfold_twist_small(trivial2_ctx, z4_radical_ctx):

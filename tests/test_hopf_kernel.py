@@ -145,5 +145,5 @@ def test_pair_products_drop_cancelled_products(z4_radical_ctx):
     )
     lefts = [{(p, q1): 1, (p, q2): -1}]
     rights = [{(s, s1): 1, (s, s2): 1}, {(s, s1): 1}]
-    products = list(_pair_products(lefts, rights, prod, dim))
+    products = list(_pair_products(lefts, rights, ctx))
     assert products == [{1: {(prod[p * dim + s], prod[q1 * dim + s1]): 1}}]

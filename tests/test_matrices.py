@@ -335,3 +335,21 @@ def test_leg_placements_match_digit_oracle(k):
                 expected = oracle_embed_legs(
                     ExactMatrix(dim, {(t, s): 1 for s, t in enumerate(perm)}), n, k, legs)
                 assert {(t, s): 1 for s, t in enumerate(placed)} == expected.coeffs
+
+
+@pytest.mark.parametrize("legs", [(0, 0), (0, 2), (-1, 0)], ids=["repeated", "past_k", "negative"])
+def test_embed_legs_rejects_bad_legs(legs):
+    # a repeated leg would add two digits' offsets to one index, past the matrix
+    with pytest.raises(yb.ValidationFailure) as exc:
+        embed_legs(ExactMatrix(4, {(3, 3): 1}), 2, 2, legs)
+    assert (exc.value.kind, exc.value.witness) == ("bad_legs", legs)
+    with pytest.raises(yb.ValidationFailure) as exc:
+        _on_legs([0, 1, 2, 3], 2, 2, legs)
+    assert exc.value.kind == "bad_legs"
+
+
+def test_embed_legs_rejects_wrong_dimension():
+    # a dim-8 matrix cannot act on two n = 2 legs
+    with pytest.raises(yb.ValidationFailure) as exc:
+        embed_legs(ExactMatrix(8, {(7, 7): 1}), 2, 3, (0, 1))
+    assert (exc.value.kind, exc.value.witness) == ("dim_mismatch", (8, 4))

@@ -1,11 +1,14 @@
 """All-pairs oracles for the tensor product and slot-map kernels of the twist algebra.
 
-``TensorElement.__mul__`` skips groups of terms whose first-slot product
-vanishes, and ``apply_left``/``apply_right`` multiply an m-tensor into chosen
-legs of a k-tensor without padding it with units.  The oracle here multiplies
-every pair of terms slot by slot straight from ``ctx.prod``, and pads the
-embedded tensor with the unit sum_a h_a on every other leg, so it shares no
-code with the kernels.  Operands are seeded random int and ``Fraction``
+``TensorElement.__mul__``, ``apply_left`` and ``apply_right`` are one join:
+each term of one factor looks up, by its groupoid ends on the multiplied legs,
+only the terms of the other whose slot products survive, and an m-tensor is
+multiplied into chosen legs of a k-tensor without padding it with units.  The
+oracle here multiplies every pair of terms slot by slot straight from
+``ctx.prod``, and pads the embedded tensor with the unit sum_a h_a on every
+other leg, so it shares no code with the kernels; ``ctx.prod`` itself is
+checked against the brace tables by ``conftest.oracle_product_rule``
+(``test_algebra.py``).  Operands are seeded random int and ``Fraction``
 tensors whose slots are drawn partly from the partners each slot has in the
 product table, so that products are rarely empty.
 
@@ -25,7 +28,7 @@ import pytest
 
 import ybtwist as yb
 from ybtwist.algebra import (AlgebraContext, _pair_products, apply_left, apply_right,
-                             counit_slot, embed_two, map_slot, slot_coproduct)
+                             counit_slot, map_slot, slot_coproduct)
 
 
 def naive_mul(ctx, x: dict, y: dict) -> dict:
@@ -120,7 +123,7 @@ def test_pair_products_match_all_pairs(contexts):
         rights.append({})
         expected = [{j: p for j, y in enumerate(rights) if (p := naive_mul(ctx, x, y))}
                     for x in lefts]
-        assert list(_pair_products(lefts, rights, ctx.prod, ctx.dim)) == expected, ctx.n
+        assert list(_pair_products(lefts, rights, ctx)) == expected, ctx.n
         nonempty += sum(map(len, expected))
     assert nonempty >= 80
 
@@ -147,7 +150,7 @@ def test_apply_left_right_match_unit_padded_product(contexts):
                 assert got.coeffs == naive_mul(ctx, padded(ctx, t, legs, k), x), (ctx.n, k, legs)
                 nonempty += bool(got.coeffs)
                 if m == 2:
-                    pad = embed_two(ctx, ctx.tensor(2, t), k, *legs)
+                    pad = apply_right(ctx.unit_tensor(k), ctx.tensor(2, t), legs)
                     assert pad.coeffs == padded(ctx, t, legs, k)
                     assert got == pad * x_t
     assert nonempty >= 150
@@ -176,6 +179,17 @@ def test_leg_count_must_match_tensor_order(z4_radical_ctx):
     with pytest.raises(yb.ValidationFailure) as exc:
         apply_left(ctx.twist, (0, 1, 2), ctx.unit_tensor(3))
     assert exc.value.kind == "order_mismatch"
+
+
+@pytest.mark.parametrize("legs", [(0, 0), (0, 5), (-1, 1)], ids=["repeated", "past_k", "negative"])
+def test_leg_products_reject_bad_legs(z4_radical_ctx, legs):
+    # a repeated leg would multiply one slot twice, and a leg past k has no slot
+    ctx = z4_radical_ctx
+    x = ctx.unit_tensor(3)
+    for call in (lambda: apply_right(x, ctx.twist, legs), lambda: apply_left(ctx.twist, legs, x)):
+        with pytest.raises(yb.ValidationFailure) as exc:
+            call()
+        assert (exc.value.kind, exc.value.witness) == ("bad_legs", legs)
 
 
 def basis_images(brace):
