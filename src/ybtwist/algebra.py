@@ -44,7 +44,8 @@ class AlgebraContext:
     one-leg tensor, keyed by ``(i,)``.
 
     Built lazily, once per context: the twist, its inverse and the twisted
-    R-matrix, and one per-basis table for each structure map -- ``cop``
+    R-matrix as dicts wrapped anew on each access (so no cached object points
+    back at the context), and one per-basis table for each structure map -- ``cop``
     (Delta), ``twisted_cop`` (Delta_F), ``eps`` (the counit), ``s`` (the
     antipode) and ``s_twisted`` (the twisted antipode).  Entry i of a table is
     the image of e_i as {tuple of basis indices: multiplicity}.
@@ -104,26 +105,37 @@ class AlgebraContext:
 
     # ------------------------------------------------------------- lazy pieces
 
-    @cached_property
+    @property
     def twist(self) -> TensorElement:
         """The combinatorial twist sum_b h_b (x) w_{b^{-1}}."""
-        n = self.n
-        return TensorElement(self, 2, {(b * n, a * n + self.circle_inv[b]): 1
-                                       for b in range(n) for a in range(n)})
+        return TensorElement(self, 2, self._twist)
 
-    @cached_property
+    @property
     def twist_inv(self) -> TensorElement:
         """sum_b h_b (x) w_b, the two-sided inverse of the twist."""
-        n = self.n
-        return TensorElement(self, 2, {(b * n, a * n + b): 1 for b in range(n) for a in range(n)})
+        return TensorElement(self, 2, self._twist_inv)
 
-    @cached_property
+    @property
     def twisted_r_matrix(self) -> TensorElement:
         """F^op F^{-1}, cross-checked against sum_{a,b} h_b w_{a^{-1}} (x) h_a w_{sigma_a(b)}.
 
         Raises CheckFailed("twist_not_inverse") or CheckFailed("rf_closed_form")
         when the two independent routes disagree; impossible for a valid brace.
         """
+        return TensorElement(self, 2, self._twisted_r)
+
+    @cached_property
+    def _twist(self) -> dict:
+        n = self.n
+        return {(b * n, a * n + self.circle_inv[b]): 1 for b in range(n) for a in range(n)}
+
+    @cached_property
+    def _twist_inv(self) -> dict:
+        n = self.n
+        return {(b * n, a * n + b): 1 for b in range(n) for a in range(n)}
+
+    @cached_property
+    def _twisted_r(self) -> dict:
         f, finv = self.twist, self.twist_inv
         unit2 = self.unit_tensor(2)
         if f * finv != unit2 or finv * f != unit2:
@@ -139,7 +151,7 @@ class AlgebraContext:
         closed_t = TensorElement(self, 2, closed)
         if conj != closed_t:
             raise CheckFailed("rf_closed_form", conj.first_diff(closed_t))
-        return conj
+        return conj.coeffs
 
     @cached_property
     def cop(self) -> list[dict]:

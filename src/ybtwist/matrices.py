@@ -9,10 +9,11 @@ are done by one additive index map, ``_placements``, never by materializing
 Kronecker factors: ``embed_legs`` places a matrix and ``_on_legs`` a column ->
 row list on any tuple of distinct legs, leg 0 the most significant digit.
 ``rho`` represents an algebra tensor of any order, one n-dimensional leg per
-tensor leg, and is the only route from the algebra into matrices.  A
-failed matrix identity is witnessed by its first differing entry
-(``Sparse.first_diff``), a failed mapping identity by its first differing
-column.
+tensor leg, and is the only route from the algebra into matrices; a basis
+element goes to the matrix unit e_{target, source}, so ``rho_is_homomorphism``
+decides its law on index pairs, with no matrix product.  A failed matrix
+identity is witnessed by its first differing entry (``Sparse.first_diff``), a
+failed mapping identity by its first differing column.
 """
 
 from __future__ import annotations
@@ -101,15 +102,6 @@ def flip_matrix(n: int) -> ExactMatrix:
     return ExactMatrix(n * n, {(i * n + j, j * n + i): 1 for i in range(n) for j in range(n)})
 
 
-def kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    out = {}
-    db = b.dim
-    for (r1, c1), v1 in a.coeffs.items():
-        for (r2, c2), v2 in b.coeffs.items():
-            out[(r1 * db + r2, c1 * db + c2)] = v1 * v2
-    return ExactMatrix(a.dim * db, out)
-
-
 def _placements(n: int, k: int, legs) -> tuple[list[int], list[int]]:
     """(on, off): the k-leg index whose digits on ``legs`` spell s, and whose other
     digits spell o, is on[s] + off[o]; leg 0 is the most significant base-n digit.
@@ -176,23 +168,30 @@ def rho(ctx: AlgebraContext, t: TensorElement) -> ExactMatrix:
 
 
 def rho_is_homomorphism(ctx: AlgebraContext, images=None) -> PropertyReport:
-    """Check rho(x y) = rho(x) rho(y) over all basis pairs.
+    """Check rho(e_i) rho(e_j) = rho(e_i e_j) over all basis pairs, on indices.
+
+    Each image is a matrix unit v e_{r,c}, read as (r, c, v): by default
+    (target_i, source_i, 1).  As e_{r,c} e_{r',c'} = [c = r'] e_{r,c'}, the pair
+    (i, j) holds iff prod[i dim + j] is -1 exactly when c_i != r_j, and otherwise
+    its image is (r_i, c_j, v_i v_j).  The witness is the first failing (i, j).
 
     ``images`` may supply an alternative basis-index -> ExactMatrix map, which
-    lets tests exercise corrupted representations.
+    lets tests exercise corrupted representations; an image that is not one
+    non-zero entry raises ValidationFailure("not_a_matrix_unit", i).
     """
-    n, dim, prod = ctx.n, ctx.dim, ctx.prod
-    if images is None:
-        def images(i: int) -> ExactMatrix:
-            return ExactMatrix(n, {rho_basis_entry(ctx, i): 1})
-    mats = [images(i) for i in range(dim)]
-    zero = ExactMatrix.zero(n)
-    report = PropertyReport("rho_homomorphism")
+    dim, prod = ctx.dim, ctx.prod
+    units = []
     for i in range(dim):
-        for j in range(dim):
+        entries = {rho_basis_entry(ctx, i): 1} if images is None else images(i).coeffs
+        if len(entries) != 1:
+            raise ValidationFailure("not_a_matrix_unit", i)
+        ((r, c), v), = entries.items()
+        units.append((r, c, v))
+    report = PropertyReport("rho_homomorphism")
+    for i, (r, c, v) in enumerate(units):
+        for j, (r2, c2, v2) in enumerate(units):
             k = prod[i * dim + j]
-            expected = mats[k] if k >= 0 else zero
-            if mats[i] * mats[j] != expected:
+            if (k < 0) != (c != r2) or (k >= 0 and units[k] != (r, c2, v * v2)):
                 report.add("homomorphism", False, witness=(i, j))
                 return report
     report.add("homomorphism", True)
@@ -352,8 +351,11 @@ def nfold_twist_matrix(ctx: AlgebraContext, k: int) -> tuple[ExactMatrix, Proper
 
 def _on_legs(legs_map: list[int], n: int, k: int, legs) -> list[int]:
     """``legs_map``, a column -> row list on the distinct ``legs``, as one on all k
-    legs that is the identity on the others."""
+    legs that is the identity on the others; its length must be n^len(legs)
+    ("dim_mismatch")."""
     on, off = _placements(n, k, legs)
+    if len(legs_map) != len(on):
+        raise ValidationFailure("dim_mismatch", (len(legs_map), len(on)))
     out = [0] * n ** k
     for s, t in enumerate(legs_map):
         for o in off:

@@ -12,7 +12,10 @@ product table and its matrix units come straight from the paper's rule on the
 raw group tables (``oracle_product_rule``), where the library reads them from
 the groupoid ends, and associativity is the full triple scan
 (``oracle_associativity_witness``), which the library runs only when its
-premise fails.  They are the reference the fast implementations are checked
+premise fails.  The per-brace matrix-unit identities (rho's homomorphism law,
+the augmented relations, the twisted-coproduct adjudication) are decided by
+``ExactMatrix`` products and Kronecker products, where the library relabels
+indices.  They are the reference the fast implementations are checked
 against.
 """
 
@@ -26,7 +29,7 @@ import pytest
 
 import ybtwist as yb
 from ybtwist import yangian
-from ybtwist.matrices import ExactMatrix
+from ybtwist.matrices import ExactMatrix, rho_basis_entry
 from ybtwist.ncpoly import NCTensor, gen
 from ybtwist.reports import PropertyReport
 
@@ -219,6 +222,118 @@ def oracle_associativity_witness(prod: list[int], dim: int) -> tuple[int, int, i
 
     return next(((i, j, k) for i, j, k in product(range(dim), repeat=3)
                  if mul(mul(i, j), k) != mul(i, mul(j, k))), None)
+
+
+# The per-brace matrix-unit identities by ExactMatrix products, where the
+# library decides them on indices.
+
+
+def oracle_rho_homomorphism(ctx, images=None) -> PropertyReport:
+    """rho(e_i) rho(e_j) = rho(e_i e_j) over all basis pairs, by matrix products."""
+    n, dim, prod = ctx.n, ctx.dim, ctx.prod
+    if images is None:
+        def images(i: int) -> ExactMatrix:
+            return ExactMatrix(n, {rho_basis_entry(ctx, i): 1})
+    mats = [images(i) for i in range(dim)]
+    zero = ExactMatrix.zero(n)
+    report = PropertyReport("rho_homomorphism")
+    for i in range(dim):
+        for j in range(dim):
+            k = prod[i * dim + j]
+            if mats[i] * mats[j] != (mats[k] if k >= 0 else zero):
+                report.add("homomorphism", False, witness=(i, j))
+                return report
+    report.add("homomorphism", True)
+    return report
+
+
+def oracle_augmented_relations(ctx, pmax: int = yangian.MAX_LEVEL) -> PropertyReport:
+    n = ctx.n
+    report = PropertyReport("augmented_relations")
+    w_mats = [yb.rho(ctx, ctx.w(a)) for a in range(n)]
+    e_mats = [yb.rho(ctx, ctx.h(c)) for c in range(n)]
+    img = partial(yangian._eval_image, n)
+    sigma = ctx.sigma
+
+    w = next(((p, a, b, c) for p in range(pmax + 1) for a, b, c in product(range(n), repeat=3)
+              if w_mats[a] * img(p, b, c) != img(p, sigma[a][b], sigma[a][c]) * w_mats[a]), None)
+    report.add("w_exchange", w is None, witness=w)
+
+    w = next(((p, a, b) for p in range(pmax + 1) for a, b in product(range(n), repeat=2)
+              if e_mats[b] * img(p, a, b) != img(p, a, b) * e_mats[a]), None)
+    report.add("h_transport", w is None, witness=w)
+
+    zero = ExactMatrix.zero(n)
+    w = next(((p, a, b, c) for p in range(1, max(pmax, 1) + 1)
+              for a, b, c in product(range(n), repeat=3) if c not in (a, b)
+              and (e_mats[c] * img(p, a, b) != zero or img(p, a, b) * e_mats[c] != zero)), None)
+    report.add("h_annihilation", w is None, witness=w)
+    return report
+
+
+def oracle_kron(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    out = {}
+    for (r1, c1), v1 in a.coeffs.items():
+        for (r2, c2), v2 in b.coeffs.items():
+            out[(r1 * b.dim + r2, c1 * b.dim + c2)] = v1 * v2
+    return ExactMatrix(a.dim * b.dim, out)
+
+
+def oracle_adjudication(ctx, max_level: int = 2) -> PropertyReport:
+    """The four range comparisons of the twisted-coproduct adjudication, by
+    ExactMatrix sums of Kronecker products conjugated by F."""
+    n = ctx.n
+    dim = n * n
+    e_mats = [yb.rho(ctx, ctx.h(c)) for c in range(n)]
+    w_mats = [yb.rho(ctx, ctx.w(g)) for g in range(n)]
+    w_inv_mats = [yb.rho(ctx, ctx.w_inv(g)) for g in range(n)]
+    f_mat = yb.twist_matrix(ctx)
+    f_inv_mat = yb.rho(ctx, ctx.twist_inv)
+    img = partial(yangian._eval_image, n)
+
+    def delta_image(m, a, b, kmin):
+        acc = ExactMatrix.zero(dim)
+        for k in range(kmin, m + 1):
+            for c in range(n):
+                acc = acc + oracle_kron(img(k, c, b), img(m - k, a, c))
+        return acc
+
+    def display_image(m, a, b, kmin):
+        acc = ExactMatrix.zero(dim)
+        for k in range(kmin, m + 1):
+            for c in range(n):
+                left = img(k, c, b) * e_mats[c]
+                right = w_inv_mats[b] * img(m - k, a, c) * w_mats[c]
+                acc = acc + oracle_kron(left, right)
+        return acc
+
+    comparisons = {
+        "display_1m_vs_conjugated_standard": (1, 0),
+        "display_0m_vs_conjugated_standard": (0, 0),
+        "display_1m_vs_conjugated_truncated": (1, 1),
+        "display_0m_vs_conjugated_truncated": (0, 1),
+    }
+    results: dict = {name: set() for name in comparisons}
+    for m in range(1, max_level + 1):
+        for a in range(n):
+            for b in range(n):
+                disp = {kmin: display_image(m, a, b, kmin) for kmin in (0, 1)}
+                conj = {kmin: f_mat * delta_image(m, a, b, kmin) * f_inv_mat for kmin in (0, 1)}
+                for name, (disp_kmin, delta_kmin) in comparisons.items():
+                    results[name].add(disp[disp_kmin] == conj[delta_kmin])
+    outcomes = {name: seen.pop() if len(seen) == 1 else "mixed" for name, seen in results.items()}
+    if outcomes["display_1m_vs_conjugated_truncated"] is True:
+        conclusion = (
+            "the displayed k=1..m formula equals the conjugation of the k=1..m coproduct; "
+            + ("the k=0..m display also reproduces the standard-range conjugation"
+               if outcomes["display_0m_vs_conjugated_standard"] is True
+               else "under the standard k=0..m coproduct neither displayed range matches"))
+    else:
+        conclusion = "no displayed range reproduces any conjugation baseline"
+    report = PropertyReport("twisted_coproduct_adjudication")
+    report.add("adjudication", "mixed" not in outcomes.values(),
+               detail={**outcomes, "conclusion": conclusion, "max_level": max_level})
+    return report
 
 
 # The n-only yangian checks, tuple by tuple.  Each reads the module

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
 
 import ybtwist as yb
 from conftest import oracle_associativity_witness, oracle_product_rule
-from ybtwist import jsonio
+from ybtwist import algebra, jsonio
 from ybtwist.algebra import (
     AlgebraContext,
     _groupoid_product,
@@ -325,7 +327,7 @@ def test_quasitriangularity_counit_laws_witness(z4_radical_ctx, monkeypatch):
     coeffs[max(k for k in coeffs if k[0] // n == 0)] = 2
     coeffs[min(k for k in coeffs if k[1] // n == 0 and k[0] // n != 0)] = 3
     bad = ctx.tensor(2, coeffs)
-    monkeypatch.setattr(ctx, "twisted_r_matrix", bad)
+    monkeypatch.setattr(ctx, "_twisted_r", coeffs)  # the cached terms behind twisted_r_matrix
     laws = yb.verify_quasitriangularity(ctx).check("counit_laws")
     assert not laws.passed
     first = first_diff(counit_slot(bad, 0), ctx.one())
@@ -432,7 +434,7 @@ def test_nfold_twist_corrupted_twist(z4_radical_ctx, monkeypatch, k):
     coeffs = dict(ctx.twist.coeffs)
     key = sorted(coeffs)[2]
     coeffs[key] = -coeffs[key]
-    monkeypatch.setattr(ctx, "twist", ctx.tensor(2, coeffs))
+    monkeypatch.setattr(ctx, "_twist", coeffs)  # the cached terms behind ctx.twist
     built, report = nfold_twist(ctx, k)
     # the true twist passes, so its k-fold twist is the closed form
     closed, _ = nfold_twist(z4_radical_ctx, k)
@@ -446,3 +448,28 @@ def test_nfold_twist_corrupted_twist(z4_radical_ctx, monkeypatch, k):
 def test_nfold_twist_guards(z4_radical_ctx):
     with pytest.raises(yb.LimitExceeded):
         nfold_twist(z4_radical_ctx, 5)
+
+
+@pytest.mark.parametrize("which", ["z4_radical", "z6_brace"])
+def test_finished_context_is_freed_without_cyclic_gc(request, monkeypatch, which):
+    # no cached object of a context points back at it, so reference counting
+    # frees it as soon as run_suites returns
+    brace = request.getfixturevalue(which)
+    built = []
+
+    class Recorded(AlgebraContext):
+        def __init__(self, b):
+            super().__init__(b)
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(algebra, "AlgebraContext", Recorded)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        checks = run_suites(brace, "all", {"universal": 6})
+        alive = [ref() is not None for ref in built]
+    finally:
+        if enabled:
+            gc.enable()
+    assert all(c["status"] == "pass" for c in checks if c["name"].startswith("universal."))
+    assert alive == [False]

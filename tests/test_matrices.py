@@ -353,3 +353,11 @@ def test_embed_legs_rejects_wrong_dimension():
     with pytest.raises(yb.ValidationFailure) as exc:
         embed_legs(ExactMatrix(8, {(7, 7): 1}), 2, 3, (0, 1))
     assert (exc.value.kind, exc.value.witness) == ("dim_mismatch", (8, 4))
+
+
+@pytest.mark.parametrize("legs_map, length", [([1, 0], 2), (list(range(8)), 8)])
+def test_on_legs_rejects_wrong_map_length(legs_map, length):
+    # two n = 2 legs take a column -> row list of length 4, neither shorter nor longer
+    with pytest.raises(yb.ValidationFailure) as exc:
+        _on_legs(legs_map, 2, 2, (0, 1))
+    assert (exc.value.kind, exc.value.witness) == ("dim_mismatch", (length, 4))

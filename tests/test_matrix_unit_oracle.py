@@ -1,0 +1,142 @@
+"""The per-brace matrix-unit identities on indices, against their ExactMatrix oracles.
+
+``rho_is_homomorphism``, ``check_augmented_relations`` and
+``adjudicate_twisted_coproduct`` decide their identities by index arithmetic
+on matrix units and permutations.  Their oracles in ``conftest.py`` multiply
+the same matrices as ``ExactMatrix`` products.  The two routes must give equal
+reports (names, verdicts, witnesses, detail) on every context of orders 1-5,
+on a seeded sample of order-6 contexts (half with non-abelian addition), and
+under corrupted representations, products and sigma tables.
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+import ybtwist as yb
+from conftest import oracle_adjudication, oracle_augmented_relations, oracle_rho_homomorphism
+from ybtwist.matrices import ExactMatrix, rho_basis_entry
+from ybtwist.yangian import adjudicate_twisted_coproduct, check_augmented_relations
+
+ROUTES = {
+    "rho_homomorphism": (yb.rho_is_homomorphism, oracle_rho_homomorphism),
+    "augmented_relations": (check_augmented_relations, oracle_augmented_relations),
+    "adjudication": (lambda ctx: adjudicate_twisted_coproduct(ctx, 2),
+                     lambda ctx: oracle_adjudication(ctx, 2)),
+}
+
+
+def _contexts(braces):
+    out = []
+    for b in braces:
+        try:
+            out.append(yb.algebra_from_brace(b))
+        except yb.ValidationFailure:
+            pass  # tau does not derive for 80 order-6 braces with non-abelian addition
+    return out
+
+
+@pytest.fixture(scope="module")
+def contexts():
+    """Every context of orders 1-5 and 24 seeded order-6 ones, 12 with non-abelian addition."""
+    small = _contexts(b for n in range(1, 6) for b in yb.enumerate_braces(n))
+    six = _contexts(yb.enumerate_braces(6))
+    rng = random.Random(17)
+    sample = (rng.sample([c for c in six if c.is_brace], 12)
+              + rng.sample([c for c in six if not c.is_brace], 12))
+    return small + sample
+
+
+def outcome(fn, *args, **kwargs):
+    """The report of fn, or the kind and witness of the exception it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except (yb.ValidationFailure, yb.CheckFailed) as exc:
+        return type(exc).__name__, exc.kind, exc.witness
+
+
+def test_sample_covers_both_additions(contexts):
+    assert len(contexts) == 19 + 24
+    assert sum(not c.is_brace for c in contexts) == 12
+
+
+@pytest.mark.parametrize("name", sorted(ROUTES))
+def test_index_route_matches_oracle(contexts, name):
+    route, oracle = ROUTES[name]
+    for ctx in contexts:
+        report = route(ctx)
+        assert report == oracle(ctx), (ctx.brace.n, ctx.brace.add.table, ctx.brace.mul.table)
+        assert report.ok
+
+
+def transposed(ctx):
+    def images(i):
+        r, c = rho_basis_entry(ctx, i)
+        return ExactMatrix(ctx.n, {(c, r): 1})
+    return images
+
+
+def scaled(ctx, at):
+    def images(i):
+        return (2 if i == at else 1) * ExactMatrix(ctx.n, {rho_basis_entry(ctx, i): 1})
+    return images
+
+
+def test_transposed_images_match_oracle(contexts):
+    failed = 0
+    for ctx in contexts:
+        report = yb.rho_is_homomorphism(ctx, images=transposed(ctx))
+        assert report == oracle_rho_homomorphism(ctx, images=transposed(ctx))
+        failed += not report.ok
+    assert failed > 0
+
+
+def test_scaled_image_matches_oracle(contexts):
+    for ctx in contexts:
+        for at in {0, ctx.n + 1, ctx.dim - 1} & set(range(ctx.dim)):
+            report = yb.rho_is_homomorphism(ctx, images=scaled(ctx, at))
+            assert report == oracle_rho_homomorphism(ctx, images=scaled(ctx, at))
+            assert not report.ok
+
+
+def test_corrupted_product_entry_matches_oracle(contexts, monkeypatch):
+    rng = random.Random(5)
+    for ctx in contexts:
+        if ctx.dim == 1:
+            continue
+        for _ in range(3):
+            bad = list(ctx.prod)
+            x = rng.randrange(len(bad))
+            bad[x] = -1 if bad[x] >= 0 else rng.randrange(ctx.dim)
+            monkeypatch.setattr(ctx, "prod", bad)
+            report = yb.rho_is_homomorphism(ctx)
+            assert report == oracle_rho_homomorphism(ctx)
+            assert not report.ok
+            monkeypatch.undo()
+
+
+def test_corrupted_sigma_matches_oracle(z4_radical):
+    # the control of test_augmented_relations_corrupted_sigma: sigma_1 is no
+    # longer a permutation, while rho still reads the true ends
+    ctx = yb.algebra_from_brace(z4_radical)
+    bad = [list(row) for row in ctx.sigma]
+    bad[1] = [0, 1, 2, 1]
+    ctx.sigma = tuple(tuple(r) for r in bad)
+    for name, (route, oracle) in ROUTES.items():
+        assert outcome(route, ctx) == outcome(oracle, ctx), name
+    assert not check_augmented_relations(ctx).check("w_exchange").passed
+    assert outcome(adjudicate_twisted_coproduct, ctx)[:2] == ("CheckFailed", "representation_mismatch")
+
+
+@pytest.mark.parametrize("image", [ExactMatrix(4, {}), ExactMatrix(4, {(0, 0): 1, (1, 1): 1})])
+def test_image_that_is_not_a_matrix_unit_is_rejected(z4_radical_ctx, image):
+    ctx = z4_radical_ctx
+
+    def images(i):
+        return image if i == 3 else ExactMatrix(ctx.n, {rho_basis_entry(ctx, i): 1})
+
+    with pytest.raises(yb.ValidationFailure) as exc:
+        yb.rho_is_homomorphism(ctx, images=images)
+    assert (exc.value.kind, exc.value.witness) == ("not_a_matrix_unit", 3)
