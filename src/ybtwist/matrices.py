@@ -4,10 +4,13 @@ Every matrix is one ``ExactMatrix``: a ``Sparse`` combination whose
 ``coeffs`` map (row, col) to exact entries, integers, ``Fraction``s or
 ``BivarPoly`` polynomials in the spectral parameters.  A permutation
 matrix is an ``ExactMatrix`` whose entries are 1; where a check composes
-many of them it works on their column -> row lists.  Tensor-leg embeddings
-are done by one additive index map, ``_placements``, never by materializing
-Kronecker factors: ``embed_legs`` places a matrix and ``_on_legs`` a column ->
-row list on any tuple of distinct legs, leg 0 the most significant digit.
+permutations it works on their column -> row lists, and ``_on_legs`` is the
+only code that places a list on tensor legs: any tuple of distinct legs, leg 0
+the most significant digit, by one additive index map.  Every matrix identity
+of a combinatorial solution and every pole-cleared RTT identity is a product
+of weighted permutation sums, ``_product``: it expands one term per factor,
+multiplies only the weights, and adds each path's weight at the entries of its
+composed permutation.
 ``rho`` represents an algebra tensor of any order, one n-dimensional leg per
 tensor leg, and is the only route from the algebra into matrices; a basis
 element goes to the matrix unit e_{target, source}, so ``rho_is_homomorphism``
@@ -86,10 +89,11 @@ class ExactMatrix(Sparse):
 
 
 def _as_mapping(m: ExactMatrix) -> list[int]:
-    """Column -> row list of a 0/1 matrix; requires exactly one entry per column."""
+    """Column -> row list of a 0/1 matrix: exactly one entry per column, equal to 1,
+    else CheckFailed("not_column_functional", column)."""
     col_to_row = [-1] * m.dim
-    for r, c in m.coeffs:
-        if col_to_row[c] != -1:
+    for (r, c), v in m.coeffs.items():
+        if v != 1 or col_to_row[c] != -1:
             raise CheckFailed("not_column_functional", c)
         col_to_row[c] = r
     if -1 in col_to_row:
@@ -102,43 +106,31 @@ def flip_matrix(n: int) -> ExactMatrix:
     return ExactMatrix(n * n, {(i * n + j, j * n + i): 1 for i in range(n) for j in range(n)})
 
 
-def _placements(n: int, k: int, legs) -> tuple[list[int], list[int]]:
-    """(on, off): the k-leg index whose digits on ``legs`` spell s, and whose other
-    digits spell o, is on[s] + off[o]; leg 0 is the most significant base-n digit.
-    Repeated or out-of-range legs raise ValidationFailure("bad_legs")."""
-    _check_legs(legs, k)
-    maps = []
-    for part in (legs, [leg for leg in range(k) if leg not in legs]):
-        index = [0]
-        for leg in part:
-            index = [i + d * n ** (k - 1 - leg) for i in index for d in range(n)]
-        maps.append(index)
-    return maps[0], maps[1]
+def _product(n: int, k: int, *factors) -> ExactMatrix:
+    """The product, left to right, of weighted permutation sums on the n^k space.
 
-
-def embed_legs(m: ExactMatrix, n: int, k: int, legs: tuple[int, ...]) -> ExactMatrix:
-    """Place a matrix acting on len(legs) n-dimensional legs into a k-leg space.
-
-    The matrix dimension must be n^len(legs) ("dim_mismatch"); rows and columns
-    are identified with base-n digit strings and the free legs carry the identity.
+    Each factor is (terms, legs): a list of (weight, column -> row list) pairs
+    acting on the distinct ``legs``, placed by ``_on_legs``.  The product is
+    expanded over one term per factor: each path's weight product is formed
+    once and added at the entries of its composed permutation.
     """
-    on, off = _placements(n, k, legs)
-    if m.dim != len(on):
-        raise ValidationFailure("dim_mismatch", (m.dim, len(on)))
-    out: dict = {}
-    for (row, col), v in m.coeffs.items():
-        r, c = on[row], on[col]
-        for o in off:
-            out[(r + o, c + o)] = v
-    return ExactMatrix(n ** k, out)
+    paths = [(1, range(n ** k))]
+    for terms, legs in factors:
+        placed = [(w, _on_legs(p, n, k, legs)) for w, p in terms]
+        paths = [(v * w, [comp[x] for x in p]) for v, comp in paths for w, p in placed]
+    acc: dict = {}
+    for v, comp in paths:
+        for c, r in enumerate(comp):
+            acc[(r, c)] = acc.get((r, c), 0) + v
+    return ExactMatrix(n ** k, acc)
 
 
-def _ybe_sides(x: ExactMatrix, y: ExactMatrix, z: ExactMatrix, n: int) -> tuple:
-    """X12 Y13 Z23 and Z23 Y13 X12 on the three-leg n^3 space, for two-leg x, y, z."""
-    x12 = embed_legs(x, n, 3, (0, 1))
-    y13 = embed_legs(y, n, 3, (0, 2))
-    z23 = embed_legs(z, n, 3, (1, 2))
-    return x12 * y13 * z23, z23 * y13 * x12
+def _two_leg_map(m: ExactMatrix) -> tuple[int, list[int]]:
+    """(n, column -> row list) of a combinatorial matrix on the n^2 space."""
+    n = isqrt(m.dim)
+    if n * n != m.dim:
+        raise LimitExceeded(f"dimension {m.dim} is not a perfect square")
+    return n, _as_mapping(m)
 
 
 # --------------------------------------------------- fundamental representation
@@ -229,40 +221,32 @@ def braid_matrix(m: YBMap) -> ExactMatrix:
     n = m.n
     braid = ExactMatrix(n * n, {(m.sigma[a][b] * n + m.tau[b][a], a * n + b): 1
                                 for a in range(n) for b in range(n)})
-    if braid != flip_matrix(n) * ExactMatrix(n * n, _solution_entries(m)):
+    flip, r = (_as_mapping(x) for x in (flip_matrix(n), ExactMatrix(n * n, _solution_entries(m))))
+    if braid != _product(n, 2, ([(1, flip)], (0, 1)), ([(1, r)], (0, 1))):
         raise CheckFailed("bridge_mismatch")
     return braid
 
 
 def check_combinatorial(mat: ExactMatrix) -> bool:
     """Exactly one entry per row and per column, every entry equal to 1."""
-    dim = mat.dim
-    if len(mat.coeffs) != dim:
+    try:
+        return len(set(_as_mapping(mat))) == mat.dim
+    except CheckFailed:
         return False
-    rows, cols = set(), set()
-    for (r, c), v in mat.coeffs.items():
-        if v != 1:
-            return False
-        rows.add(r)
-        cols.add(c)
-    return len(rows) == dim and len(cols) == dim
 
 
 def check_reversibility(m: ExactMatrix) -> bool:
-    """R . (P R P) = identity on the two-leg space."""
-    n = isqrt(m.dim)
-    if n * n != m.dim:
-        raise LimitExceeded(f"dimension {m.dim} is not a perfect square")
-    return m * embed_legs(m, n, 2, (1, 0)) == ExactMatrix.identity(m.dim)
+    """R . (P R P) = identity on the two-leg space, for a combinatorial R."""
+    n, r = _two_leg_map(m)
+    return _product(n, 2, ([(1, r)], (0, 1)), ([(1, r)], (1, 0))) == ExactMatrix.identity(m.dim)
 
 
 def check_matrix_ybe(m: ExactMatrix) -> PropertyReport:
-    """R12 R13 R23 = R23 R13 R12 on the three-leg space, entry-exactly."""
-    n = isqrt(m.dim)
-    if n * n != m.dim:
-        raise LimitExceeded(f"dimension {m.dim} is not a perfect square")
+    """R12 R13 R23 = R23 R13 R12 on the three-leg space, entry-exactly, for a combinatorial R."""
+    n, r = _two_leg_map(m)
+    r12, r13, r23 = (([(1, r)], legs) for legs in ((0, 1), (0, 2), (1, 2)))
     report = PropertyReport("matrix_ybe")
-    report.compare("ybe", *_ybe_sides(m, m, m, n))
+    report.compare("ybe", _product(n, 3, r12, r13, r23), _product(n, 3, r23, r13, r12))
     return report
 
 
@@ -351,9 +335,18 @@ def nfold_twist_matrix(ctx: AlgebraContext, k: int) -> tuple[ExactMatrix, Proper
 
 def _on_legs(legs_map: list[int], n: int, k: int, legs) -> list[int]:
     """``legs_map``, a column -> row list on the distinct ``legs``, as one on all k
-    legs that is the identity on the others; its length must be n^len(legs)
-    ("dim_mismatch")."""
-    on, off = _placements(n, k, legs)
+    legs that is the identity on the others.  The k-leg index whose digits on
+    ``legs`` spell s, and whose other digits spell o, is on[s] + off[o], leg 0 the
+    most significant base-n digit.  A repeated or out-of-range leg raises
+    ValidationFailure("bad_legs"), a map whose length is not n^len(legs) "dim_mismatch"."""
+    _check_legs(legs, k)
+    maps = []
+    for part in (legs, [leg for leg in range(k) if leg not in legs]):
+        index = [0]
+        for leg in part:
+            index = [i + d * n ** (k - 1 - leg) for i in index for d in range(n)]
+        maps.append(index)
+    on, off = maps
     if len(legs_map) != len(on):
         raise ValidationFailure("dim_mismatch", (len(legs_map), len(on)))
     out = [0] * n ** k

@@ -2,16 +2,17 @@
 representation, the rational R-matrix, twisted R and L operators, and the
 symbolic coproduct/antipode series of the level generators.
 
-R = 1 + P/(lambda1 - lambda2), L = 1 + P/(lambda - 1), R^F and L^F each have
-one known scalar pole.  Every operator is multiplied by its own pole, so an
-identity between products of them becomes an identity between
-integer-coefficient polynomial matrices (``ExactMatrix`` over ``BivarPoly``)
-with the same non-zero scalar on both sides, and is decided by exact
-coefficient comparison; a failure's witness is the first differing entry
-(``PropertyReport.compare``).  The three-leg identities (RTT and twisted RTT)
-share one product, ``matrices._ybe_sides``, and the evaluation images of the
-level generators are built once per process (``_eval_image``).  Symbolic
-identities live in the free noncommutative algebra.
+R = 1 + P/(lambda1 - lambda2), L = 1 + P/(lambda - 1), R^F = r + P/(lambda1 -
+lambda2) and L^F = r + P/(lambda - 1), r a permutation, each have one known
+scalar pole.  Times its pole, each is two weighted permutations (``_cleared``),
+so an identity between products of them is one between integer-coefficient
+polynomial matrices (``ExactMatrix`` over ``BivarPoly``) with the same non-zero
+scalar on both sides.  Each side is one ``matrices._product``, and the sides
+are compared exactly; a failure's witness is the first differing entry
+(``PropertyReport.compare``).  RTT and twisted RTT are one three-leg identity
+(``_rtt_sides``, with a = 1 or a = r).  The evaluation images of the level
+generators are built once per process (``_eval_image``).  Symbolic identities
+live in the free noncommutative algebra.
 
 The augmented relations and the twisted-coproduct adjudication multiply only
 matrix units and permutations, so they are decided on {(row, col): coefficient}
@@ -37,8 +38,8 @@ from operator import ne
 
 from .algebra import AlgebraContext
 from .errors import LimitExceeded
-from .matrices import (ExactMatrix, _as_mapping, _ybe_sides, embed_legs, flip_matrix, rho,
-                       rho_basis_entry, solution_matrix, twist_matrix)
+from .matrices import (ExactMatrix, _as_mapping, _product, flip_matrix, rho, rho_basis_entry,
+                       solution_matrix, twist_matrix)
 from .ncpoly import _word, antipode_table, coproduct_gen, gen, tensor_coproduct
 from .rational import BivarPoly
 from .reports import PropertyReport
@@ -51,19 +52,22 @@ def _spacing() -> BivarPoly:
     return BivarPoly.var(0) - BivarPoly.var(1)
 
 
-def _cleared(pole: BivarPoly, a: ExactMatrix, n: int) -> ExactMatrix:
-    """pole . a + P on the n^2 space: an RTT operator a + P / pole, times its pole.
+def _cleared(pole: BivarPoly, a, n: int) -> list:
+    """The terms of pole . a + P, the RTT operator a + P / pole times its pole, for
+    a column -> row list a on the n^2 space.  P weighs the constant polynomial 1,
+    so every entry of a cleared operator is a ``BivarPoly`` callers can evaluate."""
+    if n < 1:
+        raise LimitExceeded("n must be at least 1")
+    return [(pole, a), (BivarPoly.const(1), _as_mapping(flip_matrix(n)))]
 
-    R, L, R^F and L^F all take this form.  The flip P gets constant-polynomial
-    entries, so every entry of a cleared operator is a ``BivarPoly`` callers
-    can evaluate.
-    """
-    return pole * a + BivarPoly.const(1) * flip_matrix(n)
 
-
-def _l_cleared(n: int, var: int, shift: int = 1) -> ExactMatrix:
-    """(lambda_var - shift) L = (lambda_var - shift) 1 + P on the (auxiliary, quantum) legs."""
-    return _cleared(BivarPoly.var(var) - shift, ExactMatrix.identity(n * n), n)
+def _rtt_sides(n: int, a, shift: int = 1) -> tuple[ExactMatrix, ExactMatrix]:
+    """R12 L1 L2 and L2 L1 R12 on the n^3 space, leg 2 the quantum one, for R = a + P/(l1 - l2)
+    and L_i = a + P/(l_i - 1), each times its pole; L1's pole is l1 - ``shift``."""
+    r = (_cleared(_spacing(), a, n), (0, 1))
+    l1 = (_cleared(BivarPoly.var(0) - shift, a, n), (0, 2))
+    l2 = (_cleared(BivarPoly.var(1) - 1, a, n), (1, 2))
+    return _product(n, 3, r, l1, l2), _product(n, 3, l2, l1, r)
 
 
 def _patterns(n: int, k: int) -> list[tuple[tuple[int, ...], int]]:
@@ -94,9 +98,7 @@ def yangian_r(n: int) -> ExactMatrix:
 
     R(lambda1, lambda2) = 1 + P / (lambda1 - lambda2), carrying its pole as a factor.
     """
-    if n < 1:
-        raise LimitExceeded("n must be at least 1")
-    return _cleared(_spacing(), ExactMatrix.identity(n * n), n)
+    return _product(n, 2, (_cleared(_spacing(), range(n * n), n), (0, 1)))
 
 
 def unitarity_report(n: int) -> PropertyReport:
@@ -105,7 +107,8 @@ def unitarity_report(n: int) -> PropertyReport:
     With the poles cleared, u = lambda1 - lambda2: (u 1 + P) P (-u 1 + P) P = (1 - u^2) . 1.
     """
     u = _spacing()
-    lhs = yangian_r(n) * embed_legs(_cleared(-u, ExactMatrix.identity(n * n), n), n, 2, (1, 0))
+    lhs = _product(n, 2, (_cleared(u, range(n * n), n), (0, 1)),
+                   (_cleared(-u, range(n * n), n), (1, 0)))
     report = PropertyReport("unitarity")
     report.compare("unitarity", lhs, (1 - u * u) * ExactMatrix.identity(n * n))
     return report
@@ -210,9 +213,9 @@ def check_rtt(n: int, corrupt_shift: int | None = None) -> PropertyReport:
     both sides are the rational identity times (l1 - l2)(l1 - 1)(l2 - 1).
     ``corrupt_shift`` replaces the pole of the first L leg (negative control).
     """
-    l1 = _l_cleared(n, 0, corrupt_shift if corrupt_shift is not None else 1)
     report = PropertyReport("rtt")
-    report.compare("rtt", *_ybe_sides(yangian_r(n), l1, _l_cleared(n, 1), n))
+    shift = 1 if corrupt_shift is None else corrupt_shift
+    report.compare("rtt", *_rtt_sides(n, range(n * n), shift))
     return report
 
 
@@ -277,7 +280,8 @@ def twisted_r_lambda(ctx: AlgebraContext) -> ExactMatrix:
 
     R^F(lambda) = r + P / (lambda1 - lambda2), carrying its pole as a factor.
     """
-    return _cleared(_spacing(), solution_matrix(ctx), ctx.n)
+    r = _as_mapping(solution_matrix(ctx))
+    return _product(ctx.n, 2, (_cleared(_spacing(), r, ctx.n), (0, 1)))
 
 
 def twisted_l(ctx: AlgebraContext, var: int = 0) -> ExactMatrix:
@@ -289,7 +293,8 @@ def twisted_l(ctx: AlgebraContext, var: int = 0) -> ExactMatrix:
     rho(F^op F^{-1}) = r.  ``check_twisted_rtt`` checks the same conjugation
     for R^F.
     """
-    return _cleared(BivarPoly.var(var) - 1, solution_matrix(ctx), ctx.n)
+    r = _as_mapping(solution_matrix(ctx))
+    return _product(ctx.n, 2, (_cleared(BivarPoly.var(var) - 1, r, ctx.n), (0, 1)))
 
 
 def check_twisted_rtt(ctx: AlgebraContext) -> PropertyReport:
@@ -300,13 +305,14 @@ def check_twisted_rtt(ctx: AlgebraContext) -> PropertyReport:
       (b) R^F_12(l1 - l2) L^F_1(l1) L^F_2(l2) = L^F_2(l2) L^F_1(l1) R^F_12(l1 - l2)
           (times (l1 - l2)(l1 - 1)(l2 - 1)).
     """
-    n = ctx.n
+    n, u = ctx.n, _spacing()
+    r = _as_mapping(solution_matrix(ctx))
+    f, f_inv = _as_mapping(twist_matrix(ctx)), _as_mapping(rho(ctx, ctx.twist_inv))
     report = PropertyReport("twisted_rtt")
-
-    rf = twisted_r_lambda(ctx)
-    f_op = embed_legs(twist_matrix(ctx), n, 2, (1, 0))
-    report.compare("conjugation_form", rf, f_op * yangian_r(n) * rho(ctx, ctx.twist_inv))
-    report.compare("twisted_rtt", *_ybe_sides(rf, twisted_l(ctx, 0), twisted_l(ctx, 1), n))
+    report.compare("conjugation_form", _product(n, 2, (_cleared(u, r, n), (0, 1))),
+                   _product(n, 2, ([(1, f)], (1, 0)), (_cleared(u, range(n * n), n), (0, 1)),
+                            ([(1, f_inv)], (0, 1))))
+    report.compare("twisted_rtt", *_rtt_sides(n, r))
     return report
 
 

@@ -15,14 +15,20 @@ the groupoid ends, and associativity is the full triple scan
 premise fails.  The per-brace matrix-unit identities (rho's homomorphism law,
 the augmented relations, the twisted-coproduct adjudication) are decided by
 ``ExactMatrix`` products and Kronecker products, where the library relabels
-indices.  They are the reference the fast implementations are checked
-against.
+indices.  The permutation and RTT identities (matrix YBE, reversibility, the
+braid bridge, unitarity, RTT and twisted RTT) are decided by ``ExactMatrix``
+products of the materialised operators, where the library multiplies only the
+weights of permutation paths.  The Guarnieri-Vendramin solution
+(``oracle_gv_tau``) is read off the raw brace tables.  They are the reference
+the fast implementations are checked against.
 """
 
 from __future__ import annotations
 
+import random
 from functools import partial
 from itertools import permutations, product
+from math import isqrt
 from operator import ne
 
 import pytest
@@ -31,6 +37,7 @@ import ybtwist as yb
 from ybtwist import yangian
 from ybtwist.matrices import ExactMatrix, rho_basis_entry
 from ybtwist.ncpoly import NCTensor, gen
+from ybtwist.rational import BivarPoly
 from ybtwist.reports import PropertyReport
 
 
@@ -336,6 +343,100 @@ def oracle_adjudication(ctx, max_level: int = 2) -> PropertyReport:
     return report
 
 
+# The permutation and RTT identities by ExactMatrix products of the
+# materialised operators, each placed on its legs by ``oracle_embed_legs``.
+# ``oracle_twisted_rtt`` reads ``yangian.solution_matrix`` and
+# ``yangian.twist_matrix`` at call time, so a test that patches one patches the
+# library check and its oracle alike.
+
+
+def oracle_flip(n: int) -> ExactMatrix:
+    return ExactMatrix(n * n, {(a * n + b, b * n + a): 1 for a in range(n) for b in range(n)})
+
+
+def oracle_cleared(pole, a: ExactMatrix, n: int) -> ExactMatrix:
+    """pole . a + P: the RTT operator a + P / pole times its pole, P with
+    constant-polynomial entries."""
+    return pole * a + BivarPoly.const(1) * oracle_flip(n)
+
+
+def oracle_three_leg_sides(x: ExactMatrix, y: ExactMatrix, z: ExactMatrix, n: int) -> tuple:
+    """X12 Y13 Z23 and Z23 Y13 X12 on the n^3 space, for two-leg x, y, z."""
+    x12, y13, z23 = (oracle_embed_legs(m, n, 3, legs)
+                     for m, legs in ((x, (0, 1)), (y, (0, 2)), (z, (1, 2))))
+    return x12 * y13 * z23, z23 * y13 * x12
+
+
+def _spacing() -> BivarPoly:
+    return BivarPoly.var(0) - BivarPoly.var(1)
+
+
+def oracle_unitarity_report(n: int) -> PropertyReport:
+    u, one = _spacing(), ExactMatrix.identity(n * n)
+    lhs = oracle_cleared(u, one, n) * oracle_embed_legs(oracle_cleared(-u, one, n), n, 2, (1, 0))
+    report = PropertyReport("unitarity")
+    report.compare("unitarity", lhs, (1 - u * u) * one)
+    return report
+
+
+def oracle_rtt(n: int, corrupt_shift: int | None = None) -> PropertyReport:
+    one = ExactMatrix.identity(n * n)
+    shift = 1 if corrupt_shift is None else corrupt_shift
+    report = PropertyReport("rtt")
+    report.compare("rtt", *oracle_three_leg_sides(
+        oracle_cleared(_spacing(), one, n), oracle_cleared(BivarPoly.var(0) - shift, one, n),
+        oracle_cleared(BivarPoly.var(1) - 1, one, n), n))
+    return report
+
+
+def oracle_twisted_rtt(ctx) -> PropertyReport:
+    """R^F = F^op R F^{-1}, and R^F_12 L^F_1 L^F_2 = L^F_2 L^F_1 R^F_12, poles cleared."""
+    n, u = ctx.n, _spacing()
+    r = yangian.solution_matrix(ctx)
+    rf = oracle_cleared(u, r, n)
+    f_op = oracle_embed_legs(yangian.twist_matrix(ctx), n, 2, (1, 0))
+    r_plain = oracle_cleared(u, ExactMatrix.identity(n * n), n)
+    report = PropertyReport("twisted_rtt")
+    report.compare("conjugation_form", rf, f_op * r_plain * yb.rho(ctx, ctx.twist_inv))
+    report.compare("twisted_rtt", *oracle_three_leg_sides(
+        rf, oracle_cleared(BivarPoly.var(0) - 1, r, n),
+        oracle_cleared(BivarPoly.var(1) - 1, r, n), n))
+    return report
+
+
+def oracle_matrix_ybe(m: ExactMatrix) -> PropertyReport:
+    report = PropertyReport("matrix_ybe")
+    report.compare("ybe", *oracle_three_leg_sides(m, m, m, isqrt(m.dim)))
+    return report
+
+
+def oracle_reversibility(m: ExactMatrix) -> bool:
+    """R . (P R P) = 1, the flip conjugation placed digit by digit."""
+    return m * oracle_embed_legs(m, isqrt(m.dim), 2, (1, 0)) == ExactMatrix.identity(m.dim)
+
+
+def oracle_braid_matrix(m) -> ExactMatrix:
+    """e_a (x) e_b -> e_{sigma_a(b)} (x) e_{tau_b(a)}, required to equal P . R."""
+    n, s, t = m.n, m.sigma, m.tau
+    pairs = list(product(range(n), repeat=2))
+    braid = ExactMatrix(n * n, {(s[a][b] * n + t[b][a], a * n + b): 1 for a, b in pairs})
+    r = ExactMatrix(n * n, {(b * n + a, s[a][b] * n + t[b][a]): 1 for a, b in pairs})
+    if braid != oracle_flip(n) * r:
+        raise yb.CheckFailed("bridge_mismatch")
+    return braid
+
+
+def oracle_gv_tau(brace) -> tuple[list[list[int]], list[list[int]]]:
+    """(sigma, tau) of the Guarnieri-Vendramin solution, from the raw tables:
+    sigma[a][b] = -a + a o b and tau[b][a] = sigma_a(b)^{-1} o a o b."""
+    n, add, mul = brace.n, brace.add.table, brace.mul.table
+    neg = [add[a].index(0) for a in range(n)]
+    inv = [mul[a].index(0) for a in range(n)]
+    sigma = [[add[neg[a]][mul[a][b]] for b in range(n)] for a in range(n)]
+    tau = [[mul[mul[inv[sigma[a][b]]][a]][b] for a in range(n)] for b in range(n)]
+    return sigma, tau
+
+
 # The n-only yangian checks, tuple by tuple.  Each reads the module
 # attributes ``yangian._eval_image``, ``yangian.coproduct_table`` and
 # ``yangian.tensor_coproduct`` at call time, so a test that patches one
@@ -554,6 +655,33 @@ def order6_nonabelian():
 @pytest.fixture(scope="session")
 def braces_up_to_4():
     return {n: yb.enumerate_braces(n, skew=True) for n in range(1, 5)}
+
+
+@pytest.fixture(scope="session")
+def skew_braces_up_to_6():
+    """All 299 labelled skew braces of orders 1-6, by order."""
+    return {n: yb.enumerate_braces(n, skew=True) for n in range(1, 7)}
+
+
+def _contexts(braces):
+    out = []
+    for b in braces:
+        try:
+            out.append(yb.algebra_from_brace(b))
+        except yb.ValidationFailure:
+            pass  # tau does not derive for 80 order-6 braces with non-abelian addition
+    return out
+
+
+@pytest.fixture(scope="session")
+def contexts(skew_braces_up_to_6):
+    """Every context of orders 1-5 and 24 seeded order-6 ones, 12 with non-abelian addition."""
+    small = _contexts(b for n in range(1, 6) for b in skew_braces_up_to_6[n])
+    six = _contexts(skew_braces_up_to_6[6])
+    rng = random.Random(17)
+    sample = (rng.sample([c for c in six if c.is_brace], 12)
+              + rng.sample([c for c in six if not c.is_brace], 12))
+    return small + sample
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 import ybtwist as yb
-from conftest import oracle_brace_pairs, validated_pairs
+from conftest import oracle_brace_pairs, oracle_gv_tau, validated_pairs
 
 
 def test_trivial_brace_valid(trivial2):
@@ -209,3 +209,30 @@ def test_s3_opposite_skew_brace_degenerate_tau(s3_table):
     with pytest.raises(yb.ValidationFailure) as exc:
         yb.derive_sigma_tau(skew)
     assert exc.value.kind == "tau_not_bijective"
+
+
+def test_gv_solution_satisfies_braid_relation(skew_braces_up_to_6):
+    # the Guarnieri-Vendramin solution is a solution for every skew brace,
+    # including those with non-abelian addition
+    braces = [b for bs in skew_braces_up_to_6.values() for b in bs]
+    assert len(braces) == 299
+    for b in braces:
+        sigma, tau = oracle_gv_tau(b)
+        report = yb.check_braid(yb.YBMap(b.n, sigma, tau))
+        assert report.ok, (b.add.table, b.mul.table, report.failures())
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_derive_sigma_tau_is_the_gv_solution(skew_braces_up_to_6):
+    # today tau_b(a) = sigma^{-1}_{sigma_a(b)}(a) derives on 219 of the 299 and
+    # equals the GV map on the 139 with abelian addition
+    derived = equal = 0
+    for b in (b for bs in skew_braces_up_to_6.values() for b in bs):
+        sigma, tau = oracle_gv_tau(b)
+        try:
+            m = yb.derive_sigma_tau(b)
+        except yb.ValidationFailure:
+            continue
+        derived += 1
+        equal += [list(r) for r in m.sigma] == sigma and [list(r) for r in m.tau] == tau
+    assert (derived, equal) == (299, 299)

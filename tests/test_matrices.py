@@ -10,13 +10,13 @@ from itertools import product as iproduct
 import pytest
 
 import ybtwist as yb
-from conftest import oracle_embed_legs
+from conftest import oracle_embed_legs, oracle_matrix_ybe
 from ybtwist import jsonio, matrices
 from ybtwist.algebra import AlgebraContext, slot_coproduct
 from ybtwist.matrices import (
     ExactMatrix,
     _on_legs,
-    embed_legs,
+    _product,
     flip_matrix,
     nfold_twist_matrix,
     rho_basis_entry,
@@ -76,10 +76,26 @@ def test_matrix_ybe_identity_and_flip():
 
 
 def test_matrix_ybe_negative_control():
-    bad = ExactMatrix(4, {(0, 1): 1, (1, 0): 1, (2, 3): 1, (3, 2): 1, (0, 0): 1})
+    # the permutation swapping e_0 (x) e_0 and e_0 (x) e_1 alone breaks the YBE
+    bad = ExactMatrix(4, {(1, 0): 1, (0, 1): 1, (2, 2): 1, (3, 3): 1})
     report = yb.check_matrix_ybe(bad)
     assert not report.ok
-    assert "entry" in report.checks[0].witness
+    assert report == oracle_matrix_ybe(bad)
+    assert report.checks[0].witness == {"entry": (0, 2), "lhs": "0", "rhs": "1"}
+    assert not yb.check_reversibility(bad)
+
+
+@pytest.mark.parametrize("entries, column", [
+    ({(0, 0): 2, (1, 1): 1, (2, 2): 1, (3, 3): 1}, 0),
+    ({(0, 0): 1, (1, 0): 1, (2, 2): 1, (3, 3): 1}, 0),
+], ids=["entry_2", "two_in_a_column"])
+def test_non_combinatorial_matrix_is_rejected(entries, column):
+    # the matrix checks take a combinatorial solution: one 1 in every column
+    m = ExactMatrix(4, entries)
+    for check in (yb.check_matrix_ybe, yb.check_reversibility):
+        with pytest.raises(yb.CheckFailed) as exc:
+            check(m)
+        assert (exc.value.kind, exc.value.witness) == ("not_column_functional", column)
 
 
 def test_combinatorial_and_reversible(z4_radical_ctx):
@@ -302,18 +318,46 @@ def test_matrix_suite_order6_braces_all_pass():
 
 
 def test_swap_legs_is_flip_conjugation():
-    m = ExactMatrix(4, {(0, 1): 2, (3, 2): 5})
+    # a column -> row list placed on legs (1, 0) is P m P
+    perm = [2, 0, 3, 1]
+    m = ExactMatrix(4, {(t, s): 1 for s, t in enumerate(perm)})
     p = flip_matrix(2)
-    assert embed_legs(m, 2, 2, (1, 0)) == p * m * p
+    swapped = _on_legs(perm, 2, 2, (1, 0))
+    assert ExactMatrix(4, {(t, s): 1 for s, t in enumerate(swapped)}) == p * m * p
 
 
-def _random_entry(rng, ring: str):
+def _random_weight(rng, ring: str):
     v = rng.choice([-3, -2, -1, 1, 2, 5])
     if ring == "fraction":
         return Fraction(v, rng.randint(2, 7))
     if ring == "poly":
         return BivarPoly({(rng.randint(0, 2), rng.randint(0, 2)): v, (0, 0): 1})
     return v
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_product_matches_embedded_matrix_products(k):
+    # three factors, each a sum of one to three weighted permutations on random
+    # distinct legs; the oracle places each sum as a matrix digit by digit and
+    # multiplies the matrices
+    rng = random.Random(10 + k)
+    for n in (1, 2, 3):
+        for ring in ("int", "fraction", "poly"):
+            factors = []
+            for _ in range(3):
+                legs = tuple(rng.sample(range(k), rng.randint(1, k)))
+                dim = n ** len(legs)
+                terms = [(_random_weight(rng, ring), rng.sample(range(dim), dim))
+                         for _ in range(rng.randint(1, 3))]
+                factors.append((terms, legs))
+            expected = ExactMatrix.identity(n ** k)
+            for terms, legs in factors:
+                dim = n ** len(legs)
+                m = ExactMatrix.zero(dim)
+                for w, perm in terms:
+                    m = m + w * ExactMatrix(dim, {(t, s): 1 for s, t in enumerate(perm)})
+                expected = expected * oracle_embed_legs(m, n, k, legs)
+            assert _product(n, k, *factors) == expected
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -324,11 +368,6 @@ def test_leg_placements_match_digit_oracle(k):
         for r in range(1, k + 1):
             dim = n ** r
             for legs in permutations(range(k), r):
-                for ring in ("int", "fraction", "poly"):
-                    cells = rng.sample(range(dim * dim), min(dim * dim, 2 * dim))
-                    m = ExactMatrix(dim, {divmod(x, dim): _random_entry(rng, ring)
-                                          for x in cells})
-                    assert embed_legs(m, n, k, legs) == oracle_embed_legs(m, n, k, legs)
                 perm = list(range(dim))
                 rng.shuffle(perm)
                 placed = _on_legs(perm, n, k, legs)
@@ -338,21 +377,11 @@ def test_leg_placements_match_digit_oracle(k):
 
 
 @pytest.mark.parametrize("legs", [(0, 0), (0, 2), (-1, 0)], ids=["repeated", "past_k", "negative"])
-def test_embed_legs_rejects_bad_legs(legs):
-    # a repeated leg would add two digits' offsets to one index, past the matrix
-    with pytest.raises(yb.ValidationFailure) as exc:
-        embed_legs(ExactMatrix(4, {(3, 3): 1}), 2, 2, legs)
-    assert (exc.value.kind, exc.value.witness) == ("bad_legs", legs)
+def test_on_legs_rejects_bad_legs(legs):
+    # a repeated leg would add two digits' offsets to one index, past the list
     with pytest.raises(yb.ValidationFailure) as exc:
         _on_legs([0, 1, 2, 3], 2, 2, legs)
-    assert exc.value.kind == "bad_legs"
-
-
-def test_embed_legs_rejects_wrong_dimension():
-    # a dim-8 matrix cannot act on two n = 2 legs
-    with pytest.raises(yb.ValidationFailure) as exc:
-        embed_legs(ExactMatrix(8, {(7, 7): 1}), 2, 3, (0, 1))
-    assert (exc.value.kind, exc.value.witness) == ("dim_mismatch", (8, 4))
+    assert (exc.value.kind, exc.value.witness) == ("bad_legs", legs)
 
 
 @pytest.mark.parametrize("legs_map, length", [([1, 0], 2), (list(range(8)), 8)])

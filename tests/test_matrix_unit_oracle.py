@@ -28,27 +28,6 @@ ROUTES = {
 }
 
 
-def _contexts(braces):
-    out = []
-    for b in braces:
-        try:
-            out.append(yb.algebra_from_brace(b))
-        except yb.ValidationFailure:
-            pass  # tau does not derive for 80 order-6 braces with non-abelian addition
-    return out
-
-
-@pytest.fixture(scope="module")
-def contexts():
-    """Every context of orders 1-5 and 24 seeded order-6 ones, 12 with non-abelian addition."""
-    small = _contexts(b for n in range(1, 6) for b in yb.enumerate_braces(n))
-    six = _contexts(yb.enumerate_braces(6))
-    rng = random.Random(17)
-    sample = (rng.sample([c for c in six if c.is_brace], 12)
-              + rng.sample([c for c in six if not c.is_brace], 12))
-    return small + sample
-
-
 def outcome(fn, *args, **kwargs):
     """The report of fn, or the kind and witness of the exception it raises."""
     try:

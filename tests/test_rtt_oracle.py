@@ -16,8 +16,10 @@ from itertools import product
 import pytest
 
 import ybtwist as yb
-from conftest import oracle_embed_legs
-from ybtwist.yangian import _l_cleared, twisted_l, twisted_r_lambda, yangian_r
+from conftest import oracle_embed_legs, oracle_gv_tau
+from ybtwist.matrices import _as_mapping, _product
+from ybtwist.rational import BivarPoly
+from ybtwist.yangian import _cleared, _rtt_sides, twisted_l, twisted_r_lambda, yangian_r
 
 POINTS = [(3, 5), (Fraction(1, 2), -2), (Fraction(7, 3), Fraction(4, 5)), (-1, Fraction(2, 7))]
 
@@ -89,16 +91,6 @@ def evaluated(m, x, y):
     return out
 
 
-def brace_tables(brace):
-    """sigma_a(b) = -a + a o b and tau_b(a) = sigma_a(b)^{-1} o a o b, from the tables."""
-    n = brace.n
-    add_t, neg = brace.add.table, brace.add.inverses
-    circ, circ_inv = brace.mul.table, brace.mul.inverses
-    sigma = [[add_t[neg[a]][circ[a][b]] for b in range(n)] for a in range(n)]
-    tau = [[circ[circ[circ_inv[sigma[a][b]]][a]][b] for a in range(n)] for b in range(n)]
-    return sigma, tau
-
-
 def oracle_r(n, x, y):
     return add(identity(n * n), scale(1 / Fraction(x - y), flip(n)))
 
@@ -110,7 +102,7 @@ def oracle_l(n, z):
 def oracle_twisted(brace, x, y):
     """R^F(x, y) = r + P/(x - y), and L^F(z) = F^op L(z) F^{-1} at z = x and z = y."""
     n = brace.n
-    sigma, tau = brace_tables(brace)
+    sigma, tau = oracle_gv_tau(brace)
     pairs = list(product(range(n), repeat=2))
     r = from_positions(n * n, [(b * n + a, sigma[a][b] * n + tau[b][a]) for a, b in pairs])
     f_op = from_positions(n * n, [(b * n + a, sigma[a][b] * n + a) for a, b in pairs])
@@ -139,8 +131,12 @@ def library_sides(r, l1, l2, n):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_cleared_r_l_and_rtt_match_oracle(n):
-    r, l1, l2 = yangian_r(n), _l_cleared(n, 0), _l_cleared(n, 1)
+    # L is the one-factor product of its cleared terms, as yangian_r is of R's
+    l1, l2 = (_product(n, 2, (_cleared(BivarPoly.var(v) - 1, range(n * n), n), (0, 1)))
+              for v in (0, 1))
+    r = yangian_r(n)
     lhs, rhs = library_sides(r, l1, l2, n)
+    assert _rtt_sides(n, range(n * n)) == (lhs, rhs)
     for x, y in POINTS:
         assert scale(1 / Fraction(x - y), evaluated(r, x, y)) == oracle_r(n, x, y)
         assert scale(1 / Fraction(x - 1), evaluated(l1, x, y)) == oracle_l(n, x)
@@ -171,6 +167,7 @@ def test_cleared_twisted_r_l_and_rtt_match_oracle(brace):
     ctx = yb.algebra_from_brace(brace)
     rf, lf1, lf2 = twisted_r_lambda(ctx), twisted_l(ctx, 0), twisted_l(ctx, 1)
     lhs, rhs = library_sides(rf, lf1, lf2, n)
+    assert _rtt_sides(n, _as_mapping(yb.solution_matrix(ctx))) == (lhs, rhs)
     for x, y in POINTS:
         o_rf, o_lf_x, o_lf_y = oracle_twisted(brace, x, y)
         assert scale(1 / Fraction(x - y), evaluated(rf, x, y)) == o_rf

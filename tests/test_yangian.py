@@ -57,6 +57,13 @@ def test_unitarity(n):
     assert unitarity_report(n).ok
 
 
+@pytest.mark.parametrize("fn", [yangian_r, unitarity_report, check_rtt])
+@pytest.mark.parametrize("n", [0, -1])
+def test_n_below_one_is_refused(fn, n):
+    with pytest.raises(yb.LimitExceeded):
+        fn(n)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_defining_relations_zero_violations(n):
     report = check_defining_relations(n, 3, 3)
