@@ -13,7 +13,9 @@ in this module touches floating point.
 This is the algebra of the action groupoid of (B, o) on B through sigma:
 h_a w_g is the arrow from source sigma_g^{-1}(a) to target a, and a product
 survives iff the left source is the right target.  The context's per-basis
-``target`` and ``source`` lists are the only code that knows this rule.
+``target`` and ``source`` lists are the only code that knows this rule, and
+one batched join, ``_leg_products``, multiplies every pair of tensors, one
+pair or a whole table of products at a time.
 
 There is one container, ``TensorElement``: an algebra element is the one-leg
 tensor.  Each structure map (Delta, Delta_F, eps, s, s~) is one per-basis
@@ -171,8 +173,9 @@ class AlgebraContext:
     def twisted_cop(self) -> list[dict]:
         """Delta_F(e_i) = F Delta(e_i) F^{-1}, cross-checked against the closed
         generator forms (see ``_check_twisted_closed_forms``)."""
-        f, finv = self.twist, self.twist_inv
-        table = [(f * self.tensor(2, image) * finv).coeffs for image in self.cop]
+        f_cop = next(_leg_products(self, [self._twist], self.cop, (0, 1), True))
+        rows = [f_cop.get(i, {}) for i in range(self.dim)]
+        table = [p.get(0, {}) for p in _leg_products(self, rows, [self._twist_inv], (0, 1), True)]
         _check_twisted_closed_forms(self, table)
         return table
 
@@ -198,14 +201,12 @@ class AlgebraContext:
         """
         if not self.is_brace:
             raise ValidationFailure("not_a_brace", None, "twisted antipode requires abelian addition")
-        n, inv = self.n, self.circle_inv
-        table = []
-        for i in range(self.dim):
-            a, g = divmod(i, n)
-            # s~(h_a w_g) = s~(w_g) s~(h_a)
-            sw = TensorElement(self, 1, {(b * n + inv[self.tau[inv[b]][g]],): 1 for b in range(n)})
-            table.append((sw * self.h(inv[a])).coeffs)
-        return table
+        n, inv, tau = self.n, self.circle_inv, self.tau
+        s_w = [{(b * n + inv[tau[inv[b]][g]],): 1 for b in range(n)} for g in range(n)]
+        s_h = [{(inv[a] * n,): 1} for a in range(n)]
+        # s~(h_a w_g) = s~(w_g) s~(h_a): row g, entry a of the batch is e_{a n + g}
+        rows = list(_leg_products(self, s_w, s_h, (0,), True))
+        return [rows[g].get(a, {}) for a in range(n) for g in range(n)]
 
     # --------------------------------------------------------------- sanity
 
@@ -280,6 +281,8 @@ class TensorElement(Sparse):
         return _leg_product(self, other, tuple(range(self.k)), True)
 
     def slot_swap(self, i: int, j: int) -> TensorElement:
+        for slot in (i, j):
+            _check_legs((slot,), self.k)
         out: dict = {}
         for key, c in self.coeffs.items():
             lk = list(key)
@@ -417,41 +420,51 @@ def apply_left(t: TensorElement, legs: tuple[int, ...], x: TensorElement) -> Ten
 
 
 def _leg_product(x: TensorElement, t: TensorElement, legs: tuple[int, ...], t_right: bool) -> TensorElement:
-    # One join: a slot product survives iff the left slot's source is the right
-    # slot's target.  t's terms are indexed by their ends on ``legs`` that meet
-    # x (targets when t multiplies on the right, sources on the left), and each
-    # term of x looks up, by its own opposite ends, exactly its surviving partners.
+    # the one-pair case of ``_leg_products``, behind ``*``, apply_left and apply_right
     _same_ctx(x, t)
     if t.k != len(legs):
         raise ValidationFailure("order_mismatch", (t.k, len(legs)))
     _check_legs(legs, x.k)
-    ctx = x.ctx
+    products = next(_leg_products(x.ctx, [x.coeffs], [t.coeffs], legs, t_right))
+    return TensorElement(x.ctx, x.k, products.get(0, {}))
+
+
+def _leg_products(ctx: AlgebraContext, xs: list[dict], ts: list[dict], legs: tuple[int, ...], t_right: bool):
+    """Yield, for each k-tensor x of ``xs`` in order, {j: x times ts[j] at ``legs``},
+    pruned, with t on the right of x or on its left; an absent j is a zero product.
+
+    The algebra's one join: a slot product survives iff the left slot's source is
+    the right slot's target.  The terms of every t, with t's position j, are indexed
+    by their ends on ``legs`` that meet x (targets when t is on the right, sources on
+    the left), so each term of x looks up, by its opposite ends, only its partners.
+    """
     dim, prod = ctx.dim, ctx.prod
     # the product of slots s of x and u of t is prod[s * x_step + u * t_step]
     t_ends, x_ends, x_step, t_step = ((ctx.target, ctx.source, dim, 1) if t_right
                                       else (ctx.source, ctx.target, 1, dim))
-    by_ends: dict = {}
-    for tkey, c in t.coeffs.items():
-        by_ends.setdefault(tuple([t_ends[s] for s in tkey]), []).append(
-            ([s * t_step for s in tkey], c))
-    acc: dict = {}
-    for key, c1 in x.coeffs.items():
-        partners = by_ends.get(tuple([x_ends[key[leg]] for leg in legs]))
-        if partners is None:
-            continue
-        bases = [key[leg] * x_step for leg in legs]
-        for offsets, c2 in partners:
-            nk = list(key)
-            for leg, b, o in zip(legs, bases, offsets):
-                nk[leg] = prod[b + o]
-            out = tuple(nk)
-            acc[out] = acc.get(out, 0) + c1 * c2
-    return TensorElement(ctx, x.k, _prune(acc))
+    by_ends: dict = {}  # ends -> [(j, offsets, c)]
+    for j, t in enumerate(ts):
+        for tkey, c in t.items():
+            by_ends.setdefault(tuple([t_ends[s] for s in tkey]), []).append((j, [s * t_step for s in tkey], c))
+    for x in xs:
+        acc: dict = {}
+        for key, c1 in x.items():
+            partners = by_ends.get(tuple([x_ends[key[leg]] for leg in legs]))
+            if partners is None:
+                continue
+            nk = list(key)  # the slots off ``legs`` stay x's
+            for j, offsets, c2 in partners:
+                for leg, o in zip(legs, offsets):
+                    nk[leg] = prod[key[leg] * x_step + o]
+                pk, out = tuple(nk), acc.setdefault(j, {})
+                out[pk] = out.get(pk, 0) + c1 * c2
+        yield {j: terms for j, out in acc.items() if (terms := _prune(out))}
 
 
 def _on_slot(t: TensorElement, slot: int, images: list[dict], width: int) -> TensorElement:
     # Slot ``slot`` of each key is replaced by every image tuple of its basis
     # index (``width`` legs each), so the order changes by width - 1.
+    _check_legs((slot,), t.k)
     acc: dict = {}
     for key, c in t.coeffs.items():
         head, tail = key[:slot], key[slot + 1:]
@@ -495,33 +508,6 @@ def mul_slots(t: TensorElement) -> TensorElement:
 # ------------------------------------------------------------- verifications
 
 
-def _pair_products(lefts: list[dict], rights: list[dict], ctx: AlgebraContext):
-    """Yield, for each left 2-tensor in order, {j: lefts[i] * rights[j]} with pruned
-    coefficients; a j absent from the dict means that product is zero.
-
-    The right factors' terms (p', q') are indexed by their targets, so a left
-    term (p, q) looks up, by its sources, exactly the right terms whose two slot
-    products survive: about n^5 pairs for n^2 factors of n terms a side.
-    """
-    dim, prod, target, source = ctx.dim, ctx.prod, ctx.target, ctx.source
-    by_ends: dict = {}  # (target p', target q') -> [(p', q', j, c')]
-    for j, right in enumerate(rights):
-        for (p2, q2), c2 in right.items():
-            by_ends.setdefault((target[p2], target[q2]), []).append((p2, q2, j, c2))
-    for left in lefts:
-        acc: dict = {}
-        for (p, q), c in left.items():
-            hits = by_ends.get((source[p], source[q]))
-            if hits is None:
-                continue
-            pb, qb = p * dim, q * dim
-            for p2, q2, j, c2 in hits:
-                key = (prod[pb + p2], prod[qb + q2])
-                out = acc.setdefault(j, {})
-                out[key] = out.get(key, 0) + c * c2
-        yield {j: terms for j, out in acc.items() if (terms := _prune(out))}
-
-
 def _homomorphism_witness(ctx: AlgebraContext, table: list[dict]) -> tuple[int, int] | None:
     # The first (i, j) in row-major order, over all dim^2 pairs, with
     # table(e_i) table(e_j) != table(e_i e_j); e_i e_j is a basis element or
@@ -529,7 +515,7 @@ def _homomorphism_witness(ctx: AlgebraContext, table: list[dict]) -> tuple[int, 
     dim, prod = ctx.dim, ctx.prod
     images = [_prune(image) for image in table]
     empty: dict = {}
-    for i, products in enumerate(_pair_products(images, images, ctx)):
+    for i, products in enumerate(_leg_products(ctx, images, images, (0, 1), True)):
         base = i * dim
         for j in range(dim):
             k = prod[base + j]
@@ -545,13 +531,11 @@ def verify_hopf_axioms(ctx: AlgebraContext, twisted: bool = False) -> PropertyRe
     brace (abelian addition); otherwise for (Delta, eps, s).
 
     ``coproduct_homomorphism`` compares Delta(e_i) Delta(e_j) with
-    Delta(e_i e_j) on every one of the dim^2 pairs.  One pair-product kernel
-    (``_pair_products``) multiplies each row of the coproduct table by every
-    row, visiting only the term pairs whose slot products survive; e_i e_j is
-    a basis element or zero, so Delta(e_i e_j) is a row of the same table or
-    zero.  Coefficients are pruned before comparison, and the witness is the
-    first failing (i, j) in row-major order.  The other checks apply the
-    table row by row.
+    Delta(e_i e_j) on all dim^2 pairs, as one batch of ``_leg_products``: every
+    row of the coproduct table times every row.  e_i e_j is a basis element or
+    zero, so Delta(e_i e_j) is a row of the same table or zero.  Coefficients
+    are pruned before comparison, and the witness is the first failing (i, j)
+    in row-major order.  The other checks apply the table row by row.
     """
     label = "twisted" if twisted else "untwisted"
     report = PropertyReport(f"hopf_axioms_{label}")
@@ -652,13 +636,12 @@ def verify_quasitriangularity(ctx: AlgebraContext) -> PropertyReport:
     rf = ctx.twisted_r_matrix
     report = PropertyReport("quasitriangularity")
 
-    w = None
-    for i in range(ctx.dim):
-        x = ctx.basis_element(i)
-        d = twisted_coproduct(x)
-        if rf * d != d.slot_swap(0, 1) * rf:
-            w = i
-            break
+    # R Delta_F(e_i) = Delta_F^op(e_i) R on every basis element, each side one batch
+    rows = ctx.twisted_cop
+    lhs = next(_leg_products(ctx, [rf.coeffs], rows, (0, 1), True))
+    swapped = [{(q, p): c for (p, q), c in row.items()} for row in rows]
+    rhs = _leg_products(ctx, swapped, [rf.coeffs], (0, 1), True)
+    w = next((i for i, r in enumerate(rhs) if lhs.get(i, {}) != r.get(0, {})), None)
     report.add("intertwines_coproduct", w is None, witness=w)
 
     r13 = apply_right(ctx.unit_tensor(3), rf, (0, 2))

@@ -1,11 +1,12 @@
 """The coproduct-homomorphism check against the all-pairs tensor-product scan.
 
 ``verify_hopf_axioms`` decides Delta(e_i) Delta(e_j) = Delta(e_i e_j) on all
-dim^2 basis pairs with one pair-product kernel that visits only the term
-pairs whose slot products survive.  The oracle here is the scan it replaced:
-it multiplies the two coproducts as 2-tensors for every pair, including the
-n^4 - n^3 pairs whose product e_i e_j vanishes, and reports the first failing
-(i, j) in row-major order.  Both tables are checked, Delta (``cop``) and
+dim^2 basis pairs as one batch of the algebra's product kernel,
+``_leg_products``, which visits only the term pairs whose slot products
+survive.  The oracle here is the scan it replaced: it multiplies the two
+coproducts as 2-tensors for every pair, including the n^4 - n^3 pairs whose
+product e_i e_j vanishes, and reports the first failing (i, j) in row-major
+order.  Both tables are checked, Delta (``cop``) and
 Delta_F (``twisted_cop``), on clean and on corrupted copies.
 """
 
@@ -16,7 +17,7 @@ import random
 import pytest
 
 import ybtwist as yb
-from ybtwist.algebra import AlgebraContext, _homomorphism_witness, _pair_products, verify_hopf_axioms
+from ybtwist.algebra import AlgebraContext, _homomorphism_witness, _leg_products, verify_hopf_axioms
 
 TABLES = ("cop", "twisted_cop")
 
@@ -131,7 +132,7 @@ def test_plus_one_corruption(z4_radical, monkeypatch, name, row):
     assert (check.passed, check.witness) == (False, expected)
 
 
-def test_pair_products_drop_cancelled_products(z4_radical_ctx):
+def test_leg_products_drop_cancelled_products(z4_radical_ctx):
     # two term pairs with the same slot products and opposite signs: the
     # product is zero, so its index is absent
     ctx = z4_radical_ctx
@@ -145,5 +146,5 @@ def test_pair_products_drop_cancelled_products(z4_radical_ctx):
     )
     lefts = [{(p, q1): 1, (p, q2): -1}]
     rights = [{(s, s1): 1, (s, s2): 1}, {(s, s1): 1}]
-    products = list(_pair_products(lefts, rights, ctx))
+    products = list(_leg_products(ctx, lefts, rights, (0, 1), True))
     assert products == [{1: {(prod[p * dim + s], prod[q1 * dim + s1]): 1}}]

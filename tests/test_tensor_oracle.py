@@ -1,21 +1,25 @@
 """All-pairs oracles for the tensor product and slot-map kernels of the twist algebra.
 
-``TensorElement.__mul__``, ``apply_left`` and ``apply_right`` are one join:
-each term of one factor looks up, by its groupoid ends on the multiplied legs,
-only the terms of the other whose slot products survive, and an m-tensor is
-multiplied into chosen legs of a k-tensor without padding it with units.  The
-oracle here multiplies every pair of terms slot by slot straight from
-``ctx.prod``, and pads the embedded tensor with the unit sum_a h_a on every
-other leg, so it shares no code with the kernels; ``ctx.prod`` itself is
-checked against the brace tables by ``conftest.oracle_product_rule``
-(``test_algebra.py``).  Operands are seeded random int and ``Fraction``
-tensors whose slots are drawn partly from the partners each slot has in the
-product table, so that products are rarely empty.
+Every product in the algebra is one batched join, ``_leg_products``: each term
+of every x looks up, by its groupoid ends on the multiplied legs, only the
+terms of the ts whose slot products survive, and an m-tensor is multiplied
+into chosen legs of a k-tensor without padding it with units.
+``TensorElement.__mul__``, ``apply_left`` and ``apply_right`` are its one-pair
+case; the Delta_F and s~ tables, the bialgebra check and the intertwining law
+are whole tables of products in one batch.  The oracle here multiplies every
+pair of terms slot by slot straight from ``ctx.prod``, and pads the embedded
+tensor with the unit sum_a h_a on every other leg, so it shares no code with
+the kernel; ``ctx.prod`` itself is checked against the brace tables by
+``conftest.oracle_product_rule`` (``test_algebra.py``).  Operands are seeded
+random int and ``Fraction`` tensors whose slots are drawn partly from the
+partners each slot has in the product table, so that products are rarely empty.
 
 The slot maps (Delta, eps and s applied at one slot) are checked term by term
 against images written from the brace's own tables: the pairs b + c = a of
 its addition, the test a = 0, and sigma, the inverse of o and negation, each
-found by scanning the group tables.
+found by scanning the group tables.  The Delta_F and s~ tables are checked
+row by row against products of those images and of F, F^{-1} and the
+Guarnieri-Vendramin tau, each written from the brace tables.
 """
 
 from __future__ import annotations
@@ -27,8 +31,9 @@ from itertools import product
 import pytest
 
 import ybtwist as yb
-from ybtwist.algebra import (AlgebraContext, _pair_products, apply_left, apply_right,
-                             counit_slot, map_slot, slot_coproduct)
+from conftest import oracle_gv_tau
+from ybtwist.algebra import (AlgebraContext, _leg_products, apply_left, apply_right,
+                             counit_slot, map_slot, slot_coproduct, verify_quasitriangularity)
 
 
 def naive_mul(ctx, x: dict, y: dict) -> dict:
@@ -90,17 +95,17 @@ def partners(ctx):
 
 
 @pytest.fixture(scope="module")
-def contexts(braces_up_to_4, order6_nonabelian):
+def small_contexts(braces_up_to_4, order6_nonabelian):
     braces = [b for n in sorted(braces_up_to_4) for b in braces_up_to_4[n]]
     assert len(braces) == 13
     braces.append(order6_nonabelian)
     return [AlgebraContext(b) for b in braces]
 
 
-def test_tensor_mul_matches_all_pairs(contexts):
+def test_tensor_mul_matches_all_pairs(small_contexts):
     rng = random.Random(2024)
     nonempty = 0
-    for ctx in contexts:
+    for ctx in small_contexts:
         left, right = partners(ctx)
         for k in (2, 3, 4):
             for _ in range(3):
@@ -112,26 +117,32 @@ def test_tensor_mul_matches_all_pairs(contexts):
     assert nonempty >= 80
 
 
-def test_pair_products_match_all_pairs(contexts):
-    # every left 2-tensor against every right one, as the Hopf check uses it
+def test_leg_products_match_all_pairs(small_contexts):
+    # every x against every t (one of them empty), t at the legs of x, on either side
     rng = random.Random(7)
     nonempty = 0
-    for ctx in contexts:
-        _, right = partners(ctx)
-        lefts = [random_tensor(ctx, rng, 2, 8) for _ in range(3)]
-        rights = [random_tensor(ctx, rng, 2, 8, right, lefts[m % 3]) for m in range(4)]
-        rights.append({})
-        expected = [{j: p for j, y in enumerate(rights) if (p := naive_mul(ctx, x, y))}
-                    for x in lefts]
-        assert list(_pair_products(lefts, rights, ctx)) == expected, ctx.n
-        nonempty += sum(map(len, expected))
-    assert nonempty >= 80
+    for ctx in small_contexts:
+        left, right = partners(ctx)
+        for k, legs in ((1, (0,)), (2, (0, 1)), (2, (1, 0)), (3, (0, 2)), (3, (1, 0))):
+            for t_right in (True, False):
+                xs = [random_tensor(ctx, rng, k, 8) for _ in range(3)]
+                near = [{tuple(key[leg] for leg in legs): 1 for key in x} for x in xs]
+                ts = [random_tensor(ctx, rng, len(legs), 6, right if t_right else left, near[j % 3])
+                      for j in range(4)] + [{}]
+                pads = [padded(ctx, t, legs, k) for t in ts]
+                expected = [{j: p for j, pad in enumerate(pads)
+                             if (p := naive_mul(ctx, *((x, pad) if t_right else (pad, x))))}
+                            for x in xs]
+                got = list(_leg_products(ctx, xs, ts, legs, t_right))
+                assert got == expected, (ctx.n, k, legs, t_right)
+                nonempty += sum(map(len, expected))
+    assert nonempty >= 1200
 
 
-def test_apply_left_right_match_unit_padded_product(contexts):
+def test_apply_left_right_match_unit_padded_product(small_contexts):
     rng = random.Random(7)
     nonempty = 0
-    for ctx in contexts:
+    for ctx in small_contexts:
         left, right = partners(ctx)
         for k in (2, 3, 4):
             for m in range(1, k + 1):
@@ -156,10 +167,10 @@ def test_apply_left_right_match_unit_padded_product(contexts):
     assert nonempty >= 150
 
 
-def test_t_tensor_one_and_one_tensor_t(contexts):
+def test_t_tensor_one_and_one_tensor_t(small_contexts):
     # (t (x) 1) . x and (1 (x) t) . x, with the unit leg spelled out as sum_a h_a
     rng = random.Random(11)
-    for ctx in contexts:
+    for ctx in small_contexts:
         n = ctx.n
         left, _ = partners(ctx)
         for k in (3, 4):
@@ -192,6 +203,22 @@ def test_leg_products_reject_bad_legs(z4_radical_ctx, legs):
         assert (exc.value.kind, exc.value.witness) == ("bad_legs", legs)
 
 
+@pytest.mark.parametrize("call, slot", [
+    (lambda ctx: slot_coproduct(ctx.twist, -1), -1),
+    (lambda ctx: slot_coproduct(ctx.twist, 2, twisted=True), 2),
+    (lambda ctx: counit_slot(ctx.twist, 5), 5),
+    (lambda ctx: map_slot(ctx.twist, 2, ctx.s), 2),
+    (lambda ctx: ctx.twist.slot_swap(0, 3), 3),
+    (lambda ctx: ctx.twist.slot_swap(-1, 1), -1),
+], ids=["coproduct_negative", "twisted_coproduct_past_k", "counit_past_k", "map_past_k",
+        "swap_past_k", "swap_negative"])
+def test_slot_maps_reject_bad_slots(z4_radical_ctx, call, slot):
+    # a negative slot would index from the end of the key, and a slot past k has no slot
+    with pytest.raises(yb.ValidationFailure) as exc:
+        call(z4_radical_ctx)
+    assert (exc.value.kind, exc.value.witness) == ("bad_legs", (slot,))
+
+
 def basis_images(brace):
     """Delta, eps and s of each basis index a*n + g, from the brace tables alone."""
     n, add, circle = brace.n, brace.add.table, brace.mul.table
@@ -219,10 +246,10 @@ def naive_on_slot(t: dict, slot: int, images) -> dict:
     return {k: v for k, v in acc.items() if v != 0}
 
 
-def test_slot_maps_match_brace_tables(contexts):
+def test_slot_maps_match_brace_tables(small_contexts):
     rng = random.Random(31)
     survivors = 0
-    for ctx in contexts:
+    for ctx in small_contexts:
         cop, eps, s = basis_images(ctx.brace)
         for k in (1, 2, 3):
             t = random_tensor(ctx, rng, k, 10)
@@ -236,3 +263,71 @@ def test_slot_maps_match_brace_tables(contexts):
                 got = map_slot(t_el, slot, ctx.s)
                 assert (got.k, got.coeffs) == (k, naive_on_slot(t, slot, s)), (ctx.n, k, slot)
     assert survivors >= 40
+
+
+def twist_terms(brace) -> tuple[dict, dict]:
+    """F = sum_b h_b (x) w_{b^{-1}} and F^{-1} = sum_b h_b (x) w_b, from the brace tables."""
+    n, circle = brace.n, brace.mul.table
+    circle_inv = [circle[g].index(0) for g in range(n)]
+    f = {(b * n, a * n + circle_inv[b]): 1 for b in range(n) for a in range(n)}
+    return f, {(b * n, a * n + b): 1 for b in range(n) for a in range(n)}
+
+
+def test_twisted_cop_rows_are_conjugated_coproducts(contexts):
+    # Delta_F(e_i) = F Delta(e_i) F^{-1}, one basis element at a time
+    for ctx in contexts:
+        cop, _, _ = basis_images(ctx.brace)
+        f, f_inv = twist_terms(ctx.brace)
+        for i, row in enumerate(ctx.twisted_cop):
+            expected = naive_mul(ctx, naive_mul(ctx, f, dict.fromkeys(cop[i], 1)), f_inv)
+            assert row == expected, (ctx.n, i)
+
+
+def test_s_twisted_rows_are_antipode_products(contexts):
+    # s~(h_a w_g) = s~(w_g) s~(h_a), with s~(w_g) = sum_b h_b w^{-1}_{tau_{b^{-1}}(g)}
+    # and s~(h_a) = h_{a^{-1}}
+    braces = [ctx for ctx in contexts if ctx.is_brace]
+    assert len(braces) >= 20
+    for ctx in braces:
+        n, circle = ctx.n, ctx.brace.mul.table
+        inv = [circle[g].index(0) for g in range(n)]
+        _, tau = oracle_gv_tau(ctx.brace)
+        for a, g in product(range(n), repeat=2):
+            s_w = {(b * n + inv[tau[inv[b]][g]],): 1 for b in range(n)}
+            assert ctx.s_twisted[a * n + g] == naive_mul(ctx, s_w, {(inv[a] * n,): 1}), (ctx.n, a, g)
+
+
+def naive_intertwining_witness(ctx):
+    """The first i with R Delta_F(e_i) != Delta_F^op(e_i) R, one basis element at a time."""
+    r = ctx.twisted_r_matrix.coeffs
+    for i, row in enumerate(ctx.twisted_cop):
+        op = {(q, p): c for (p, q), c in row.items()}
+        if naive_mul(ctx, r, row) != naive_mul(ctx, op, r):
+            return i
+    return None
+
+
+def test_intertwining_witness_matches_naive_loop(small_contexts, monkeypatch):
+    # R corrupted on a fresh context: its first two terms swapped and shifted, as in
+    # the benchmark's negative controls (perfbench/run.py), or one seeded extra term
+    rng = random.Random(5)
+    witnesses = []
+    for clean in small_contexts:
+        check = verify_quasitriangularity(clean).check("intertwines_coproduct")
+        assert check.witness == naive_intertwining_witness(clean), clean.n
+        if clean.n == 1:
+            continue  # R has one term
+        swapped, extra = dict(clean.twisted_r_matrix.coeffs), dict(clean.twisted_r_matrix.coeffs)
+        k1, k2 = sorted(swapped)[:2]
+        swapped[k1], swapped[k2] = swapped[k2] + 1, swapped[k1] - 1
+        key = (rng.randrange(clean.dim), rng.randrange(clean.dim))
+        extra[key] = extra.get(key, 0) + 1
+        for coeffs in (swapped, extra):
+            ctx = AlgebraContext(clean.brace)
+            monkeypatch.setattr(ctx, "_twisted_r", coeffs)
+            check = verify_quasitriangularity(ctx).check("intertwines_coproduct")
+            expected = naive_intertwining_witness(ctx)
+            assert (check.passed, check.witness) == (expected is None, expected), (clean.n, coeffs)
+            witnesses.append(expected)
+    found = [w for w in witnesses if w is not None]
+    assert len(found) >= 10 and max(found) > 0
