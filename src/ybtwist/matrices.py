@@ -9,8 +9,8 @@ only code that places a list on tensor legs: any tuple of distinct legs, leg 0
 the most significant digit, by one additive index map.  Every matrix identity
 of a combinatorial solution and every pole-cleared RTT identity is a product
 of weighted permutation sums, ``_product``: it expands one term per factor,
-multiplies only the weights, and adds each path's weight at the entries of its
-composed permutation.
+multiplies only the weights, and writes each entry once, as the weight sum of
+the set of paths that reach it (one sum per set, keyed by a bitmask).
 ``rho`` represents an algebra tensor of any order, one n-dimensional leg per
 tensor leg, and is the only route from the algebra into matrices; a basis
 element goes to the matrix unit e_{target, source}, so ``rho_is_homomorphism``
@@ -112,17 +112,27 @@ def _product(n: int, k: int, *factors) -> ExactMatrix:
     Each factor is (terms, legs): a list of (weight, column -> row list) pairs
     acting on the distinct ``legs``, placed by ``_on_legs``.  The product is
     expanded over one term per factor: each path's weight product is formed
-    once and added at the entries of its composed permutation.
+    once, and each entry records the bitmask of the paths whose composed
+    permutation reaches it.  Entries with the same mask share one weight sum,
+    added in path order and formed once per mask; zero sums are pruned.
     """
     paths = [(1, range(n ** k))]
     for terms, legs in factors:
         placed = [(w, _on_legs(p, n, k, legs)) for w, p in terms]
         paths = [(v * w, [comp[x] for x in p]) for v, comp in paths for w, p in placed]
-    acc: dict = {}
-    for v, comp in paths:
+    masks = {(r, c): 1 for c, r in enumerate(paths[0][1])}
+    for bit, (_, comp) in enumerate(paths[1:], 1):
+        b = 1 << bit
         for c, r in enumerate(comp):
-            acc[(r, c)] = acc.get((r, c), 0) + v
-    return ExactMatrix(n ** k, acc)
+            masks[(r, c)] = masks.get((r, c), 0) | b
+    sums = {}
+    for mask in set(masks.values()):
+        total = sum((v for bit, (v, _) in enumerate(paths) if mask >> bit & 1), 0)
+        if total != 0:
+            sums[mask] = total
+    # pruned per mask, so the entries need no second pass
+    return ExactMatrix.zero(n ** k)._like(
+        {key: sums[mask] for key, mask in masks.items() if mask in sums})
 
 
 def _two_leg_map(m: ExactMatrix) -> tuple[int, list[int]]:

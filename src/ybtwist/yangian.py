@@ -14,10 +14,13 @@ are compared exactly; a failure's witness is the first differing entry
 generators are built once per process (``_eval_image``).  Symbolic identities
 live in the free noncommutative algebra.
 
-The augmented relations and the twisted-coproduct adjudication multiply only
-matrix units and permutations, so they are decided on {(row, col): coefficient}
-dicts: each product relabels rows or columns (``_relabel``), and a Kronecker
-product is index arithmetic.
+Every evaluation image is one matrix unit (level >= 1) or delta . 1 (level
+0), and rho sends w_g to a permutation and h_c to a unit, so no check here
+multiplies matrices.  The defining and displayed relations multiply images as
+{(row, col): v} dicts by e_{r,s} e_{t,u} = [s = t] e_{r,u} (``_vanishes``); the
+augmented relations compare index pairs read from sigma, rho's ends and the
+units; the twisted-coproduct adjudication builds its four k-range sums as one
+index-keyed dict per (m, a, b), placing each Kronecker term by index arithmetic.
 
 The n-only checks (defining and displayed relations, coassociativity and the
 antipode identities) are natural under relabelling the indices by a
@@ -32,11 +35,11 @@ orbit sizes.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import product as iproduct
-from operator import ne
 
 from .algebra import AlgebraContext
+from .braces import _perm_inverse
 from .errors import LimitExceeded
 from .matrices import (ExactMatrix, _as_mapping, _product, flip_matrix, rho, rho_basis_entry,
                        solution_matrix, twist_matrix)
@@ -128,8 +131,21 @@ def _eval_image(n: int, m: int, i: int, j: int, transpose: bool = False) -> Exac
     return ExactMatrix(n, {(i, j): 1} if transpose else {(j, i): 1})
 
 
-def _comm(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
-    return a * b - b * a
+def _vanishes(terms) -> bool:
+    """Whether sum c . x y over the (c, x, y) of ``terms`` is zero, for images x and
+    y as {(row, col): v} dicts multiplied by e_{r,s} e_{t,u} = [s = t] e_{r,u}; a y of
+    None stands for the unit matrix.  Every image is one matrix unit or delta . 1,
+    so each product is a handful of index comparisons."""
+    acc: dict = {}
+    for c, x, y in terms:
+        for (r, s), v in x.items():
+            if y is None:
+                acc[(r, s)] = acc.get((r, s), 0) + c * v
+                continue
+            for (t, u), w in y.items():
+                if s == t:
+                    acc[(r, u)] = acc.get((r, u), 0) + c * v * w
+    return not any(acc.values())
 
 
 def check_defining_relations(n: int, pmax: int = MAX_LEVEL, mmax: int = MAX_LEVEL,
@@ -139,14 +155,22 @@ def check_defining_relations(n: int, pmax: int = MAX_LEVEL, mmax: int = MAX_LEVE
     [A^{(p+1)}_{ij}, A^{(m)}_{kl}] - [A^{(p)}_{ij}, A^{(m+1)}_{kl}]
         = A^{(m)}_{kj} A^{(p)}_{il} - A^{(p)}_{kj} A^{(m)}_{il}
 
-    with A^{(q)}_{xy} the image of the level-q generator.  ``transpose``
-    substitutes the wrong (transposed) images, as a negative control.
+    with A^{(q)}_{xy} the image of the level-q generator, for p <= ``pmax`` and
+    m <= ``mmax``, each in 0..MAX_LEVEL (else LimitExceeded).  ``transpose``
+    substitutes the wrong (transposed) images, as a negative control.  The
+    images are multiplied on indices (``_vanishes``).
 
     Decided on one (i, j, k, l) per S_n orbit: the witness is the first
     failing tuple in (p, m, i, j, k, l) order, and ``violations`` counts every
     failing tuple.
     """
-    img = partial(_eval_image, n, transpose=transpose)
+    for name, level in (("pmax", pmax), ("mmax", mmax)):
+        if not 0 <= level <= MAX_LEVEL:
+            raise LimitExceeded(f"{name} {level} outside 0..{MAX_LEVEL}")
+
+    def img(q, x, y):
+        return _eval_image(n, q, x, y, transpose=transpose).coeffs
+
     report = PropertyReport("defining_relations")
     violations = 0
     first = None
@@ -154,9 +178,10 @@ def check_defining_relations(n: int, pmax: int = MAX_LEVEL, mmax: int = MAX_LEVE
     for p in range(pmax + 1):
         for m in range(mmax + 1):
             for (i, j, k, l), size in patterns:
-                lhs = _comm(img(p + 1, i, j), img(m, k, l)) - _comm(img(p, i, j), img(m + 1, k, l))
-                rhs = img(m, k, j) * img(p, i, l) - img(p, k, j) * img(m, i, l)
-                if lhs != rhs:
+                a, b, c, d = img(p + 1, i, j), img(m, k, l), img(p, i, j), img(m + 1, k, l)
+                if not _vanishes([(1, a, b), (-1, b, a), (-1, c, d), (1, d, c),
+                                  (-1, img(m, k, j), img(p, i, l)),
+                                  (1, img(p, k, j), img(m, i, l))]):
                     violations += size
                     if first is None:
                         first = (p, m, i, j, k, l)
@@ -171,33 +196,27 @@ def check_displayed_exchange_relations(n: int) -> PropertyReport:
     Each is decided on one (i, j, k, l) per S_n orbit; its witness is the
     first failing tuple.
     """
-    img = partial(_eval_image, n)
+    def img(q, x, y):
+        return _eval_image(n, q, x, y).coeffs
 
-    def delta(x, y, mat_level, i, j):
-        return img(mat_level, i, j) if x == y else ExactMatrix.zero(n)
+    def exchange(q):
+        # [A^{(q)}_{ij}, A^{(1)}_{kl}] - (delta_il A^{(q)}_{kj} - delta_kj A^{(q)}_{il})
+        return lambda i, j, k, l: [(1, img(q, i, j), img(1, k, l)), (-1, img(1, k, l), img(q, i, j)),
+                                   (-(i == l), img(q, k, j), None), (k == j, img(q, i, l), None)]
+
+    def level3_minus_level22(i, j, k, l):
+        # [A^{(3)}_{ij}, A^{(1)}_{kl}] - [A^{(2)}_{ij}, A^{(2)}_{kl}]
+        #     - (A^{(1)}_{kj} A^{(2)}_{il} - A^{(2)}_{kj} A^{(1)}_{il})
+        a3, b1, a2, b2 = img(3, i, j), img(1, k, l), img(2, i, j), img(2, k, l)
+        return [(1, a3, b1), (-1, b1, a3), (-1, a2, b2), (1, b2, a2),
+                (-1, img(1, k, j), img(2, i, l)), (1, img(2, k, j), img(1, i, l))]
 
     report = PropertyReport("displayed_exchange_relations")
-    cases = {
-        "level1_level1": lambda i, j, k, l: (
-            _comm(img(1, i, j), img(1, k, l)),
-            delta(i, l, 1, k, j) - delta(k, j, 1, i, l),
-        ),
-        "level2_level1": lambda i, j, k, l: (
-            _comm(img(2, i, j), img(1, k, l)),
-            delta(i, l, 2, k, j) - delta(k, j, 2, i, l),
-        ),
-        "level3_minus_level22": lambda i, j, k, l: (
-            _comm(img(3, i, j), img(1, k, l)) - _comm(img(2, i, j), img(2, k, l)),
-            img(1, k, j) * img(2, i, l) - img(2, k, j) * img(1, i, l),
-        ),
-        "level3_level1": lambda i, j, k, l: (
-            _comm(img(3, i, j), img(1, k, l)),
-            delta(i, l, 3, k, j) - delta(k, j, 3, i, l),
-        ),
-    }
+    cases = {"level1_level1": exchange(1), "level2_level1": exchange(2),
+             "level3_minus_level22": level3_minus_level22, "level3_level1": exchange(3)}
     patterns = [t for t, _ in _patterns(n, 4)]
     for name, case in cases.items():
-        w = next((t for t in patterns if ne(*case(*t))), None)
+        w = next((t for t in patterns if not _vanishes(case(*t))), None)
         report.add(name, w is None, witness=w)
     return report
 
@@ -222,17 +241,10 @@ def check_rtt(n: int, corrupt_shift: int | None = None) -> PropertyReport:
 # --------------------------------------------- matrix-unit identities on indices
 
 
-def _relabel(m: dict, rows: dict, cols: dict) -> dict:
-    """The entries (r, c) of m with r in ``rows`` and c in ``cols``, moved to
-    (rows[r], cols[c]).  P m relabels rows by P's column -> row map, m P columns
-    by its inverse; e_{r,s} m keeps row s as r, m e_{r,s} column r as s."""
-    return {(rows[r], cols[c]): v for (r, c), v in m.items() if r in rows and c in cols}
-
-
-def _perm(ctx: AlgebraContext, x) -> tuple[dict, dict]:
-    """rho(x), a permutation: its column -> row map and the inverse map."""
-    p = _as_mapping(rho(ctx, x))
-    return dict(enumerate(p)), {r: c for c, r in enumerate(p)}
+def _permutations(ctx: AlgebraContext) -> tuple[list, list]:
+    """rho(w_g) for every g, read from rho's ends: column -> row lists and their inverses."""
+    w = [_as_mapping(rho(ctx, ctx.w(g))) for g in range(ctx.n)]
+    return w, [_perm_inverse(p) for p in w]
 
 
 def check_augmented_relations(ctx: AlgebraContext, pmax: int = MAX_LEVEL) -> PropertyReport:
@@ -241,33 +253,42 @@ def check_augmented_relations(ctx: AlgebraContext, pmax: int = MAX_LEVEL) -> Pro
     In the representation: w_a L^{(p)}_{b,c} = L^{(p)}_{sigma_a(b), sigma_a(c)} w_a
     for p >= 0, h_b L^{(p)}_{a,b} = L^{(p)}_{a,b} h_a, and h_c annihilates
     L^{(p)}_{a,b} on both sides for c outside {a, b} (p >= 1; the level-0
-    symbol is a multiple of the unit, which no idempotent annihilates).
+    symbol is a multiple of the unit, which no idempotent annihilates), for
+    p <= ``pmax`` in 1..MAX_LEVEL (else LimitExceeded).
+
+    Decided on indices: rho(w_a) is the permutation pi_a, rho(h_c) the unit
+    e_{r_c, s_c}, L^{(p)}_{b,c} the unit e_{c,b} for p >= 1 and delta_{bc} . 1
+    for p = 0.  So w_a e_{c,b} = e_{pi_a c, b}, e_{x,y} w_a = e_{x, pi_a^{-1} y},
+    e_{r,s} e_{t,u} = [s = t] e_{r,u}, and delta . 1 commutes with everything.
     """
-    n = ctx.n
+    if not 1 <= pmax <= MAX_LEVEL:
+        raise LimitExceeded(f"level {pmax} outside 1..{MAX_LEVEL}")
+    n, sigma = ctx.n, ctx.sigma
     report = PropertyReport("augmented_relations")
-    rows, cols = zip(*(_perm(ctx, ctx.w(a)) for a in range(n)))
-    ident = {x: x for x in range(n)}
+    pi, pi_inv = _permutations(ctx)
     units = [rho_basis_entry(ctx, c * n) for c in range(n)]
-    left, right = [{s: r} for r, s in units], [{r: s} for r, s in units]  # rho(h_c) as a factor
-    sigma = ctx.sigma
 
-    def img(p, i, j):
-        return _eval_image(n, p, i, j).coeffs
+    def w_fails(p, a, b, c):
+        s = sigma[a]
+        if p == 0:
+            return (b == c) != (s[b] == s[c])
+        return (pi[a][c], b) != (s[c], pi_inv[a][s[b]])
 
-    w = next(((p, a, b, c) for p in range(pmax + 1) for a, b, c in iproduct(range(n), repeat=3)
-              if _relabel(img(p, b, c), rows[a], ident)
-              != _relabel(img(p, sigma[a][b], sigma[a][c]), ident, cols[a])), None)
+    def h_fails(a, b):
+        (rb, sb), (ra, sa) = units[b], units[a]
+        return ((rb, a) if sb == b else None) != ((b, sa) if ra == a else None)
+
+    levels = range(pmax + 1)
+    w = next(((p, a, b, c) for p in levels for a, b, c in iproduct(range(n), repeat=3)
+              if w_fails(p, a, b, c)), None)
     report.add("w_exchange", w is None, witness=w)
 
-    w = next(((p, a, b) for p in range(pmax + 1) for a, b in iproduct(range(n), repeat=2)
-              if _relabel(img(p, a, b), left[b], ident) != _relabel(img(p, a, b), ident, right[a])),
-             None)
+    w = next(((p, a, b) for p in levels[1:] for a, b in iproduct(range(n), repeat=2)
+              if h_fails(a, b)), None)
     report.add("h_transport", w is None, witness=w)
 
-    w = next(((p, a, b, c) for p in range(1, max(pmax, 1) + 1)
-              for a, b, c in iproduct(range(n), repeat=3) if c not in (a, b)
-              and (_relabel(img(p, a, b), left[c], ident) or _relabel(img(p, a, b), ident, right[c]))),
-             None)
+    w = next(((p, a, b, c) for p in levels[1:] for a, b, c in iproduct(range(n), repeat=3)
+              if c not in (a, b) and (units[c][1] == b or units[c][0] == a)), None)
     report.add("h_annihilation", w is None, witness=w)
     return report
 
@@ -410,30 +431,34 @@ def adjudicate_twisted_coproduct(ctx: AlgebraContext, max_level: int = 2) -> Pro
     if not 1 <= max_level <= 3:
         raise LimitExceeded(f"level {max_level} outside 1..3")
     n = ctx.n
-    ident = {x: x for x in range(n)}
-    h_cols = [{r: s} for r, s in (rho_basis_entry(ctx, c * n) for c in range(n))]
-    w_cols = [_perm(ctx, ctx.w(g))[1] for g in range(n)]
-    w_inv = [_perm(ctx, ctx.w_inv(g))[0] for g in range(n)]
-    f = dict(enumerate(_as_mapping(twist_matrix(ctx))))
-    f_inv_cols = _perm(ctx, ctx.twist_inv)[1]
+    units = [rho_basis_entry(ctx, c * n) for c in range(n)]
+    w, w_rows = _permutations(ctx)
+    w_inv = [w[g] for g in ctx.circle_inv]
+    f = _as_mapping(twist_matrix(ctx))
+    f_inv_rows = _perm_inverse(_as_mapping(rho(ctx, ctx.twist_inv)))
 
-    def images(m, a, b, display):
-        # {kmin: sum over kmin <= k <= m, c} of L_{c,b} (x) L_{a,c}, or of the display's
-        # L_{c,b} h_c (x) w_b^{-1} L_{a,c} w_c; every entry is a positive sum, never pruned
+    def sums(m, a, b):
+        # (row, col) -> [display k=0..m, display k=1..m, conjugated k=0..m, conjugated
+        # k=1..m] for the display sum_{k,c} L_{c,b} h_c (x) w_b^{-1} L_{a,c} w_c and the
+        # conjugation F (sum_{k,c} L_{c,b} (x) L_{a,c}) F^{-1}, every product on indices
         acc: dict = {}
-        for k in range(m, -1, -1):
+        for k in range(m + 1):
             for c in range(n):
+                rc, sc = units[c]
                 left, right = _eval_image(n, k, c, b).coeffs, _eval_image(n, m - k, a, c).coeffs
-                if display:
-                    left = _relabel(left, ident, h_cols[c])
-                    right = _relabel(right, w_inv[b], w_cols[c])
                 for (r1, c1), v1 in left.items():
                     for (r2, c2), v2 in right.items():
-                        key = (r1 * n + r2, c1 * n + c2)
-                        acc[key] = acc.get(key, 0) + v1 * v2
-            if k == 1:
-                truncated = dict(acc)
-        return {1: truncated, 0: acc}
+                        v = v1 * v2
+                        entry = acc.setdefault((f[r1 * n + r2], f_inv_rows[c1 * n + c2]),
+                                               [0, 0, 0, 0])
+                        entry[2] += v
+                        entry[3] += v if k else 0
+                        if c1 == rc:
+                            entry = acc.setdefault((r1 * n + w_inv[b][r2], sc * n + w_rows[c][c2]),
+                                                   [0, 0, 0, 0])
+                            entry[0] += v
+                            entry[1] += v if k else 0
+        return acc.values()
 
     comparisons = {
         "display_1m_vs_conjugated_standard": (1, 0),
@@ -446,11 +471,9 @@ def adjudicate_twisted_coproduct(ctx: AlgebraContext, max_level: int = 2) -> Pro
     for m in range(1, max_level + 1):
         for a in range(n):
             for b in range(n):
-                disp = images(m, a, b, True)
-                conj = {kmin: _relabel(x, f, f_inv_cols)
-                        for kmin, x in images(m, a, b, False).items()}
+                entries = sums(m, a, b)
                 for name, (disp_kmin, delta_kmin) in comparisons.items():
-                    results[name].add(disp[disp_kmin] == conj[delta_kmin])
+                    results[name].add(all(e[disp_kmin] == e[2 + delta_kmin] for e in entries))
     outcomes = {name: seen.pop() if len(seen) == 1 else "mixed" for name, seen in results.items()}
 
     if outcomes.get("display_1m_vs_conjugated_truncated") is True:

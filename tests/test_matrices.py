@@ -360,6 +360,47 @@ def test_product_matches_embedded_matrix_products(k):
             assert _product(n, k, *factors) == expected
 
 
+def _per_path_sum(n: int, terms) -> dict:
+    """The entries of sum_w w . P_p over the (w, p) of one factor on one leg, path by path."""
+    acc: dict = {}
+    for w, perm in terms:
+        for c, r in enumerate(perm):
+            acc[(r, c)] = acc.get((r, c), 0) + w
+    return {key: v for key, v in acc.items() if v != 0}
+
+
+def test_product_drops_an_entry_where_paths_cancel():
+    # u and -u meet only at column 0, so entry (0, 0) sums to zero and is pruned
+    u = BivarPoly.var(0)
+    terms = [(u, [0, 1, 2]), (-u, [0, 2, 1])]
+    got = _product(3, 1, (terms, (0,)))
+    assert (0, 0) not in got.coeffs
+    assert got.coeffs == {(1, 1): u, (2, 2): u, (2, 1): -u, (1, 2): -u}
+    assert got.coeffs == _per_path_sum(3, terms)
+
+
+def test_product_sums_each_set_of_meeting_paths():
+    # all three paths meet at column 0, where u + v + (3 - u - v) leaves 3; two meet
+    # at columns 1 and 3 (different pairs); none meet at column 2
+    u, v = BivarPoly.var(0), BivarPoly.var(1)
+    terms = [(u, [0, 1, 2, 3]), (v, [0, 1, 3, 2]), (-u - v + 3, [0, 2, 1, 3])]
+    got = _product(4, 1, (terms, (0,)))
+    expected = _per_path_sum(4, terms)
+    assert got.coeffs == expected
+    assert expected[(0, 0)] == 3 and expected[(1, 1)] == u + v and expected[(3, 3)] == 3 - v
+    assert len(expected) == 8
+
+
+def test_product_prunes_sets_of_paths_across_factors():
+    # (u 1 - u S)(1 + c S) with S the swap: the four paths reach each entry in pairs,
+    # (u, 1)(1, 1) with (-u, S)(c, S) on the diagonal, (u, 1)(c, S) with (-u, S)(1, 1)
+    # off it, so c = 1 cancels everything and c = 2 leaves -u 1 + u S
+    u, swap = BivarPoly.var(0), [1, 0]
+    for c, expected in ((1, {}), (2, {(0, 0): -u, (1, 1): -u, (1, 0): u, (0, 1): u})):
+        got = _product(2, 1, ([(u, [0, 1]), (-u, swap)], (0,)), ([(1, [0, 1]), (c, swap)], (0,)))
+        assert got.coeffs == expected
+
+
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_leg_placements_match_digit_oracle(k):
     # every ordered tuple of distinct legs, e.g. (0, 2), (1, 0) and (2, 0, 1)

@@ -6,17 +6,20 @@ on matrix units and permutations.  Their oracles in ``conftest.py`` multiply
 the same matrices as ``ExactMatrix`` products.  The two routes must give equal
 reports (names, verdicts, witnesses, detail) on every context of orders 1-5,
 on a seeded sample of order-6 contexts (half with non-abelian addition), and
-under corrupted representations, products and sigma tables.
+under corrupted representations, products, sigma tables and (for the
+adjudication) transposed evaluation images.
 """
 
 from __future__ import annotations
 
 import random
+from functools import partial
 
 import pytest
 
 import ybtwist as yb
 from conftest import oracle_adjudication, oracle_augmented_relations, oracle_rho_homomorphism
+from ybtwist import yangian
 from ybtwist.matrices import ExactMatrix, rho_basis_entry
 from ybtwist.yangian import adjudicate_twisted_coproduct, check_augmented_relations
 
@@ -96,6 +99,16 @@ def test_corrupted_product_entry_matches_oracle(contexts, monkeypatch):
             monkeypatch.undo()
 
 
+def test_transposed_eval_images_adjudication_matches_oracle(contexts, monkeypatch):
+    # the index route reads the evaluation images at call time, like its oracle;
+    # transposed images break the displayed k=1..m range on most contexts
+    monkeypatch.setattr(yangian, "_eval_image", partial(yangian._eval_image, transpose=True))
+    reports = [adjudicate_twisted_coproduct(ctx, 2) for ctx in contexts]
+    for ctx, report in zip(contexts, reports):
+        assert report == oracle_adjudication(ctx, 2), (ctx.brace.add.table, ctx.brace.mul.table)
+    assert sum(not r.ok for r in reports) > len(contexts) // 2
+
+
 def test_corrupted_sigma_matches_oracle(z4_radical):
     # the control of test_augmented_relations_corrupted_sigma: sigma_1 is no
     # longer a permutation, while rho still reads the true ends
@@ -107,6 +120,48 @@ def test_corrupted_sigma_matches_oracle(z4_radical):
         assert outcome(route, ctx) == outcome(oracle, ctx), name
     assert not check_augmented_relations(ctx).check("w_exchange").passed
     assert outcome(adjudicate_twisted_coproduct, ctx)[:2] == ("CheckFailed", "representation_mismatch")
+
+
+def test_bijective_sigma_corruption_matches_oracle(contexts, monkeypatch):
+    # the last two entries of sigma_a swapped: no level-0 relation sees it (both
+    # sides stay delta . 1 w_a), so w_exchange fails first at level 1, where
+    # rho(w_a), read from the true ends, no longer moves e_{c,b} as sigma_a does
+    failed = 0
+    for ctx in contexts:
+        if ctx.n < 2:
+            continue
+        a = ctx.n - 1
+        bad = [list(row) for row in ctx.sigma]
+        bad[a][-2], bad[a][-1] = bad[a][-1], bad[a][-2]
+        monkeypatch.setattr(ctx, "sigma", tuple(tuple(r) for r in bad))
+        for name, (route, oracle) in ROUTES.items():
+            assert outcome(route, ctx) == outcome(oracle, ctx), name
+        check = check_augmented_relations(ctx).check("w_exchange")
+        failed += not check.passed
+        assert check.passed or check.witness[:2] == (1, a)
+        monkeypatch.undo()
+    assert failed > 0
+
+
+@pytest.mark.parametrize("end", ["source", "target"])
+def test_swapped_unit_ends_match_oracle(contexts, monkeypatch, end):
+    # one end of h_1 and h_2 swapped: rho(w_0) is still a permutation, so every
+    # augmented relation is decided on the corrupted units (the adjudication
+    # meets the corrupted rho(F) first), and each route must fail where its
+    # oracle does
+    for ctx in contexts:
+        n = ctx.n
+        if n < 3:
+            continue
+        bad = list(getattr(ctx, end))
+        bad[n], bad[2 * n] = bad[2 * n], bad[n]
+        monkeypatch.setattr(ctx, end, bad)
+        for name, (route, oracle) in ROUTES.items():
+            assert outcome(route, ctx) == outcome(oracle, ctx), name
+        report = check_augmented_relations(ctx)
+        assert not any(report.check(name).passed
+                       for name in ("w_exchange", "h_transport", "h_annihilation"))
+        monkeypatch.undo()
 
 
 @pytest.mark.parametrize("image", [ExactMatrix(4, {}), ExactMatrix(4, {(0, 0): 1, (1, 1): 1})])

@@ -71,6 +71,32 @@ def test_defining_relations_zero_violations(n):
     assert report.checks[0].detail["violations"] == 0
 
 
+@pytest.mark.parametrize("pmax, mmax", [(-1, 2), (2, -1), (yangian.MAX_LEVEL + 1, 0),
+                                        (0, yangian.MAX_LEVEL + 1)])
+def test_defining_relations_refuse_levels_outside_range(pmax, mmax):
+    # pmax = -1 used to report ok with 0 violations, having checked nothing
+    with pytest.raises(yb.LimitExceeded):
+        check_defining_relations(2, pmax, mmax)
+
+
+def test_defining_relations_accept_the_range_ends():
+    assert check_defining_relations(2, 0, 0).ok
+    assert check_defining_relations(2, yangian.MAX_LEVEL, 0).ok
+
+
+@pytest.mark.parametrize("pmax", [-1, 0, yangian.MAX_LEVEL + 1])
+def test_augmented_relations_refuse_levels_outside_range(z4_radical_ctx, pmax):
+    # pmax = -1 passed w_exchange and h_transport vacuously while h_annihilation
+    # still checked level 1
+    with pytest.raises(yb.LimitExceeded):
+        check_augmented_relations(z4_radical_ctx, pmax)
+
+
+def test_augmented_relations_accept_the_range_ends(z4_radical_ctx):
+    assert check_augmented_relations(z4_radical_ctx, 1).ok
+    assert check_augmented_relations(z4_radical_ctx, yangian.MAX_LEVEL).ok
+
+
 def test_defining_relations_corrupted_rep():
     report = check_defining_relations(2, 2, 2, transpose=True)
     assert not report.ok
