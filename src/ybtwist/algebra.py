@@ -20,7 +20,13 @@ pair or a whole table of products at a time.
 There is one container, ``TensorElement``: an algebra element is the one-leg
 tensor.  Each structure map (Delta, Delta_F, eps, s, s~) is one per-basis
 table on the context, and one slot kernel applies any of them to any slot of
-any tensor, so the element-level maps are the one-slot case.
+any tensor, so the element-level maps are the one-slot case.  The Hopf axioms
+are decided row by row on those tables and ``prod``, with no tensor built.
+
+The products that several identities form from the context's own F and R are
+built once per context, as coefficient dicts: R13 R23 and R13 R12 (the fusion
+sides, and the YBE sides without their outer factor) and F23 F_{1,23} (the
+cocycle's right side and the 3-fold twist's second bracketing).
 """
 
 from __future__ import annotations
@@ -50,7 +56,10 @@ class AlgebraContext:
     back at the context), and one per-basis table for each structure map -- ``cop``
     (Delta), ``twisted_cop`` (Delta_F), ``eps`` (the counit), ``s`` (the
     antipode) and ``s_twisted`` (the twisted antipode).  Entry i of a table is
-    the image of e_i as {tuple of basis indices: multiplicity}.
+    the image of e_i as {tuple of basis indices: multiplicity}.  Also lazy, as
+    3-tensor coefficient dicts: ``_r13_r23`` (R13 R23), ``_r13_r12`` (R13 R12)
+    and ``_f23_f1_23`` (F23 F_{1,23}), each formed once from the context's own F
+    and R and read by every identity that needs it.
     """
 
     def __init__(self, brace: SkewBrace):
@@ -154,6 +163,21 @@ class AlgebraContext:
         if conj != closed_t:
             raise CheckFailed("rf_closed_form", conj.first_diff(closed_t))
         return conj.coeffs
+
+    @cached_property
+    def _r13_r23(self) -> dict:
+        """R13 R23, the right side of the first fusion identity."""
+        return _r13_times(self, self.twisted_r_matrix, (1, 2))
+
+    @cached_property
+    def _r13_r12(self) -> dict:
+        """R13 R12, the right side of the second fusion identity."""
+        return _r13_times(self, self.twisted_r_matrix, (0, 1))
+
+    @cached_property
+    def _f23_f1_23(self) -> dict:
+        """F23 F_{1,23}, the right side of the cocycle identity."""
+        return apply_left(self.twist, (1, 2), _twist_1_tail(self, 3)).coeffs
 
     @cached_property
     def cop(self) -> list[dict]:
@@ -489,22 +513,6 @@ def map_slot(t: TensorElement, slot: int, table: list[dict]) -> TensorElement:
     return _on_slot(t, slot, table, 1)
 
 
-def mul_slots(t: TensorElement) -> TensorElement:
-    """Multiply all slots together (the k-fold multiplication map)."""
-    ctx = t.ctx
-    dim, prod = ctx.dim, ctx.prod
-    acc: dict = {}
-    for key, c in t.coeffs.items():
-        cur = key[0]
-        for s in key[1:]:
-            cur = prod[cur * dim + s]
-            if cur < 0:
-                break
-        else:
-            acc[(cur,)] = acc.get((cur,), 0) + c
-    return TensorElement(ctx, 1, _prune(acc))
-
-
 # ------------------------------------------------------------- verifications
 
 
@@ -533,42 +541,78 @@ def verify_hopf_axioms(ctx: AlgebraContext, twisted: bool = False) -> PropertyRe
     ``coproduct_homomorphism`` compares Delta(e_i) Delta(e_j) with
     Delta(e_i e_j) on all dim^2 pairs, as one batch of ``_leg_products``: every
     row of the coproduct table times every row.  e_i e_j is a basis element or
-    zero, so Delta(e_i e_j) is a row of the same table or zero.  Coefficients
-    are pruned before comparison, and the witness is the first failing (i, j)
-    in row-major order.  The other checks apply the table row by row.
+    zero, so Delta(e_i e_j) is a row of the same table or zero.  The other
+    checks read the tables row by row: for the row Delta(e_i), coassociativity
+    applies the coproduct table to each of its two slots, the counit law the
+    ``eps`` table, and the antipode law the antipode table followed by ``prod``.
+    Coefficients are pruned before comparison, and each witness is the first
+    failing i (the first failing (i, j) in row-major order for the bialgebra
+    axiom).
     """
     label = "twisted" if twisted else "untwisted"
     report = PropertyReport(f"hopf_axioms_{label}")
     table = ctx.twisted_cop if twisted else ctx.cop
-    one = ctx.one()
-    cops = [ctx.tensor(2, image) for image in table]
 
     w = _homomorphism_witness(ctx, table)
     report.add("coproduct_homomorphism", w is None, witness=w)
 
-    w = next(
-        (i for i, d in enumerate(cops)
-         if slot_coproduct(d, 0, twisted) != slot_coproduct(d, 1, twisted)),
-        None,
-    )
+    w = next((i for i, row in enumerate(table) if not _coassociative(row, table)), None)
     report.add("coassociativity", w is None, witness=w)
 
-    w = next((i for i, d in enumerate(cops)
-              if counit_slot(d, 0) != ctx.basis_element(i)
-              or counit_slot(d, 1) != ctx.basis_element(i)), None)
+    # eps on either slot of Delta(e_i) gives back e_i
+    eps = [image.get((), 0) for image in ctx.eps]
+    w = next((i for i, row in enumerate(table)
+              if _counit_image(row, eps, 0) != {i: 1} or _counit_image(row, eps, 1) != {i: 1}), None)
     report.add("counit", w is None, witness=w)
 
+    # m (s (x) id) Delta(e_i) = m (id (x) s) Delta(e_i) = eps(e_i) 1, with 1 = sum_a h_a
     s_table = ctx.s_twisted if twisted else ctx.s
-    w = None
-    for i, d in enumerate(cops):
-        target = counit(ctx.basis_element(i)) * one
-        left = mul_slots(map_slot(d, 0, s_table))
-        right = mul_slots(map_slot(d, 1, s_table))
-        if left != target or right != target:
-            w = i
-            break
+    n = ctx.n
+    targets = [{a * n: e for a in range(n)} if e != 0 else {} for e in eps]
+    w = next((i for i, row in enumerate(table)
+              if any(side != targets[i] for side in _antipode_sides(ctx, row, s_table))), None)
     report.add("antipode", w is None, witness=w)
     return report
+
+
+def _coassociative(row: dict, table: list[dict]) -> bool:
+    # (Delta (x) id) Delta(e_i) = (id (x) Delta) Delta(e_i) for the row Delta(e_i)
+    left: dict = {}
+    right: dict = {}
+    for (p, q), c in row.items():
+        for (p1, p2), m in table[p].items():
+            key = (p1, p2, q)
+            left[key] = left.get(key, 0) + c * m
+        for (q1, q2), m in table[q].items():
+            key = (p, q1, q2)
+            right[key] = right.get(key, 0) + c * m
+    return _prune(left) == _prune(right)
+
+
+def _counit_image(row: dict, eps: list, slot: int) -> dict:
+    # eps applied to slot ``slot`` of a 2-tensor row: {basis index of the other slot: coefficient}
+    out: dict = {}
+    for pq, c in row.items():
+        if (u := eps[pq[slot]]) != 0:
+            key = pq[1 - slot]
+            out[key] = out.get(key, 0) + c * u
+    return _prune(out)
+
+
+def _antipode_sides(ctx: AlgebraContext, row: dict, s_table: list[dict]) -> tuple[dict, dict]:
+    # m (s (x) id) and m (id (x) s) of a 2-tensor row, as {basis index: coefficient}
+    dim, prod = ctx.dim, ctx.prod
+    left: dict = {}
+    right: dict = {}
+    for (p, q), c in row.items():
+        for (sp,), m in s_table[p].items():
+            if (k := prod[sp * dim + q]) >= 0:
+                left[k] = left.get(k, 0) + c * m
+        base = p * dim
+        for (sq,), m in s_table[q].items():
+            if (k := prod[base + sq]) >= 0:
+                right[k] = right.get(k, 0) + c * m
+    return _prune(left), _prune(right)
 
 
 def is_cocommutative(ctx: AlgebraContext) -> bool:
@@ -581,7 +625,8 @@ def verify_twist_conditions(ctx: AlgebraContext, twist: TensorElement | None = N
 
     ``twist`` overrides the context twist so corrupted inputs can be exercised
     as negative controls; the derived three-slot pieces always come from the
-    true tables.
+    true tables.  Without it the cocycle's right side F23 F_{1,23} is the one
+    the context builds once.
     """
     f = ctx.twist if twist is None else twist
     rf = ctx.twisted_r_matrix
@@ -590,7 +635,8 @@ def verify_twist_conditions(ctx: AlgebraContext, twist: TensorElement | None = N
     f_1_23 = _twist_1_tail(ctx, 3)
     f_12_3 = _twist_12_3(ctx)
     lhs = apply_left(f, (0, 1), f_12_3)
-    rhs = apply_left(f, (1, 2), f_1_23)
+    rhs = (TensorElement(ctx, 3, ctx._f23_f1_23) if twist is None
+           else apply_left(f, (1, 2), f_1_23))
     report.compare("cocycle", lhs, rhs)
     f123 = rhs
 
@@ -617,11 +663,19 @@ def _twist_12_3(ctx: AlgebraContext) -> TensorElement:
 
 
 def verify_universal_ybe(ctx: AlgebraContext, rf: TensorElement | None = None) -> PropertyReport:
-    """Check R12 R13 R23 = R23 R13 R12 in the three-fold tensor algebra."""
-    r = ctx.twisted_r_matrix if rf is None else rf
-    unit3 = ctx.unit_tensor(3)
-    lhs = apply_right(apply_right(apply_right(unit3, r, (0, 1)), r, (0, 2)), r, (1, 2))
-    rhs = apply_right(apply_right(apply_right(unit3, r, (1, 2)), r, (0, 2)), r, (0, 1))
+    """Check R12 R13 R23 = R23 R13 R12 in the three-fold tensor algebra.
+
+    Each side is one product, R12 (R13 R23) and R23 (R13 R12): the product is
+    associative (the construction check), so the tensors are those of any
+    bracketing.  For the context's own R the bracketed pairs are the fusion
+    sides the context builds once; ``rf`` overrides R and forms them anew.
+    """
+    if rf is None:
+        r, r13_r23, r13_r12 = ctx.twisted_r_matrix, ctx._r13_r23, ctx._r13_r12
+    else:
+        r, r13_r23, r13_r12 = rf, _r13_times(ctx, rf, (1, 2)), _r13_times(ctx, rf, (0, 1))
+    lhs = apply_left(r, (0, 1), TensorElement(ctx, 3, r13_r23))
+    rhs = apply_left(r, (1, 2), TensorElement(ctx, 3, r13_r12))
     report = PropertyReport("universal_ybe")
     report.compare("ybe", lhs, rhs)
     return report
@@ -644,9 +698,10 @@ def verify_quasitriangularity(ctx: AlgebraContext) -> PropertyReport:
     w = next((i for i, r in enumerate(rhs) if lhs.get(i, {}) != r.get(0, {})), None)
     report.add("intertwines_coproduct", w is None, witness=w)
 
-    r13 = apply_right(ctx.unit_tensor(3), rf, (0, 2))
-    report.compare("fusion_first_leg", slot_coproduct(rf, 0, twisted=True), apply_right(r13, rf, (1, 2)))
-    report.compare("fusion_second_leg", slot_coproduct(rf, 1, twisted=True), apply_right(r13, rf, (0, 1)))
+    report.compare("fusion_first_leg", slot_coproduct(rf, 0, twisted=True),
+                   TensorElement(ctx, 3, ctx._r13_r23))
+    report.compare("fusion_second_leg", slot_coproduct(rf, 1, twisted=True),
+                   TensorElement(ctx, 3, ctx._r13_r12))
 
     one = ctx.one()
     w = counit_slot(rf, 0).first_diff(one) or counit_slot(rf, 1).first_diff(one)
@@ -660,8 +715,9 @@ def nfold_twist(ctx: AlgebraContext, k: int) -> tuple[TensorElement, PropertyRep
     """Build the k-fold twist two ways and check the closed form and exchange laws.
 
     The recursion multiplies the (k-1)-fold twist against the one-slot and
-    coproduct-image pieces in both bracketings, which must agree; the closed
-    form writes every w-subscript as a running circle product.
+    coproduct-image pieces in both bracketings, which must agree; at j = 3 the
+    one-slot bracketing is the context's F23 F_{1,23}.  The closed form writes
+    every w-subscript as a running circle product.
     """
     if k not in (3, 4):
         raise LimitExceeded(f"tensor order {k} unsupported (k must be 3 or 4)")
@@ -678,7 +734,8 @@ def nfold_twist(ctx: AlgebraContext, k: int) -> tuple[TensorElement, PropertyRep
             tail_piece = slot_coproduct(tail_piece, 0)
         # (F_{1..j-1} (x) 1) . piece and (1 (x) F_{1..j-1}) . one_slot
         lhs = apply_left(prev, tuple(range(j - 1)), tail_piece)
-        rhs = apply_left(prev, tuple(range(1, j)), _twist_1_tail(ctx, j))
+        rhs = (TensorElement(ctx, 3, ctx._f23_f1_23) if j == 3
+               else apply_left(prev, tuple(range(1, j)), _twist_1_tail(ctx, j)))
         report.compare(f"recursion_{j}_fold", lhs, rhs)
         twists[j] = lhs
 
@@ -700,6 +757,11 @@ def nfold_twist(ctx: AlgebraContext, k: int) -> tuple[TensorElement, PropertyRep
         report.compare(f"exchange_law_legs_{j + 1}_{j + 2}", twists[k].slot_swap(j, j + 1),
                        apply_left(rf, (j, j + 1), twists[k]))
     return twists[k], report
+
+
+def _r13_times(ctx: AlgebraContext, r: TensorElement, legs: tuple[int, int]) -> dict:
+    # R13 R_legs: r placed at legs (0, 2) of the unit 3-tensor, times r at ``legs``
+    return apply_right(apply_right(ctx.unit_tensor(3), r, (0, 2)), r, legs).coeffs
 
 
 def _twist_1_tail(ctx: AlgebraContext, k: int) -> TensorElement:

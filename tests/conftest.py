@@ -15,7 +15,12 @@ the groupoid ends, and associativity is the full triple scan
 premise fails.  The per-brace matrix-unit identities (rho's homomorphism law,
 the augmented relations, the twisted-coproduct adjudication) are decided by
 ``ExactMatrix`` products and Kronecker products, where the library relabels
-indices.  The permutation and RTT identities (matrix YBE, reversibility, the
+indices.  The Hopf axioms of the twist algebra are decided on tensors, a slot
+map and a product of slots at a time (``oracle_hopf_axioms``), where the
+library reads the structure-map tables row by row; the universal YBE, the
+fusion identities, the cocycle and the 3-fold twist form every product anew
+in its three-factor bracketing, where the library builds the products shared
+between them once per context.  The permutation and RTT identities (matrix YBE, reversibility, the
 braid bridge, unitarity, RTT and twisted RTT) are decided by ``ExactMatrix``
 products of the materialised operators, where the library multiplies only the
 weights of permutation paths.  The Guarnieri-Vendramin solution
@@ -35,6 +40,7 @@ import pytest
 
 import ybtwist as yb
 from ybtwist import yangian
+from ybtwist.algebra import TensorElement, apply_left, apply_right, counit_slot, map_slot, slot_coproduct
 from ybtwist.matrices import ExactMatrix, rho_basis_entry
 from ybtwist.ncpoly import NCTensor, gen
 from ybtwist.rational import BivarPoly
@@ -229,6 +235,137 @@ def oracle_associativity_witness(prod: list[int], dim: int) -> tuple[int, int, i
 
     return next(((i, j, k) for i, j, k in product(range(dim), repeat=3)
                  if mul(mul(i, j), k) != mul(i, mul(j, k))), None)
+
+
+# The universal identities on tensors: every slot map and product is applied
+# to a whole TensorElement, and every product of three factors is formed in
+# its bracketing from the unit tensor.
+
+
+def mul_slots(t: TensorElement) -> TensorElement:
+    """Multiply all slots together (the k-fold multiplication map)."""
+    ctx = t.ctx
+    dim, prod = ctx.dim, ctx.prod
+    acc: dict = {}
+    for key, c in t.coeffs.items():
+        cur = key[0]
+        for s in key[1:]:
+            cur = prod[cur * dim + s]
+            if cur < 0:
+                break
+        else:
+            acc[(cur,)] = acc.get((cur,), 0) + c
+    return ctx.tensor(1, acc)
+
+
+def oracle_hopf_axioms(ctx, twisted: bool = False) -> PropertyReport:
+    """The four Hopf-axiom checks, each basis element (pair) on whole tensors:
+    Delta(e_i) Delta(e_j) against Delta(e_i e_j) by tensor products, then
+    coassociativity, the counit and the antipode by slot maps of Delta(e_i)."""
+    report = PropertyReport(f"hopf_axioms_{'twisted' if twisted else 'untwisted'}")
+    table = ctx.twisted_cop if twisted else ctx.cop
+    dim, prod = ctx.dim, ctx.prod
+    cops = [ctx.tensor(2, image) for image in table]
+    zero = ctx.tensor(2, {})
+    w = next(((i, j) for i in range(dim) for j in range(dim)
+              if cops[i] * cops[j] != (cops[k] if (k := prod[i * dim + j]) >= 0 else zero)), None)
+    report.add("coproduct_homomorphism", w is None, witness=w)
+
+    w = next((i for i, d in enumerate(cops)
+              if slot_coproduct(d, 0, twisted) != slot_coproduct(d, 1, twisted)), None)
+    report.add("coassociativity", w is None, witness=w)
+
+    w = next((i for i, d in enumerate(cops)
+              if counit_slot(d, 0) != ctx.basis_element(i)
+              or counit_slot(d, 1) != ctx.basis_element(i)), None)
+    report.add("counit", w is None, witness=w)
+
+    s_table = ctx.s_twisted if twisted else ctx.s
+    one = ctx.one()
+    w = next((i for i, d in enumerate(cops)
+              if mul_slots(map_slot(d, 0, s_table)) != yb.counit(ctx.basis_element(i)) * one
+              or mul_slots(map_slot(d, 1, s_table)) != yb.counit(ctx.basis_element(i)) * one), None)
+    report.add("antipode", w is None, witness=w)
+    return report
+
+
+def _r13_then(ctx, r, legs):
+    # (1 (x) 1 (x) 1) R13 R_legs, one product at a time
+    return apply_right(apply_right(ctx.unit_tensor(3), r, (0, 2)), r, legs)
+
+
+def oracle_universal_ybe(ctx, rf=None) -> PropertyReport:
+    """((1 R12) R13) R23 against ((1 R23) R13) R12."""
+    r = ctx.twisted_r_matrix if rf is None else rf
+    unit3 = ctx.unit_tensor(3)
+    report = PropertyReport("universal_ybe")
+    report.compare("ybe", apply_right(apply_right(apply_right(unit3, r, (0, 1)), r, (0, 2)), r, (1, 2)),
+                   apply_right(apply_right(apply_right(unit3, r, (1, 2)), r, (0, 2)), r, (0, 1)))
+    return report
+
+
+def oracle_quasitriangularity(ctx) -> PropertyReport:
+    """R Delta_F(e_i) = Delta_F^op(e_i) R pair by pair, and the fusion sides
+    (1 R13) R23 and (1 R13) R12."""
+    rf = ctx.twisted_r_matrix
+    report = PropertyReport("quasitriangularity")
+    rows = [ctx.tensor(2, row) for row in ctx.twisted_cop]
+    w = next((i for i, d in enumerate(rows) if rf * d != d.slot_swap(0, 1) * rf), None)
+    report.add("intertwines_coproduct", w is None, witness=w)
+    report.compare("fusion_first_leg", slot_coproduct(rf, 0, twisted=True), _r13_then(ctx, rf, (1, 2)))
+    report.compare("fusion_second_leg", slot_coproduct(rf, 1, twisted=True), _r13_then(ctx, rf, (0, 1)))
+    one = ctx.one()
+    w = counit_slot(rf, 0).first_diff(one) or counit_slot(rf, 1).first_diff(one)
+    report.add("counit_laws", w is None, witness=w)
+    if not ctx.is_brace:
+        report.add("exploratory", True, detail="addition is nonabelian; results reported, not asserted")
+    return report
+
+
+def _three_slot_twists(ctx):
+    """F_{1,23} = sum h_a (x) w_{a^-1} (x) w_{a^-1} and
+    F_{12,3} = sum h_a (x) h_{sigma_a(b)} (x) w_{(a o b)^-1}, from the brace tables."""
+    n, inv, circle, sigma = ctx.n, ctx.circle_inv, ctx.circle, ctx.sigma
+    f_1_23 = {(a * n, b * n + inv[a], c * n + inv[a]): 1 for a, b, c in product(range(n), repeat=3)}
+    f_12_3 = {(a * n, sigma[a][b] * n, c * n + inv[circle[a][b]]): 1
+              for a, b, c in product(range(n), repeat=3)}
+    return ctx.tensor(3, f_1_23), ctx.tensor(3, f_12_3)
+
+
+def oracle_twist_conditions(ctx, twist=None) -> PropertyReport:
+    """The cocycle F12 F_{12,3} = F23 F_{1,23}, each side formed anew, and the
+    leg symmetries and exchange laws of the three-slot twists."""
+    f = ctx.twist if twist is None else twist
+    rf = ctx.twisted_r_matrix
+    report = PropertyReport("twist_conditions")
+    f_1_23, f_12_3 = _three_slot_twists(ctx)
+    f123 = apply_left(f, (1, 2), f_1_23)
+    report.compare("cocycle", apply_left(f, (0, 1), f_12_3), f123)
+    report.compare("one_two_three_symmetry", f_1_23, f_1_23.slot_swap(1, 2))
+    report.compare("two_one_three_symmetry", f_12_3, f_12_3.slot_swap(0, 1))
+    report.compare("exchange_r23", f123.slot_swap(1, 2), apply_left(rf, (1, 2), f123))
+    report.compare("exchange_r12", f123.slot_swap(0, 1), apply_left(rf, (0, 1), f123))
+    w = f_12_3.first_diff(slot_coproduct(f, 0)) or f_1_23.first_diff(slot_coproduct(f, 1))
+    report.add("coproduct_images", w is None, witness=w)
+    return report
+
+
+def oracle_nfold_twist3(ctx) -> PropertyReport:
+    """The 3-fold twist F12 (Delta (x) id)(F) against F23 F_{1,23}, its closed
+    form sum h_a (x) h_b w_{a^-1} (x) h_c w_{(a o b)^-1}, and its exchange laws."""
+    n, inv, circle = ctx.n, ctx.circle_inv, ctx.circle
+    f, rf = ctx.twist, ctx.twisted_r_matrix
+    f_1_23, _ = _three_slot_twists(ctx)
+    report = PropertyReport("nfold_twist_k3")
+    f123 = apply_left(f, (0, 1), slot_coproduct(f, 0))
+    report.compare("recursion_3_fold", f123, apply_left(f, (1, 2), f_1_23))
+    closed = {(a * n, b * n + inv[a], c * n + inv[circle[a][b]]): 1
+              for a, b, c in product(range(n), repeat=3)}
+    report.compare("closed_form", f123, ctx.tensor(3, closed))
+    for j in range(2):
+        report.compare(f"exchange_law_legs_{j + 1}_{j + 2}", f123.slot_swap(j, j + 1),
+                       apply_left(rf, (j, j + 1), f123))
+    return report
 
 
 # The per-brace matrix-unit identities by ExactMatrix products, where the
@@ -650,6 +787,25 @@ def order6_nonabelian():
         if any(list(row) != list(range(6)) for row in m.sigma):
             return b
     raise AssertionError("no order-6 skew brace with nonabelian addition and nontrivial sigma")
+
+
+@pytest.fixture(scope="session")
+def z3_squared_brace():
+    """(Z3^2, +) with (x, y) o (u, v) = (x, y) + (u + y v, v), (x, y) at index 3x + y.
+
+    sigma_(x,y)(u, v) = (u + y v, v) has order 3 when y != 0, so sigma_g and
+    sigma_{g^{-1}} differ: the first subject that tells the antipode formula
+    s(h_a w_g) = h_{sigma_{g^{-1}}(-a)} w_{g^{-1}} from its sigma_g variant, and
+    rho(w_g) from rho(w_g^{-1}).
+    """
+    els = [(x, y) for x in range(3) for y in range(3)]
+
+    def at(x, y):
+        return 3 * (x % 3) + y % 3
+
+    add = [[at(x + u, y + v) for u, v in els] for x, y in els]
+    mul = [[at(x + u + y * v, y + v) for u, v in els] for x, y in els]
+    return yb.validate_brace(yb.validate_group(add), yb.validate_group(mul))
 
 
 @pytest.fixture(scope="session")

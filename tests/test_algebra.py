@@ -9,14 +9,13 @@ from fractions import Fraction
 import pytest
 
 import ybtwist as yb
-from conftest import oracle_associativity_witness, oracle_product_rule
+from conftest import mul_slots, oracle_associativity_witness, oracle_hopf_axioms, oracle_product_rule
 from ybtwist import algebra, jsonio
 from ybtwist.algebra import (
     AlgebraContext,
     _groupoid_product,
     counit_slot,
     map_slot,
-    mul_slots,
     nfold_twist,
     slot_coproduct,
     verify_hopf_axioms,
@@ -282,24 +281,6 @@ def test_cocommutative_iff_abelian_addition(z4_radical_ctx, z6_brace, order6_non
     assert not yb.is_cocommutative(ctx)
 
 
-@pytest.fixture(scope="module")
-def z3_squared_brace():
-    """(Z3^2, +) with (x, y) o (u, v) = (x, y) + (u + y v, v), (x, y) at index 3x + y.
-
-    sigma_(x,y)(u, v) = (u + y v, v) has order 3 when y != 0, so sigma_g and
-    sigma_{g^{-1}} differ: the first subject that tells the antipode formula
-    s(h_a w_g) = h_{sigma_{g^{-1}}(-a)} w_{g^{-1}} from its sigma_g variant.
-    """
-    els = [(x, y) for x in range(3) for y in range(3)]
-
-    def at(x, y):
-        return 3 * (x % 3) + y % 3
-
-    add = [[at(x + u, y + v) for u, v in els] for x, y in els]
-    mul = [[at(x + u + y * v, y + v) for u, v in els] for x, y in els]
-    return yb.validate_brace(yb.validate_group(add), yb.validate_group(mul))
-
-
 def test_order9_pins_the_antipode_formula(z3_squared_brace, monkeypatch):
     ctx = AlgebraContext(z3_squared_brace)
     n, inv = ctx.n, ctx.circle_inv
@@ -356,6 +337,7 @@ def test_hopf_axioms_corrupted_coproduct(z4_radical_ctx, monkeypatch, twisted):
         != cop(ctx.basis_element(i)) * cop(ctx.basis_element(j))
     )
     assert hom.witness == expected
+    assert report == oracle_hopf_axioms(ctx, twisted)
 
 
 def test_construction_check_rejects_corrupted_tables(z4_radical_ctx):

@@ -5,7 +5,8 @@
 on matrix units and permutations.  Their oracles in ``conftest.py`` multiply
 the same matrices as ``ExactMatrix`` products.  The two routes must give equal
 reports (names, verdicts, witnesses, detail) on every context of orders 1-5,
-on a seeded sample of order-6 contexts (half with non-abelian addition), and
+on a seeded sample of order-6 contexts (half with non-abelian addition), on
+the order-9 brace whose sigma_g are not involutions, and
 under corrupted representations, products, sigma tables and (for the
 adjudication) transposed evaluation images.
 """
@@ -64,6 +65,19 @@ def scaled(ctx, at):
     def images(i):
         return (2 if i == at else 1) * ExactMatrix(ctx.n, {rho_basis_entry(ctx, i): 1})
     return images
+
+
+@pytest.mark.parametrize("name", sorted(ROUTES))
+def test_order9_index_route_matches_oracle(z3_squared_brace, name):
+    # every sigma_g of orders 1-6 is an involution, so there rho(w_g) and
+    # rho(w_g^{-1}) coincide; at order 9 they differ and the index rules must
+    # tell them apart
+    ctx = yb.algebra_from_brace(z3_squared_brace)
+    assert any(ctx.sigma[g] != ctx.sigma[ctx.circle_inv[g]] for g in range(ctx.n))
+    route, oracle = ROUTES[name]
+    report = route(ctx)
+    assert report == oracle(ctx)
+    assert report.ok
 
 
 def test_transposed_images_match_oracle(contexts):
