@@ -1,16 +1,19 @@
 """Sparse exact matrices, the fundamental representation, and matrix-level checks.
 
-Every matrix is one ``ExactMatrix``: a ``Sparse`` combination whose
-``coeffs`` map (row, col) to exact entries, integers, ``Fraction``s or
-``BivarPoly`` polynomials in the spectral parameters.  A permutation
-matrix is an ``ExactMatrix`` whose entries are 1; where a check composes
-permutations it works on their column -> row lists, and ``_on_legs`` is the
-only code that places a list on tensor legs: any tuple of distinct legs, leg 0
-the most significant digit, by one additive index map.  Every matrix identity
-of a combinatorial solution and every pole-cleared RTT identity is a product
-of weighted permutation sums, ``_product``: it expands one term per factor,
-multiplies only the weights, and writes each entry once, as the weight sum of
-the set of paths that reach it (one sum per set, keyed by a bitmask).
+Every matrix is one ``ExactMatrix``, a container: a ``Sparse`` combination
+whose ``coeffs`` map (row, col) to exact entries, integers, ``Fraction``s or
+``BivarPoly`` polynomials in the spectral parameters, with the vector-space
+operations and no matrix product.  A permutation matrix is an
+``ExactMatrix`` whose entries are 1; every check composes permutations as
+column -> row lists, and ``_on_legs`` is the only code that places a list on
+tensor legs: any tuple of distinct legs, leg 0 the most significant digit, by
+one additive index map.  Every matrix identity of a combinatorial solution
+and every pole-cleared RTT identity is a product of weighted permutation
+sums, ``_product``, the one matrix product in the package: it expands one
+term per factor, multiplies only the weights, and writes each entry once, as
+the weight sum of the set of paths that reach it (one sum per set, keyed by a
+bitmask).  The k-fold twist ``nfold_twist_matrix`` is composed and returned
+as a column -> row list alone.
 ``rho`` represents an algebra tensor of any order, one n-dimensional leg per
 tensor leg, and is the only route from the algebra into matrices; a basis
 element goes to the matrix unit e_{target, source}, so ``rho_is_homomorphism``
@@ -36,8 +39,10 @@ class ExactMatrix(Sparse):
 
     ``coeffs`` maps (row, col) to the non-zero entries.  Entries only need
     ring arithmetic with each other and with ``0``, and ``v != 0`` for
-    exactly the zero entries, so one kernel serves every coefficient ring and
-    mixes integer and polynomial matrices freely.
+    exactly the zero entries, so one kernel, ``_product``, serves every
+    coefficient ring and mixes integer and polynomial weights freely.  The
+    class is a container: sums, differences, scalar multiples, equality and
+    ``first_diff``, but no matrix product.
     """
 
     __slots__ = ("dim",)
@@ -69,20 +74,6 @@ class ExactMatrix(Sparse):
     @classmethod
     def zero(cls, dim: int) -> ExactMatrix:
         return cls(dim, {})
-
-    def __mul__(self, other) -> ExactMatrix:
-        other = self._operand(other)
-        if other is None:
-            return NotImplemented
-        by_row: dict = {}
-        for (r, c), v in other.coeffs.items():
-            by_row.setdefault(r, []).append((c, v))
-        acc: dict = {}
-        for (r, k), va in self.coeffs.items():
-            for c, vb in by_row.get(k, ()):
-                key = (r, c)
-                acc[key] = acc.get(key, 0) + va * vb
-        return self._like(_prune(acc))
 
     def __repr__(self):
         return f"ExactMatrix(dim={self.dim}, nnz={len(self.coeffs)})"
@@ -136,10 +127,11 @@ def _product(n: int, k: int, *factors) -> ExactMatrix:
 
 
 def _two_leg_map(m: ExactMatrix) -> tuple[int, list[int]]:
-    """(n, column -> row list) of a combinatorial matrix on the n^2 space."""
+    """(n, column -> row list) of a combinatorial matrix on the n^2 space; a
+    dimension that is not a perfect square raises ValidationFailure("dim_mismatch")."""
     n = isqrt(m.dim)
     if n * n != m.dim:
-        raise LimitExceeded(f"dimension {m.dim} is not a perfect square")
+        raise ValidationFailure("dim_mismatch", m.dim)
     return n, _as_mapping(m)
 
 
@@ -263,9 +255,10 @@ def check_matrix_ybe(m: ExactMatrix) -> PropertyReport:
 # ------------------------------------------------------------ n-fold twist
 
 
-def nfold_twist_matrix(ctx: AlgebraContext, k: int) -> tuple[ExactMatrix, PropertyReport]:
+def nfold_twist_matrix(ctx: AlgebraContext, k: int) -> tuple[list[int], PropertyReport]:
     """Representation-level k-fold twist, k = 3 or 4, with recursion/closed-form/exchange checks.
 
+    Returns the column -> row list of F_{1..k} on the n^k basis, and the report.
     Every factor, including the leg swaps and the embedded R-matrix, is a
     permutation kept as a column -> row list on the n^k basis, so products are
     mapping compositions and the check scales to order 6 at k = 4.  A failed
@@ -340,7 +333,7 @@ def nfold_twist_matrix(ctx: AlgebraContext, k: int) -> tuple[ExactMatrix, Proper
     for name, a, b in sides:
         c = next((c for c in range(size) if a[c] != b[c]), None)
         report.add(name, c is None, None if c is None else {"column": c, "lhs": a[c], "rhs": b[c]})
-    return ExactMatrix(size, {(row, col): 1 for col, row in enumerate(lhs)}), report
+    return lhs, report
 
 
 def _on_legs(legs_map: list[int], n: int, k: int, legs) -> list[int]:

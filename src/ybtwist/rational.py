@@ -6,16 +6,19 @@ noncommutative tensors, whose one-leg case is a polynomial) is a ``Sparse``: a d
 exact coefficients.  Zero coefficients are never stored, so two equal
 combinations always have equal dictionaries and equality is syntactic.
 ``Sparse`` owns the vector-space arithmetic and the one first-difference
-scan that witnesses a failed identity; each container adds its own product.
+scan that witnesses a failed identity.  Tensors and polynomials add their own
+products; ``ExactMatrix`` adds none, as every matrix identity is decided by
+the permutation-sum kernel ``matrices._product``.
 
 Polynomials map (i, j) exponent pairs of the variables (written u and v in
 reprs) to exact coefficients: integers stay integers, and ``Fraction``s
 appear only where a caller supplies them.  A polynomial combines with plain
 numbers, and compares equal to a number exactly when it is that constant (to
-``0`` when it is zero), so the sparse ``ExactMatrix`` kernel carries
-polynomial entries unchanged.  The R, L, R^F and L^F operators of the RTT
-layer have known scalar poles; multiplied by them they become polynomial
-matrices, and no rational-function field is needed.
+``0`` when it is zero), so ``ExactMatrix`` entries and the weights of the
+``matrices._product`` kernel may be polynomials unchanged.  The R, L, R^F
+and L^F operators of the RTT layer have known scalar poles; multiplied by
+them they become polynomial matrices, and no rational-function field is
+needed.
 """
 
 from __future__ import annotations

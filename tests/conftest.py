@@ -3,8 +3,8 @@
 The oracles here re-derive enumeration counts and validity with none of the
 library's search code: group tables come from filtering raw row-permutation
 products or from a cell-by-cell backtracker, braces from a naive pair scan
-over those tables.  The n-only yangian oracles decide every index tuple one
-by one, where the library decides one tuple per S_n orbit, and the symbolic
+over those tables.  The n-only yangian oracles decide every index tuple one by
+one, where the library decides one tuple per S_n orbit, and the symbolic
 coproduct and antipode tables are rebuilt as sums of tensors, term by term.
 Tensor legs are placed digit by digit (``oracle_embed_legs``), where the
 library adds one precomputed offset per leg group.  The twist algebra's
@@ -14,14 +14,17 @@ the groupoid ends, and associativity is the full triple scan
 (``oracle_associativity_witness``), which the library runs only when its
 premise fails.  The per-brace matrix-unit identities (rho's homomorphism law,
 the augmented relations, the twisted-coproduct adjudication) are decided by
-``ExactMatrix`` products and Kronecker products, where the library relabels
-indices.  The Hopf axioms of the twist algebra are decided on tensors, a slot
-map and a product of slots at a time (``oracle_hopf_axioms``), where the
-library reads the structure-map tables row by row; the universal YBE, the
-fusion identities, the cocycle and the 3-fold twist form every product anew
-in its three-factor bracketing, where the library builds the products shared
-between them once per context.  The permutation and RTT identities (matrix YBE, reversibility, the
-braid bridge, unitarity, RTT and twisted RTT) are decided by ``ExactMatrix``
+matrix products and Kronecker products, where the library relabels indices.
+Every matrix product of the oracles is ``oracle_matmul``, a dict join of the
+entries: ``ExactMatrix`` is a container with no product, and the library
+multiplies matrices only as weighted permutation sums (``matrices._product``).
+The Hopf axioms of the twist algebra are decided on tensors, a slot map and a
+product of slots at a time (``oracle_hopf_axioms``), where the library reads
+the structure-map tables row by row; the universal YBE, the fusion identities,
+the cocycle and the 3-fold twist form every product anew in its three-factor
+bracketing, where the library builds the products shared between them once per
+context.  The permutation and RTT identities (matrix YBE, reversibility, the
+braid bridge, unitarity, RTT and twisted RTT) are decided by ``oracle_matmul``
 products of the materialised operators, where the library multiplies only the
 weights of permutation paths.  The Guarnieri-Vendramin solution
 (``oracle_gv_tau``) is read off the raw brace tables.  They are the reference
@@ -171,6 +174,23 @@ def oracle_brace_pairs(n: int, skew: bool = True) -> list[tuple]:
             if ok:
                 found.append((add, mul))
     return found
+
+
+def oracle_matmul(a: ExactMatrix, b: ExactMatrix, *more: ExactMatrix) -> ExactMatrix:
+    """The product a b (then times each of ``more``, left to right), by a dict
+    join of the entries: the one matrix product of the oracles, which the
+    library does not have."""
+    for c in (b, *more):
+        assert a.dim == c.dim, (a.dim, c.dim)
+        by_row: dict = {}
+        for (r, k), v in c.coeffs.items():
+            by_row.setdefault(r, []).append((k, v))
+        acc: dict = {}
+        for (r, k), va in a.coeffs.items():
+            for col, vb in by_row.get(k, ()):
+                acc[(r, col)] = acc.get((r, col), 0) + va * vb
+        a = ExactMatrix(a.dim, acc)
+    return a
 
 
 def oracle_embed_legs(m: ExactMatrix, n: int, k: int, legs: tuple[int, ...]) -> ExactMatrix:
@@ -368,7 +388,7 @@ def oracle_nfold_twist3(ctx) -> PropertyReport:
     return report
 
 
-# The per-brace matrix-unit identities by ExactMatrix products, where the
+# The per-brace matrix-unit identities by ``oracle_matmul`` products, where the
 # library decides them on indices.
 
 
@@ -384,7 +404,7 @@ def oracle_rho_homomorphism(ctx, images=None) -> PropertyReport:
     for i in range(dim):
         for j in range(dim):
             k = prod[i * dim + j]
-            if mats[i] * mats[j] != (mats[k] if k >= 0 else zero):
+            if oracle_matmul(mats[i], mats[j]) != (mats[k] if k >= 0 else zero):
                 report.add("homomorphism", False, witness=(i, j))
                 return report
     report.add("homomorphism", True)
@@ -400,17 +420,19 @@ def oracle_augmented_relations(ctx, pmax: int = yangian.MAX_LEVEL) -> PropertyRe
     sigma = ctx.sigma
 
     w = next(((p, a, b, c) for p in range(pmax + 1) for a, b, c in product(range(n), repeat=3)
-              if w_mats[a] * img(p, b, c) != img(p, sigma[a][b], sigma[a][c]) * w_mats[a]), None)
+              if oracle_matmul(w_mats[a], img(p, b, c))
+              != oracle_matmul(img(p, sigma[a][b], sigma[a][c]), w_mats[a])), None)
     report.add("w_exchange", w is None, witness=w)
 
     w = next(((p, a, b) for p in range(pmax + 1) for a, b in product(range(n), repeat=2)
-              if e_mats[b] * img(p, a, b) != img(p, a, b) * e_mats[a]), None)
+              if oracle_matmul(e_mats[b], img(p, a, b)) != oracle_matmul(img(p, a, b), e_mats[a])), None)
     report.add("h_transport", w is None, witness=w)
 
     zero = ExactMatrix.zero(n)
     w = next(((p, a, b, c) for p in range(1, max(pmax, 1) + 1)
               for a, b, c in product(range(n), repeat=3) if c not in (a, b)
-              and (e_mats[c] * img(p, a, b) != zero or img(p, a, b) * e_mats[c] != zero)), None)
+              and (oracle_matmul(e_mats[c], img(p, a, b)) != zero
+                   or oracle_matmul(img(p, a, b), e_mats[c]) != zero)), None)
     report.add("h_annihilation", w is None, witness=w)
     return report
 
@@ -446,8 +468,8 @@ def oracle_adjudication(ctx, max_level: int = 2) -> PropertyReport:
         acc = ExactMatrix.zero(dim)
         for k in range(kmin, m + 1):
             for c in range(n):
-                left = img(k, c, b) * e_mats[c]
-                right = w_inv_mats[b] * img(m - k, a, c) * w_mats[c]
+                left = oracle_matmul(img(k, c, b), e_mats[c])
+                right = oracle_matmul(w_inv_mats[b], img(m - k, a, c), w_mats[c])
                 acc = acc + oracle_kron(left, right)
         return acc
 
@@ -462,7 +484,8 @@ def oracle_adjudication(ctx, max_level: int = 2) -> PropertyReport:
         for a in range(n):
             for b in range(n):
                 disp = {kmin: display_image(m, a, b, kmin) for kmin in (0, 1)}
-                conj = {kmin: f_mat * delta_image(m, a, b, kmin) * f_inv_mat for kmin in (0, 1)}
+                conj = {kmin: oracle_matmul(f_mat, delta_image(m, a, b, kmin), f_inv_mat)
+                        for kmin in (0, 1)}
                 for name, (disp_kmin, delta_kmin) in comparisons.items():
                     results[name].add(disp[disp_kmin] == conj[delta_kmin])
     outcomes = {name: seen.pop() if len(seen) == 1 else "mixed" for name, seen in results.items()}
@@ -480,7 +503,7 @@ def oracle_adjudication(ctx, max_level: int = 2) -> PropertyReport:
     return report
 
 
-# The permutation and RTT identities by ExactMatrix products of the
+# The permutation and RTT identities by ``oracle_matmul`` products of the
 # materialised operators, each placed on its legs by ``oracle_embed_legs``.
 # ``oracle_twisted_rtt`` reads ``yangian.solution_matrix`` and
 # ``yangian.twist_matrix`` at call time, so a test that patches one patches the
@@ -501,7 +524,7 @@ def oracle_three_leg_sides(x: ExactMatrix, y: ExactMatrix, z: ExactMatrix, n: in
     """X12 Y13 Z23 and Z23 Y13 X12 on the n^3 space, for two-leg x, y, z."""
     x12, y13, z23 = (oracle_embed_legs(m, n, 3, legs)
                      for m, legs in ((x, (0, 1)), (y, (0, 2)), (z, (1, 2))))
-    return x12 * y13 * z23, z23 * y13 * x12
+    return oracle_matmul(x12, y13, z23), oracle_matmul(z23, y13, x12)
 
 
 def _spacing() -> BivarPoly:
@@ -510,7 +533,8 @@ def _spacing() -> BivarPoly:
 
 def oracle_unitarity_report(n: int) -> PropertyReport:
     u, one = _spacing(), ExactMatrix.identity(n * n)
-    lhs = oracle_cleared(u, one, n) * oracle_embed_legs(oracle_cleared(-u, one, n), n, 2, (1, 0))
+    lhs = oracle_matmul(oracle_cleared(u, one, n),
+                        oracle_embed_legs(oracle_cleared(-u, one, n), n, 2, (1, 0)))
     report = PropertyReport("unitarity")
     report.compare("unitarity", lhs, (1 - u * u) * one)
     return report
@@ -534,7 +558,7 @@ def oracle_twisted_rtt(ctx) -> PropertyReport:
     f_op = oracle_embed_legs(yangian.twist_matrix(ctx), n, 2, (1, 0))
     r_plain = oracle_cleared(u, ExactMatrix.identity(n * n), n)
     report = PropertyReport("twisted_rtt")
-    report.compare("conjugation_form", rf, f_op * r_plain * yb.rho(ctx, ctx.twist_inv))
+    report.compare("conjugation_form", rf, oracle_matmul(f_op, r_plain, yb.rho(ctx, ctx.twist_inv)))
     report.compare("twisted_rtt", *oracle_three_leg_sides(
         rf, oracle_cleared(BivarPoly.var(0) - 1, r, n),
         oracle_cleared(BivarPoly.var(1) - 1, r, n), n))
@@ -549,7 +573,7 @@ def oracle_matrix_ybe(m: ExactMatrix) -> PropertyReport:
 
 def oracle_reversibility(m: ExactMatrix) -> bool:
     """R . (P R P) = 1, the flip conjugation placed digit by digit."""
-    return m * oracle_embed_legs(m, isqrt(m.dim), 2, (1, 0)) == ExactMatrix.identity(m.dim)
+    return oracle_matmul(m, oracle_embed_legs(m, isqrt(m.dim), 2, (1, 0))) == ExactMatrix.identity(m.dim)
 
 
 def oracle_braid_matrix(m) -> ExactMatrix:
@@ -558,7 +582,7 @@ def oracle_braid_matrix(m) -> ExactMatrix:
     pairs = list(product(range(n), repeat=2))
     braid = ExactMatrix(n * n, {(s[a][b] * n + t[b][a], a * n + b): 1 for a, b in pairs})
     r = ExactMatrix(n * n, {(b * n + a, s[a][b] * n + t[b][a]): 1 for a, b in pairs})
-    if braid != oracle_flip(n) * r:
+    if braid != oracle_matmul(oracle_flip(n), r):
         raise yb.CheckFailed("bridge_mismatch")
     return braid
 
@@ -581,7 +605,7 @@ def oracle_gv_tau(brace) -> tuple[list[list[int]], list[list[int]]]:
 
 
 def _comm(a, b):
-    return a * b - b * a
+    return oracle_matmul(a, b) - oracle_matmul(b, a)
 
 
 def oracle_defining_relations(n: int, pmax: int, mmax: int,
@@ -594,7 +618,7 @@ def oracle_defining_relations(n: int, pmax: int, mmax: int,
         for m in range(mmax + 1):
             for i, j, k, l in product(range(n), repeat=4):
                 lhs = _comm(img(p + 1, i, j), img(m, k, l)) - _comm(img(p, i, j), img(m + 1, k, l))
-                rhs = img(m, k, j) * img(p, i, l) - img(p, k, j) * img(m, i, l)
+                rhs = oracle_matmul(img(m, k, j), img(p, i, l)) - oracle_matmul(img(p, k, j), img(m, i, l))
                 if lhs != rhs:
                     violations += 1
                     if first is None:
@@ -619,7 +643,7 @@ def oracle_displayed_relations(n: int) -> PropertyReport:
             delta(i, l, 2, k, j) - delta(k, j, 2, i, l)),
         "level3_minus_level22": lambda i, j, k, l: (
             _comm(img(3, i, j), img(1, k, l)) - _comm(img(2, i, j), img(2, k, l)),
-            img(1, k, j) * img(2, i, l) - img(2, k, j) * img(1, i, l)),
+            oracle_matmul(img(1, k, j), img(2, i, l)) - oracle_matmul(img(2, k, j), img(1, i, l))),
         "level3_level1": lambda i, j, k, l: (
             _comm(img(3, i, j), img(1, k, l)),
             delta(i, l, 3, k, j) - delta(k, j, 3, i, l)),

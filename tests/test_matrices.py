@@ -10,7 +10,7 @@ from itertools import product as iproduct
 import pytest
 
 import ybtwist as yb
-from conftest import oracle_embed_legs, oracle_matrix_ybe
+from conftest import oracle_embed_legs, oracle_matmul, oracle_matrix_ybe
 from ybtwist import jsonio, matrices
 from ybtwist.algebra import AlgebraContext, slot_coproduct
 from ybtwist.matrices import (
@@ -108,12 +108,20 @@ def test_combinatorial_and_reversible(z4_radical_ctx):
     assert yb.check_reversibility(ExactMatrix.identity(4))
 
 
+def test_two_leg_checks_reject_non_square_dimension():
+    # a two-leg matrix lives on an n^2 space: dimension 3 is invalid input, not a ceiling
+    for check in (yb.check_matrix_ybe, yb.check_reversibility):
+        with pytest.raises(yb.ValidationFailure) as exc:
+            check(ExactMatrix.identity(3))
+        assert (exc.value.kind, exc.value.witness) == ("dim_mismatch", 3)
+
+
 def test_braid_bridge(trivial2_ctx, z4_radical_ctx):
     m = trivial2_ctx.ybmap
     assert yb.braid_matrix(m) == flip_matrix(2)
     m4 = z4_radical_ctx.ybmap
     braid = yb.braid_matrix(m4)
-    assert braid == flip_matrix(4) * yb.solution_matrix(z4_radical_ctx)
+    assert braid == oracle_matmul(flip_matrix(4), yb.solution_matrix(z4_radical_ctx))
 
 
 def test_braid_square_iff_involutive(braces_up_to_4, z6_brace):
@@ -121,11 +129,11 @@ def test_braid_square_iff_involutive(braces_up_to_4, z6_brace):
         for b in bs:
             m = yb.derive_sigma_tau(b)
             braid = yb.braid_matrix(m)
-            squared = braid * braid
+            squared = oracle_matmul(braid, braid)
             assert (squared == ExactMatrix.identity(b.n * b.n)) == yb.is_involutive(m)
     m = yb.derive_sigma_tau(z6_brace)
     braid = yb.braid_matrix(m)
-    assert braid * braid == ExactMatrix.identity(36)
+    assert oracle_matmul(braid, braid) == ExactMatrix.identity(36)
 
 
 def test_order6_matrix_layer(z6_brace):
@@ -189,18 +197,23 @@ def test_augmented_w_exchange_matrix_form(z4_radical_ctx):
         w = yb.rho(ctx, ctx.w(a))
         for b in range(n):
             for c in range(n):
-                lhs = w * ExactMatrix(n, {(c, b): 1})
-                rhs = ExactMatrix(n, {(ctx.sigma[a][c], ctx.sigma[a][b]): 1}) * w
+                lhs = oracle_matmul(w, ExactMatrix(n, {(c, b): 1}))
+                rhs = oracle_matmul(ExactMatrix(n, {(ctx.sigma[a][c], ctx.sigma[a][b]): 1}), w)
                 assert lhs == rhs
 
 
+def _perm_matrix(perm: list[int]) -> ExactMatrix:
+    """The permutation matrix of a column -> row list."""
+    return ExactMatrix(len(perm), {(t, s): 1 for s, t in enumerate(perm)})
+
+
 def test_nfold_twist_matrix(trivial2_ctx, z4_radical_ctx, z6_brace):
-    mat, report = nfold_twist_matrix(trivial2_ctx, 3)
+    # the trivial brace has sigma = id, so every k-fold twist is the identity
+    perm, report = nfold_twist_matrix(trivial2_ctx, 3)
     assert report.ok
-    assert mat.dim == 8
-    assert mat == ExactMatrix.identity(8)
-    mat, report = nfold_twist_matrix(trivial2_ctx, 4)
-    assert report.ok and mat.dim == 16
+    assert perm == list(range(2 ** 3))
+    perm, report = nfold_twist_matrix(trivial2_ctx, 4)
+    assert report.ok and perm == list(range(2 ** 4))
     _, report = nfold_twist_matrix(z4_radical_ctx, 3)
     assert report.ok
     _, report = nfold_twist_matrix(z4_radical_ctx, 4)
@@ -215,8 +228,8 @@ def test_nfold_matrix_agrees_with_universal(z4_radical_ctx):
 
     for k in (3, 4):
         universal, _ = nfold_twist(z4_radical_ctx, k)
-        mat, _ = nfold_twist_matrix(z4_radical_ctx, k)
-        assert mat == yb.rho(z4_radical_ctx, universal)
+        perm, _ = nfold_twist_matrix(z4_radical_ctx, k)
+        assert _perm_matrix(perm) == yb.rho(z4_radical_ctx, universal)
 
 
 def test_nfold_twist_matrix_leg_count_guard(trivial2_ctx, z4_radical_ctx):
@@ -228,13 +241,13 @@ def test_nfold_twist_matrix_leg_count_guard(trivial2_ctx, z4_radical_ctx):
 
 
 def _oracle_twist(ctx, k: int) -> ExactMatrix:
-    # F_{1..j} = (F_{1..j-1} (x) 1) . rho((Delta^{(j-2)} (x) id) F), with dict-backed
-    # ExactMatrix products and oracle leg placements, not mapping compositions
+    # F_{1..j} = (F_{1..j-1} (x) 1) . rho((Delta^{(j-2)} (x) id) F), with dict-join
+    # matrix products and oracle leg placements, not mapping compositions
     f = yb.rho(ctx, ctx.twist)
     tail = ctx.twist
     for j in range(3, k + 1):
         tail = slot_coproduct(tail, 0)
-        f = oracle_embed_legs(f, ctx.n, j, tuple(range(j - 1))) * yb.rho(ctx, tail)
+        f = oracle_matmul(oracle_embed_legs(f, ctx.n, j, tuple(range(j - 1))), yb.rho(ctx, tail))
     return f
 
 
@@ -246,16 +259,16 @@ def test_nfold_twist_matrix_exchange_law_oracle(braces_up_to_4, z6_brace):
         p = flip_matrix(n)
         r = yb.solution_matrix(ctx)
         for k in (3, 4):
-            mat, report = nfold_twist_matrix(ctx, k)
+            perm, report = nfold_twist_matrix(ctx, k)
             f = _oracle_twist(ctx, k)
-            assert mat == f
+            assert _perm_matrix(perm) == f
             exchange = [f"exchange_law_legs_{j + 1}_{j + 2}" for j in range(k - 1)]
             assert [c.name for c in report.checks] == ["recursion", "closed_form", *exchange]
             assert report.check("recursion").passed and report.check("closed_form").passed
             for j in range(k - 1):
                 pj = oracle_embed_legs(p, n, k, (j, j + 1))
                 rj = oracle_embed_legs(r, n, k, (j, j + 1))
-                assert report.check(exchange[j]).passed == (pj * f * pj == rj * f)
+                assert report.check(exchange[j]).passed == (oracle_matmul(pj, f, pj) == oracle_matmul(rj, f))
 
 
 def test_nfold_twist_matrix_exchange_law_negative_control(z4_radical_ctx, monkeypatch):
@@ -286,8 +299,8 @@ def test_nfold_twist_matrix_witness_is_first_column(z4_radical_ctx, k):
             total = ctx.add[total][b]
         for a in range(n):
             piece[tuple(b * n for b in heads) + (a * n + clean.circle_inv[total],)] = 1
-    bad = (oracle_embed_legs(_oracle_twist(clean, k - 1), n, k, tuple(range(k - 1)))
-           * yb.rho(clean, clean.tensor(k, piece)))
+    bad = oracle_matmul(oracle_embed_legs(_oracle_twist(clean, k - 1), n, k, tuple(range(k - 1))),
+                        yb.rho(clean, clean.tensor(k, piece)))
 
     def columns(m):
         return {c: r for r, c in m.coeffs}
@@ -305,7 +318,7 @@ def test_nfold_twist_matrix_witness_is_first_column(z4_radical_ctx, k):
     for j in range(k - 1):
         pj, rj = oracle_embed_legs(p, n, k, (j, j + 1)), oracle_embed_legs(r, n, k, (j, j + 1))
         check = report.check(f"exchange_law_legs_{j + 1}_{j + 2}")
-        assert check.witness == witness(pj * bad * pj, rj * bad)
+        assert check.witness == witness(oracle_matmul(pj, bad, pj), oracle_matmul(rj, bad))
         assert check.passed == (check.witness is None)
 
 
@@ -320,10 +333,9 @@ def test_matrix_suite_order6_braces_all_pass():
 def test_swap_legs_is_flip_conjugation():
     # a column -> row list placed on legs (1, 0) is P m P
     perm = [2, 0, 3, 1]
-    m = ExactMatrix(4, {(t, s): 1 for s, t in enumerate(perm)})
     p = flip_matrix(2)
     swapped = _on_legs(perm, 2, 2, (1, 0))
-    assert ExactMatrix(4, {(t, s): 1 for s, t in enumerate(swapped)}) == p * m * p
+    assert _perm_matrix(swapped) == oracle_matmul(p, _perm_matrix(perm), p)
 
 
 def _random_weight(rng, ring: str):
@@ -355,8 +367,8 @@ def test_product_matches_embedded_matrix_products(k):
                 dim = n ** len(legs)
                 m = ExactMatrix.zero(dim)
                 for w, perm in terms:
-                    m = m + w * ExactMatrix(dim, {(t, s): 1 for s, t in enumerate(perm)})
-                expected = expected * oracle_embed_legs(m, n, k, legs)
+                    m = m + w * _perm_matrix(perm)
+                expected = oracle_matmul(expected, oracle_embed_legs(m, n, k, legs))
             assert _product(n, k, *factors) == expected
 
 
@@ -412,8 +424,7 @@ def test_leg_placements_match_digit_oracle(k):
                 perm = list(range(dim))
                 rng.shuffle(perm)
                 placed = _on_legs(perm, n, k, legs)
-                expected = oracle_embed_legs(
-                    ExactMatrix(dim, {(t, s): 1 for s, t in enumerate(perm)}), n, k, legs)
+                expected = oracle_embed_legs(_perm_matrix(perm), n, k, legs)
                 assert {(t, s): 1 for s, t in enumerate(placed)} == expected.coeffs
 
 

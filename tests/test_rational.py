@@ -1,6 +1,6 @@
 """The ``Sparse`` core shared by the six exact containers, and exact bivariate
-polynomials: arithmetic, canonical equality, and their use as entries of the
-one sparse ``ExactMatrix`` kernel."""
+polynomials: arithmetic, canonical equality, and their use as entries of
+``ExactMatrix`` and as weights of the one matrix product, ``matrices._product``."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from ybtwist.errors import ValidationFailure
-from ybtwist.matrices import ExactMatrix
+from ybtwist.matrices import ExactMatrix, _product
 from ybtwist.ncpoly import NCTensor, gen
 from ybtwist.rational import BivarPoly, Sparse
 from ybtwist.reports import PropertyReport
@@ -59,12 +59,12 @@ def test_poly_integer_coefficients_stay_integers():
 
 def test_exact_matrix_product_prunes_cancelled_polys():
     # (u 1 + P)(u 1 - P) = (u^2 - 1) 1 on the 2x2 flip: off-diagonal terms cancel
-    flip = ExactMatrix(2, {(0, 1): 1, (1, 0): 1})
-    plus = U * ExactMatrix.identity(2) + flip
-    minus = U * ExactMatrix.identity(2) - flip
-    prod = plus * minus
+    ident, swap = [0, 1], [1, 0]
+    prod = _product(2, 1, ([(U, ident), (1, swap)], (0,)), ([(U, ident), (-1, swap)], (0,)))
     assert set(prod.coeffs) == {(0, 0), (1, 1)}
     assert prod == (U * U - 1) * ExactMatrix.identity(2)
+    flip = ExactMatrix(2, {(0, 1): 1, (1, 0): 1})
+    plus = U * ExactMatrix.identity(2) + flip
     # a polynomial matrix minus itself is the empty integer zero matrix
     assert (plus - plus).coeffs == {}
     assert plus - plus == ExactMatrix.zero(2)
@@ -119,7 +119,7 @@ def test_sparse_core_laws(kind, trivial2_ctx, z4_radical_ctx):
         # a different context, tensor order or dimension is unequal, never an error
         assert (x == other) is False and (other == x) is False and x != other
         if error is not None:
-            for op in (x.__add__, x.__sub__, *([x.__mul__] if kind == "ExactMatrix" else [])):
+            for op in (x.__add__, x.__sub__):
                 with pytest.raises(ValidationFailure) as exc:
                     op(other)
                 assert exc.value.kind == error
@@ -137,6 +137,12 @@ def test_sparse_core_laws(kind, trivial2_ctx, z4_radical_ctx):
     assert report.check("same").passed and report.check("same").witness is None
     assert not report.check("different").passed
     assert report.check("different").witness == expected
+    if kind == "ExactMatrix":
+        # a container: numbers and polynomials scale it, and there is no matrix product
+        with pytest.raises(TypeError):
+            _ = x * x
+        assert 2 * x == ExactMatrix(2, {k: 2 * v for k, v in x.coeffs.items()})
+        assert U * x == ExactMatrix(2, {k: U * v for k, v in x.coeffs.items()})
     if kind == "BivarPoly":
         for c in (3, Fraction(-2, 3)):
             const = BivarPoly.const(c)

@@ -16,7 +16,7 @@ from itertools import product
 import pytest
 
 import ybtwist as yb
-from conftest import oracle_embed_legs, oracle_gv_tau
+from conftest import oracle_gv_tau, oracle_three_leg_sides
 from ybtwist.matrices import _as_mapping, _product
 from ybtwist.rational import BivarPoly
 from ybtwist.yangian import _cleared, _rtt_sides, twisted_l, twisted_r_lambda, yangian_r
@@ -118,14 +118,6 @@ def three_leg_sides(r, l1, l2, n):
     return mul(mul(r12, l1), l2), mul(mul(l2, l1), r12)
 
 
-def library_sides(r, l1, l2, n):
-    """Both sides of RTT from the library's cleared operators, placed on their
-    legs by the digit-by-digit oracle."""
-    r12 = oracle_embed_legs(r, n, 3, (0, 1))
-    l1, l2 = oracle_embed_legs(l1, n, 3, (0, 2)), oracle_embed_legs(l2, n, 3, (1, 2))
-    return r12 * l1 * l2, l2 * l1 * r12
-
-
 # ------------------------------------------------------------------- tests
 
 
@@ -135,7 +127,7 @@ def test_cleared_r_l_and_rtt_match_oracle(n):
     l1, l2 = (_product(n, 2, (_cleared(BivarPoly.var(v) - 1, range(n * n), n), (0, 1)))
               for v in (0, 1))
     r = yangian_r(n)
-    lhs, rhs = library_sides(r, l1, l2, n)
+    lhs, rhs = oracle_three_leg_sides(r, l1, l2, n)
     assert _rtt_sides(n, range(n * n)) == (lhs, rhs)
     for x, y in POINTS:
         assert scale(1 / Fraction(x - y), evaluated(r, x, y)) == oracle_r(n, x, y)
@@ -166,7 +158,7 @@ def test_cleared_twisted_r_l_and_rtt_match_oracle(brace):
     n = brace.n
     ctx = yb.algebra_from_brace(brace)
     rf, lf1, lf2 = twisted_r_lambda(ctx), twisted_l(ctx, 0), twisted_l(ctx, 1)
-    lhs, rhs = library_sides(rf, lf1, lf2, n)
+    lhs, rhs = oracle_three_leg_sides(rf, lf1, lf2, n)
     assert _rtt_sides(n, _as_mapping(yb.solution_matrix(ctx))) == (lhs, rhs)
     for x, y in POINTS:
         o_rf, o_lf_x, o_lf_y = oracle_twisted(brace, x, y)
