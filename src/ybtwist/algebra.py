@@ -19,9 +19,10 @@ pair or a whole table of products at a time.
 
 There is one container, ``TensorElement``: an algebra element is the one-leg
 tensor.  Each structure map (Delta, Delta_F, eps, s, s~) is one per-basis
-table on the context, and one slot kernel applies any of them to any slot of
-any tensor, so the element-level maps are the one-slot case.  The Hopf axioms
-are decided row by row on those tables and ``prod``, with no tensor built.
+table on the context, and one slot kernel, ``_on_slot``, applies any of them
+to any slot of a coefficient dict: the element maps are its one-slot case, the
+slot maps wrap it, and the Hopf axioms apply the tables through it to each row
+of the coproduct table, with no tensor built.
 
 The products that several identities form from the context's own F and R are
 built once per context, as coefficient dicts: R13 R23 and R13 R12 (the fusion
@@ -358,30 +359,30 @@ def algebra_from_brace(brace: SkewBrace) -> AlgebraContext:
 
 def coproduct(x: TensorElement) -> TensorElement:
     """Delta(h_a w_g) = sum_{b+c=a} h_b w_g (x) h_c w_g, extended linearly."""
-    return _on_slot(_one_leg(x), 0, x.ctx.cop, 2)
+    return TensorElement(x.ctx, 2, _on_slot(_one_leg(x).coeffs, 0, x.ctx.cop))
 
 
 def counit(x: TensorElement):
     """eps(h_a w_g) = [a = 0], extended linearly; a scalar."""
-    return _on_slot(_one_leg(x), 0, x.ctx.eps, 0).coeffs.get((), 0)
+    return _on_slot(_one_leg(x).coeffs, 0, x.ctx.eps).get((), 0)
 
 
 def antipode(x: TensorElement) -> TensorElement:
     """The antipode s, from the table ``ctx.s``."""
-    return _on_slot(_one_leg(x), 0, x.ctx.s, 1)
+    return TensorElement(x.ctx, 1, _on_slot(_one_leg(x).coeffs, 0, x.ctx.s))
 
 
-def _twisted_h_closed(ctx: AlgebraContext, a: int) -> TensorElement:
+def _twisted_h_closed(ctx: AlgebraContext, a: int) -> dict:
     # Delta_F(h_a) = sum over b o c = a of h_b (x) h_c
     n = ctx.n
     coeffs = {}
     for b in range(n):
         c = ctx.circle[ctx.circle_inv[b]][a]  # solves b o c = a
         coeffs[(b * n, c * n)] = 1
-    return TensorElement(ctx, 2, coeffs)
+    return coeffs
 
 
-def _twisted_w_closed(ctx: AlgebraContext, a: int) -> TensorElement:
+def _twisted_w_closed(ctx: AlgebraContext, a: int) -> dict:
     # Delta_F(w_a) = sum_b w_a h_b (x) w_{tau_b(a)}; w_a h_b = h_{sigma_a(b)} w_a
     n = ctx.n
     coeffs = {}
@@ -390,18 +391,18 @@ def _twisted_w_closed(ctx: AlgebraContext, a: int) -> TensorElement:
         tau_ba = ctx.tau[b][a]
         for c in range(n):
             coeffs[(first, c * n + tau_ba)] = 1
-    return TensorElement(ctx, 2, coeffs)
+    return coeffs
 
 
 def _check_twisted_closed_forms(ctx: AlgebraContext, table: list[dict]) -> None:
     # The h-generator form holds for every skew brace; the w-generator form
     # relies on sigma_a(b) o tau_b(a) = a o b, hence on abelian addition.
     for a in range(ctx.n):
-        if ctx.tensor(2, table[a * ctx.n]) != _twisted_h_closed(ctx, a):
+        if table[a * ctx.n] != _twisted_h_closed(ctx, a):
             raise CheckFailed("twisted_coproduct_closed_form", ("h", a))
     if ctx.is_brace:
         for a in range(ctx.n):
-            if _on_slot(ctx.w(a), 0, table, 2) != _twisted_w_closed(ctx, a):
+            if _on_slot(ctx.w(a).coeffs, 0, table) != _twisted_w_closed(ctx, a):
                 raise CheckFailed("twisted_coproduct_closed_form", ("w", a))
 
 
@@ -412,12 +413,12 @@ def twisted_coproduct(x: TensorElement) -> TensorElement:
     generator forms (for every skew brace on h_a; additionally on w_a when
     addition is abelian); a mismatch raises CheckFailed.
     """
-    return _on_slot(_one_leg(x), 0, x.ctx.twisted_cop, 2)
+    return TensorElement(x.ctx, 2, _on_slot(_one_leg(x).coeffs, 0, x.ctx.twisted_cop))
 
 
 def twisted_antipode(x: TensorElement) -> TensorElement:
     """The twisted antipode s~, from the table ``ctx.s_twisted`` (braces only)."""
-    return _on_slot(_one_leg(x), 0, x.ctx.s_twisted, 1)
+    return TensorElement(x.ctx, 1, _on_slot(_one_leg(x).coeffs, 0, x.ctx.s_twisted))
 
 
 # ----------------------------------------------------------- tensor utilities
@@ -485,32 +486,36 @@ def _leg_products(ctx: AlgebraContext, xs: list[dict], ts: list[dict], legs: tup
         yield {j: terms for j, out in acc.items() if (terms := _prune(out))}
 
 
-def _on_slot(t: TensorElement, slot: int, images: list[dict], width: int) -> TensorElement:
-    # Slot ``slot`` of each key is replaced by every image tuple of its basis
-    # index (``width`` legs each), so the order changes by width - 1.
-    _check_legs((slot,), t.k)
+def _on_slot(coeffs: dict, slot: int, images: list[dict]) -> dict:
+    """The structure-map kernel: slot ``slot`` of each key of ``coeffs`` replaced
+    by every image tuple of its basis index, pruned.  An image tuple of width w
+    changes the tensor order by w - 1."""
     acc: dict = {}
-    for key, c in t.coeffs.items():
+    for key, c in coeffs.items():
         head, tail = key[:slot], key[slot + 1:]
         for image, mult in images[key[slot]].items():
             nk = head + image + tail
             acc[nk] = acc.get(nk, 0) + c * mult
-    return TensorElement(t.ctx, t.k + width - 1, _prune(acc))
+    return _prune(acc)
 
 
 def slot_coproduct(t: TensorElement, slot: int, twisted: bool = False) -> TensorElement:
     """Apply the (twisted) coproduct to one tensor slot, raising the order by one."""
-    return _on_slot(t, slot, t.ctx.twisted_cop if twisted else t.ctx.cop, 2)
+    _check_legs((slot,), t.k)
+    table = t.ctx.twisted_cop if twisted else t.ctx.cop
+    return TensorElement(t.ctx, t.k + 1, _on_slot(t.coeffs, slot, table))
 
 
 def counit_slot(t: TensorElement, slot: int) -> TensorElement:
     """Apply the counit to one slot, lowering the order by one."""
-    return _on_slot(t, slot, t.ctx.eps, 0)
+    _check_legs((slot,), t.k)
+    return TensorElement(t.ctx, t.k - 1, _on_slot(t.coeffs, slot, t.ctx.eps))
 
 
 def map_slot(t: TensorElement, slot: int, table: list[dict]) -> TensorElement:
     """Apply a linear map, given as a per-basis table such as ``ctx.s``, to one slot."""
-    return _on_slot(t, slot, table, 1)
+    _check_legs((slot,), t.k)
+    return TensorElement(t.ctx, t.k, _on_slot(t.coeffs, slot, table))
 
 
 # ------------------------------------------------------------- verifications
@@ -542,12 +547,14 @@ def verify_hopf_axioms(ctx: AlgebraContext, twisted: bool = False) -> PropertyRe
     Delta(e_i e_j) on all dim^2 pairs, as one batch of ``_leg_products``: every
     row of the coproduct table times every row.  e_i e_j is a basis element or
     zero, so Delta(e_i e_j) is a row of the same table or zero.  The other
-    checks read the tables row by row: for the row Delta(e_i), coassociativity
-    applies the coproduct table to each of its two slots, the counit law the
-    ``eps`` table, and the antipode law the antipode table followed by ``prod``.
-    Coefficients are pruned before comparison, and each witness is the first
-    failing i (the first failing (i, j) in row-major order for the bialgebra
-    axiom).
+    checks apply the tables to each row Delta(e_i) through the slot kernel
+    ``_on_slot``: coassociativity compares the row's images under the coproduct
+    table at slots 0 and 1, the counit law each slot's image under ``eps`` with
+    e_i, and the antipode law multiplies the two slots of each slot's image
+    under the antipode table through ``prod`` and compares the result with
+    eps(e_i) 1.  Coefficients are pruned before comparison, and each witness
+    is the first failing i (the first failing (i, j) in row-major order for
+    the bialgebra axiom).
     """
     label = "twisted" if twisted else "untwisted"
     report = PropertyReport(f"hopf_axioms_{label}")
@@ -556,63 +563,32 @@ def verify_hopf_axioms(ctx: AlgebraContext, twisted: bool = False) -> PropertyRe
     w = _homomorphism_witness(ctx, table)
     report.add("coproduct_homomorphism", w is None, witness=w)
 
-    w = next((i for i, row in enumerate(table) if not _coassociative(row, table)), None)
+    w = next((i for i, row in enumerate(table) if _on_slot(row, 0, table) != _on_slot(row, 1, table)), None)
     report.add("coassociativity", w is None, witness=w)
 
     # eps on either slot of Delta(e_i) gives back e_i
-    eps = [image.get((), 0) for image in ctx.eps]
+    eps = ctx.eps
     w = next((i for i, row in enumerate(table)
-              if _counit_image(row, eps, 0) != {i: 1} or _counit_image(row, eps, 1) != {i: 1}), None)
+              if any(_on_slot(row, slot, eps) != {(i,): 1} for slot in (0, 1))), None)
     report.add("counit", w is None, witness=w)
 
     # m (s (x) id) Delta(e_i) = m (id (x) s) Delta(e_i) = eps(e_i) 1, with 1 = sum_a h_a
     s_table = ctx.s_twisted if twisted else ctx.s
-    n = ctx.n
-    targets = [{a * n: e for a in range(n)} if e != 0 else {} for e in eps]
+    n, dim, prod = ctx.n, ctx.dim, ctx.prod
+
+    def multiplied(t: dict) -> dict:
+        # m: the two slots of each key multiplied through ``prod``
+        out: dict = {}
+        for (p, q), c in t.items():
+            if (k := prod[p * dim + q]) >= 0:
+                out[(k,)] = out.get((k,), 0) + c
+        return _prune(out)
+
+    targets = [{(a * n,): e for a in range(n)} if (e := image.get((), 0)) != 0 else {} for image in eps]
     w = next((i for i, row in enumerate(table)
-              if any(side != targets[i] for side in _antipode_sides(ctx, row, s_table))), None)
+              if any(multiplied(_on_slot(row, slot, s_table)) != targets[i] for slot in (0, 1))), None)
     report.add("antipode", w is None, witness=w)
     return report
-
-
-def _coassociative(row: dict, table: list[dict]) -> bool:
-    # (Delta (x) id) Delta(e_i) = (id (x) Delta) Delta(e_i) for the row Delta(e_i)
-    left: dict = {}
-    right: dict = {}
-    for (p, q), c in row.items():
-        for (p1, p2), m in table[p].items():
-            key = (p1, p2, q)
-            left[key] = left.get(key, 0) + c * m
-        for (q1, q2), m in table[q].items():
-            key = (p, q1, q2)
-            right[key] = right.get(key, 0) + c * m
-    return _prune(left) == _prune(right)
-
-
-def _counit_image(row: dict, eps: list, slot: int) -> dict:
-    # eps applied to slot ``slot`` of a 2-tensor row: {basis index of the other slot: coefficient}
-    out: dict = {}
-    for pq, c in row.items():
-        if (u := eps[pq[slot]]) != 0:
-            key = pq[1 - slot]
-            out[key] = out.get(key, 0) + c * u
-    return _prune(out)
-
-
-def _antipode_sides(ctx: AlgebraContext, row: dict, s_table: list[dict]) -> tuple[dict, dict]:
-    # m (s (x) id) and m (id (x) s) of a 2-tensor row, as {basis index: coefficient}
-    dim, prod = ctx.dim, ctx.prod
-    left: dict = {}
-    right: dict = {}
-    for (p, q), c in row.items():
-        for (sp,), m in s_table[p].items():
-            if (k := prod[sp * dim + q]) >= 0:
-                left[k] = left.get(k, 0) + c * m
-        base = p * dim
-        for (sq,), m in s_table[q].items():
-            if (k := prod[base + sq]) >= 0:
-                right[k] = right.get(k, 0) + c * m
-    return _prune(left), _prune(right)
 
 
 def is_cocommutative(ctx: AlgebraContext) -> bool:
@@ -669,6 +645,11 @@ def verify_universal_ybe(ctx: AlgebraContext, rf: TensorElement | None = None) -
     associative (the construction check), so the tensors are those of any
     bracketing.  For the context's own R the bracketed pairs are the fusion
     sides the context builds once; ``rf`` overrides R and forms them anew.
+
+    The YBE alone does not pin R: with its h_0 (x) h_0 term dropped, negated
+    or doubled, R still satisfies it (and the intertwining law) on every brace
+    of orders 2-6; the fusion identities and the counit laws of
+    ``verify_quasitriangularity`` fail on each.
     """
     if rf is None:
         r, r13_r23, r13_r12 = ctx.twisted_r_matrix, ctx._r13_r23, ctx._r13_r12

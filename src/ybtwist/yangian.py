@@ -17,7 +17,9 @@ live in the free noncommutative algebra.
 Every evaluation image is one matrix unit (level >= 1) or delta . 1 (level
 0), and rho sends w_g to a permutation and h_c to a unit, so no check here
 multiplies matrices.  The defining and displayed relations multiply images as
-{(row, col): v} dicts by e_{r,s} e_{t,u} = [s = t] e_{r,u} (``_vanishes``); the
+{(row, col): v} dicts by e_{r,s} e_{t,u} = [s = t] e_{r,u} (``_vanishes``), on
+the terms of one helper (``_relation_terms``): each displayed relation is one
+cell (p, m) of the defining relation, since A^{(0)} = delta . 1; the
 augmented relations compare index pairs read from sigma, rho's ends and the
 units; the twisted-coproduct adjudication builds its four k-range sums as one
 index-keyed dict per (m, a, b), placing each Kronecker term by index arithmetic.
@@ -133,19 +135,29 @@ def _eval_image(n: int, m: int, i: int, j: int, transpose: bool = False) -> Exac
 
 def _vanishes(terms) -> bool:
     """Whether sum c . x y over the (c, x, y) of ``terms`` is zero, for images x and
-    y as {(row, col): v} dicts multiplied by e_{r,s} e_{t,u} = [s = t] e_{r,u}; a y of
-    None stands for the unit matrix.  Every image is one matrix unit or delta . 1,
-    so each product is a handful of index comparisons."""
+    y as {(row, col): v} dicts multiplied by e_{r,s} e_{t,u} = [s = t] e_{r,u}.
+    Every image is one matrix unit or delta . 1, so each product is a handful
+    of index comparisons."""
     acc: dict = {}
     for c, x, y in terms:
         for (r, s), v in x.items():
-            if y is None:
-                acc[(r, s)] = acc.get((r, s), 0) + c * v
-                continue
             for (t, u), w in y.items():
                 if s == t:
                     acc[(r, u)] = acc.get((r, u), 0) + c * v * w
     return not any(acc.values())
+
+
+def _relation_terms(img, p: int, m: int, i: int, j: int, k: int, l: int) -> list:
+    """The terms, for ``_vanishes``, of the defining relation at levels (p, m):
+
+    [A^{(p+1)}_{ij}, A^{(m)}_{kl}] - [A^{(p)}_{ij}, A^{(m+1)}_{kl}]
+        - (A^{(m)}_{kj} A^{(p)}_{il} - A^{(p)}_{kj} A^{(m)}_{il})
+
+    with ``img(q, x, y)`` the image of A^{(q)}_{xy} as a {(row, col): v} dict.
+    """
+    a, b, c, d = img(p + 1, i, j), img(m, k, l), img(p, i, j), img(m + 1, k, l)
+    return [(1, a, b), (-1, b, a), (-1, c, d), (1, d, c),
+            (-1, img(m, k, j), img(p, i, l)), (1, img(p, k, j), img(m, i, l))]
 
 
 def check_defining_relations(n: int, pmax: int = MAX_LEVEL, mmax: int = MAX_LEVEL,
@@ -158,7 +170,7 @@ def check_defining_relations(n: int, pmax: int = MAX_LEVEL, mmax: int = MAX_LEVE
     with A^{(q)}_{xy} the image of the level-q generator, for p <= ``pmax`` and
     m <= ``mmax``, each in 0..MAX_LEVEL (else LimitExceeded).  ``transpose``
     substitutes the wrong (transposed) images, as a negative control.  The
-    images are multiplied on indices (``_vanishes``).
+    images are multiplied on indices (``_relation_terms``, ``_vanishes``).
 
     Decided on one (i, j, k, l) per S_n orbit: the witness is the first
     failing tuple in (p, m, i, j, k, l) order, and ``violations`` counts every
@@ -177,14 +189,11 @@ def check_defining_relations(n: int, pmax: int = MAX_LEVEL, mmax: int = MAX_LEVE
     patterns = _patterns(n, 4)
     for p in range(pmax + 1):
         for m in range(mmax + 1):
-            for (i, j, k, l), size in patterns:
-                a, b, c, d = img(p + 1, i, j), img(m, k, l), img(p, i, j), img(m + 1, k, l)
-                if not _vanishes([(1, a, b), (-1, b, a), (-1, c, d), (1, d, c),
-                                  (-1, img(m, k, j), img(p, i, l)),
-                                  (1, img(p, k, j), img(m, i, l))]):
+            for t, size in patterns:
+                if not _vanishes(_relation_terms(img, p, m, *t)):
                     violations += size
                     if first is None:
-                        first = (p, m, i, j, k, l)
+                        first = (p, m, *t)
     report.add("relations", violations == 0, witness=first,
                detail={"violations": violations, "pmax": pmax, "mmax": mmax})
     return report
@@ -193,30 +202,25 @@ def check_defining_relations(n: int, pmax: int = MAX_LEVEL, mmax: int = MAX_LEVE
 def check_displayed_exchange_relations(n: int) -> PropertyReport:
     """The four displayed low-order cases, evaluated in the representation.
 
+    Each is one cell (p, m) of the defining relation (``_relation_terms``).
+    A^{(0)} = delta . 1 commutes with everything, so the cell (q, 0) is -1 times
+    the displayed exchange relation
+
+        [A^{(q)}_{ij}, A^{(1)}_{kl}] = delta_il A^{(q)}_{kj} - delta_kj A^{(q)}_{il}
+
+    for q = 1, 2, 3, and the cell (2, 1) is the level-3 case term for term.
     Each is decided on one (i, j, k, l) per S_n orbit; its witness is the
     first failing tuple.
     """
     def img(q, x, y):
         return _eval_image(n, q, x, y).coeffs
 
-    def exchange(q):
-        # [A^{(q)}_{ij}, A^{(1)}_{kl}] - (delta_il A^{(q)}_{kj} - delta_kj A^{(q)}_{il})
-        return lambda i, j, k, l: [(1, img(q, i, j), img(1, k, l)), (-1, img(1, k, l), img(q, i, j)),
-                                   (-(i == l), img(q, k, j), None), (k == j, img(q, i, l), None)]
-
-    def level3_minus_level22(i, j, k, l):
-        # [A^{(3)}_{ij}, A^{(1)}_{kl}] - [A^{(2)}_{ij}, A^{(2)}_{kl}]
-        #     - (A^{(1)}_{kj} A^{(2)}_{il} - A^{(2)}_{kj} A^{(1)}_{il})
-        a3, b1, a2, b2 = img(3, i, j), img(1, k, l), img(2, i, j), img(2, k, l)
-        return [(1, a3, b1), (-1, b1, a3), (-1, a2, b2), (1, b2, a2),
-                (-1, img(1, k, j), img(2, i, l)), (1, img(2, k, j), img(1, i, l))]
-
     report = PropertyReport("displayed_exchange_relations")
-    cases = {"level1_level1": exchange(1), "level2_level1": exchange(2),
-             "level3_minus_level22": level3_minus_level22, "level3_level1": exchange(3)}
+    cells = {"level1_level1": (1, 0), "level2_level1": (2, 0),
+             "level3_minus_level22": (2, 1), "level3_level1": (3, 0)}
     patterns = [t for t, _ in _patterns(n, 4)]
-    for name, case in cases.items():
-        w = next((t for t in patterns if not _vanishes(case(*t))), None)
+    for name, (p, m) in cells.items():
+        w = next((t for t in patterns if not _vanishes(_relation_terms(img, p, m, *t))), None)
         report.add(name, w is None, witness=w)
     return report
 

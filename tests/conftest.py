@@ -4,8 +4,11 @@ The oracles here re-derive enumeration counts and validity with none of the
 library's search code: group tables come from filtering raw row-permutation
 products or from a cell-by-cell backtracker, braces from a naive pair scan
 over those tables.  The n-only yangian oracles decide every index tuple one by
-one, where the library decides one tuple per S_n orbit, and the symbolic
-coproduct and antipode tables are rebuilt as sums of tensors, term by term.
+one, where the library decides one tuple per S_n orbit; the displayed
+relations write delta explicitly, where the library reads A^{(0)} from the
+images as a cell of the defining relation, so only a corrupted level-0 image
+tells the two apart.  The symbolic coproduct and antipode tables are rebuilt
+as sums of tensors, term by term.
 Tensor legs are placed digit by digit (``oracle_embed_legs``), where the
 library adds one precomputed offset per leg group.  The twist algebra's
 product table and its matrix units come straight from the paper's rule on the

@@ -246,11 +246,25 @@ def test_report_merge_rejects_malformed_reports(tmp_path, capsys):
         assert err["error"] == "parse" and err["witness"] == paths[0]
 
 
-def test_check_names_are_a_stable_contract():
-    # one name per operation; report consumers key on these
-    from ybtwist.suites import run_suites
+def test_check_names_are_a_stable_contract(monkeypatch):
+    # one name per operation; report consumers key on these, and on the inner
+    # check names of a failing entry's witness
+    from ybtwist import suites
+    from ybtwist.reports import PropertyReport
 
-    names = [c["name"] for c in run_suites(yb.trivial_brace(2), "all")]
+    inner = {}
+    run = suites._run
+
+    def recording(checks, name, anchor, fn, detail=None):
+        def call():
+            result = fn()
+            if isinstance(result, PropertyReport):
+                inner[name] = (result.subject, [c.name for c in result.checks])
+            return result
+        return run(checks, name, anchor, call, detail)
+
+    monkeypatch.setattr(suites, "_run", recording)
+    names = [c["name"] for c in suites.run_suites(yb.trivial_brace(2), "all")]
     assert names == [
         "map.derive", "map.braid", "map.properties", "map.involutive",
         "matrix.rep_consistency", "matrix.rho_homomorphism", "matrix.ybe",
@@ -267,6 +281,40 @@ def test_check_names_are_a_stable_contract():
         "yangian.twisted_coproduct_adjudication",
     ]
     assert len(names) == len(set(names))
+    hopf = ["coproduct_homomorphism", "coassociativity", "counit", "antipode"]
+    assert inner == {
+        "map.braid": ("braid", ["braid"]),
+        "map.properties": ("brace_identities", [
+            "circle_of_pair", "sigma_composition", "distributivity", "neutral_values",
+            "abelian_circle_factorization"]),
+        "matrix.rho_homomorphism": ("rho_homomorphism", ["homomorphism"]),
+        "matrix.ybe": ("matrix_ybe", ["ybe"]),
+        "matrix.nfold_twist": ("matrix_nfold_twist_k4", [
+            "recursion", "closed_form", "exchange_law_legs_1_2", "exchange_law_legs_2_3",
+            "exchange_law_legs_3_4"]),
+        "universal.twist_conditions": ("twist_conditions", [
+            "cocycle", "one_two_three_symmetry", "two_one_three_symmetry", "exchange_r23",
+            "exchange_r12", "coproduct_images"]),
+        "universal.ybe": ("universal_ybe", ["ybe"]),
+        "universal.hopf": ("hopf_axioms_untwisted", hopf),
+        "universal.hopf_twisted": ("hopf_axioms_twisted", hopf),
+        "universal.quasitriangularity": ("quasitriangularity", [
+            "intertwines_coproduct", "fusion_first_leg", "fusion_second_leg", "counit_laws"]),
+        "universal.nfold_twist": ("nfold_twist_k3", [
+            "recursion_3_fold", "closed_form", "exchange_law_legs_1_2", "exchange_law_legs_2_3"]),
+        "yangian.defining_relations": ("defining_relations", ["relations"]),
+        "yangian.displayed_relations": ("displayed_exchange_relations", [
+            "level1_level1", "level2_level1", "level3_minus_level22", "level3_level1"]),
+        "yangian.unitarity": ("unitarity", ["unitarity"]),
+        "yangian.rtt": ("rtt", ["rtt"]),
+        "yangian.augmented_relations": ("augmented_relations", [
+            "w_exchange", "h_transport", "h_annihilation"]),
+        "yangian.twisted_rtt": ("twisted_rtt", ["conjugation_form", "twisted_rtt"]),
+        "yangian.coassociativity": ("coassociativity", ["coassociativity"]),
+        "yangian.antipode_series": ("antipode_series", [
+            f"{side}_identity_level{m}" for m in range(1, 5) for side in ("left", "right")]),
+        "yangian.twisted_coproduct_adjudication": ("twisted_coproduct_adjudication", ["adjudication"]),
+    }
 
 
 @pytest.mark.parametrize("obj, witness", [

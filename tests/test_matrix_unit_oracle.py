@@ -8,7 +8,8 @@ reports (names, verdicts, witnesses, detail) on every context of orders 1-5,
 on a seeded sample of order-6 contexts (half with non-abelian addition), on
 the order-9 brace whose sigma_g are not involutions, and
 under corrupted representations, products, sigma tables and (for the
-adjudication) transposed evaluation images.
+adjudication) transposed evaluation images, off-diagonal level-0 images and
+F^{-1} replaced by F.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import pytest
 import ybtwist as yb
 from conftest import oracle_adjudication, oracle_augmented_relations, oracle_rho_homomorphism
 from ybtwist import yangian
+from ybtwist.algebra import AlgebraContext
 from ybtwist.matrices import ExactMatrix, rho_basis_entry
 from ybtwist.yangian import adjudicate_twisted_coproduct, check_augmented_relations
 
@@ -188,3 +190,37 @@ def test_image_that_is_not_a_matrix_unit_is_rejected(z4_radical_ctx, image):
     with pytest.raises(yb.ValidationFailure) as exc:
         yb.rho_is_homomorphism(ctx, images=images)
     assert (exc.value.kind, exc.value.witness) == ("not_a_matrix_unit", 3)
+
+
+def test_off_diagonal_level0_images_adjudication_matches_oracle(contexts, monkeypatch):
+    # L^{(0)}_{c,b} read as e_{c,b} off the diagonal and as zero on it: the
+    # display's k = 0 term L_{c,b} h_c then vanishes, because rho(h_c) = e_{c,c}
+    # meets only column c, while the conjugated k = 0 term does not; so the
+    # k=0..m display reproduces the truncated conjugation wherever the k=1..m
+    # display does, which a route keeping every column of the level-0 image misses
+    clean = yangian._eval_image
+
+    def images(n, m, i, j, transpose=False):
+        if m:
+            return clean(n, m, i, j, transpose)
+        return ExactMatrix(n, {(i, j): 1} if i != j else {})
+
+    assert all(rho_basis_entry(ctx, c * ctx.n) == (c, c) for ctx in contexts for c in range(ctx.n))
+    monkeypatch.setattr(yangian, "_eval_image", images)
+    for ctx in contexts:
+        report = adjudicate_twisted_coproduct(ctx, 2)
+        assert report == oracle_adjudication(ctx, 2), (ctx.brace.add.table, ctx.brace.mul.table)
+        detail = report.check("adjudication").detail
+        if ctx.n > 1:
+            assert detail["display_0m_vs_conjugated_truncated"] is True
+
+
+def test_uninverted_twist_adjudication_matches_oracle(z3_squared_brace, monkeypatch):
+    # F^{-1} replaced by F: the conjugation becomes F X F, which differs from
+    # F X F^{-1} where rho(F) is not an involution, as on the order-9 brace;
+    # the columns must go through the inverse of F^{-1}'s map, not through F's
+    ctx = AlgebraContext(z3_squared_brace)
+    monkeypatch.setattr(ctx, "_twist_inv", ctx._twist)
+    report = adjudicate_twisted_coproduct(ctx, 2)
+    assert report == oracle_adjudication(ctx, 2)
+    assert report.check("adjudication").detail["display_1m_vs_conjugated_truncated"] == "mixed"

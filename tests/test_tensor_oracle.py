@@ -265,6 +265,14 @@ def test_slot_maps_match_brace_tables(small_contexts):
     assert survivors >= 40
 
 
+def test_slot_maps_prune_cancelled_terms(z4_radical_ctx):
+    # h_0 w_0 and h_0 w_1 both have counit 1, so e_0 (x) e_5 - e_1 (x) e_5
+    # cancels under eps on slot 0; the zero must not stay as a key
+    t = z4_radical_ctx.tensor(2, {(0, 5): 1, (1, 5): -1})
+    assert counit_slot(t, 0).coeffs == {}
+    assert yb.counit(z4_radical_ctx.basis_element(0) - z4_radical_ctx.basis_element(1)) == 0
+
+
 def twist_terms(brace) -> tuple[dict, dict]:
     """F = sum_b h_b (x) w_{b^{-1}} and F^{-1} = sum_b h_b (x) w_b, from the brace tables."""
     n, circle = brace.n, brace.mul.table

@@ -80,6 +80,34 @@ def test_displayed_relations_match_oracle(n, transposed, monkeypatch):
         assert not report.ok
 
 
+@pytest.mark.parametrize("n", NS)
+def test_displayed_relations_match_oracle_with_level3_transposed(n, monkeypatch):
+    # the level-3 case is the cell (2, 1); with only the level-3 images
+    # transposed it first fails at (0, 1, 0, 0), where the cell (1, 2) would
+    # first fail at (0, 0, 0, 1)
+    clean = yangian._eval_image
+    monkeypatch.setattr(yangian, "_eval_image",
+                        lambda n, m, i, j, transpose=False: clean(n, m, i, j, m == 3))
+    report = check_displayed_exchange_relations(n)
+    assert report == oracle_displayed_relations(n)
+    assert report.check("level3_minus_level22").witness == (None if n == 1 else (0, 1, 0, 0))
+
+
+@pytest.mark.parametrize("n", NS)
+def test_displayed_relations_read_the_level0_image(n, monkeypatch):
+    # each displayed relation is a cell (q, 0) or (2, 1) of the defining
+    # relation, so the check reads A^{(0)} from the images, where the oracle
+    # writes delta explicitly: a zero level-0 image breaks the three exchange
+    # cells (q, 0) for n >= 2 and the oracle cannot see it
+    clean = yangian._eval_image
+    monkeypatch.setattr(yangian, "_eval_image", lambda n, m, i, j, transpose=False: (
+        clean(n, m, i, j, transpose) if m else ExactMatrix.zero(n)))
+    assert oracle_displayed_relations(n).ok
+    report = check_displayed_exchange_relations(n)
+    assert [c.name for c in report.failures()] == (
+        [] if n == 1 else ["level1_level1", "level2_level1", "level3_level1"])
+
+
 @pytest.mark.parametrize("failing", [False, True])
 @pytest.mark.parametrize("n", NS)
 def test_coassociativity_matches_oracle(n, failing, monkeypatch):
