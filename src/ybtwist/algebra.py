@@ -24,10 +24,16 @@ to any slot of a coefficient dict: the element maps are its one-slot case, the
 slot maps wrap it, and the Hopf axioms apply the tables through it to each row
 of the coproduct table, with no tensor built.
 
-The products that several identities form from the context's own F and R are
-built once per context, as coefficient dicts: R13 R23 and R13 R12 (the fusion
-sides, and the YBE sides without their outer factor) and F23 F_{1,23} (the
-cocycle's right side and the 3-fold twist's second bracketing).
+The 3-leg products that several identities form from the context's own F and
+R are built once per context, as coefficient dicts: R13, R13 R23 and R13 R12
+(the fusion sides, and the YBE sides without their outer factor), F12 F_{12,3}
+and F123 = F23 F_{1,23} (the cocycle's sides and the 3-fold twist's two
+bracketings), and R12 F123 and R23 F123 (the exchange laws' moved sides).  An
+identity reads a shared product only when its own operands are the shared
+ones: ``verify_twist_conditions`` unless ``twist`` overrides F, and
+``nfold_twist(ctx, 3)`` only where its coproduct piece equals F_{12,3} and its
+3-fold twist equals F123.  Elsewhere it forms its products anew, so every
+verdict and witness is that of the products formed in place.
 """
 
 from __future__ import annotations
@@ -57,10 +63,10 @@ class AlgebraContext:
     back at the context), and one per-basis table for each structure map -- ``cop``
     (Delta), ``twisted_cop`` (Delta_F), ``eps`` (the counit), ``s`` (the
     antipode) and ``s_twisted`` (the twisted antipode).  Entry i of a table is
-    the image of e_i as {tuple of basis indices: multiplicity}.  Also lazy, as
-    3-tensor coefficient dicts: ``_r13_r23`` (R13 R23), ``_r13_r12`` (R13 R12)
-    and ``_f23_f1_23`` (F23 F_{1,23}), each formed once from the context's own F
-    and R and read by every identity that needs it.
+    the image of e_i as {tuple of basis indices: multiplicity}.  Also lazy, the
+    shared 3-leg products of the module docstring: ``_r13``, ``_r13_r23``,
+    ``_r13_r12``, ``_f12_f12_3``, ``_f23_f1_23`` (F123), ``_r12_f123`` and
+    ``_r23_f123``.
     """
 
     def __init__(self, brace: SkewBrace):
@@ -111,9 +117,7 @@ class AlgebraContext:
         return self.w(0)
 
     def unit_tensor(self, k: int) -> TensorElement:
-        n = self.n
-        coeffs = {tuple(a * n for a in key): 1 for key in iproduct(range(n), repeat=k)}
-        return TensorElement(self, k, coeffs)
+        return TensorElement(self, k, dict.fromkeys(iproduct(range(0, self.dim, self.n), repeat=k), 1))
 
     # ------------------------------------------------------------- lazy pieces
 
@@ -166,19 +170,39 @@ class AlgebraContext:
         return conj.coeffs
 
     @cached_property
+    def _r13(self) -> dict:
+        """R13: R at legs 1 and 3 of the unit 3-tensor."""
+        return apply_right(self.unit_tensor(3), self.twisted_r_matrix, (0, 2)).coeffs
+
+    @cached_property
     def _r13_r23(self) -> dict:
         """R13 R23, the right side of the first fusion identity."""
-        return _r13_times(self, self.twisted_r_matrix, (1, 2))
+        return apply_right(TensorElement(self, 3, self._r13), self.twisted_r_matrix, (1, 2)).coeffs
 
     @cached_property
     def _r13_r12(self) -> dict:
         """R13 R12, the right side of the second fusion identity."""
-        return _r13_times(self, self.twisted_r_matrix, (0, 1))
+        return apply_right(TensorElement(self, 3, self._r13), self.twisted_r_matrix, (0, 1)).coeffs
+
+    @cached_property
+    def _f12_f12_3(self) -> dict:
+        """F12 F_{12,3}, the left side of the cocycle identity."""
+        return apply_left(self.twist, (0, 1), _twist_12_3(self)).coeffs
 
     @cached_property
     def _f23_f1_23(self) -> dict:
-        """F23 F_{1,23}, the right side of the cocycle identity."""
+        """F123 = F23 F_{1,23}, the right side of the cocycle identity."""
         return apply_left(self.twist, (1, 2), _twist_1_tail(self, 3)).coeffs
+
+    @cached_property
+    def _r12_f123(self) -> dict:
+        """R12 F123, the moved side of the exchange law on legs 1 and 2."""
+        return apply_left(self.twisted_r_matrix, (0, 1), TensorElement(self, 3, self._f23_f1_23)).coeffs
+
+    @cached_property
+    def _r23_f123(self) -> dict:
+        """R23 F123, the moved side of the exchange law on legs 2 and 3."""
+        return apply_left(self.twisted_r_matrix, (1, 2), TensorElement(self, 3, self._f23_f1_23)).coeffs
 
     @cached_property
     def cop(self) -> list[dict]:
@@ -462,15 +486,19 @@ def _leg_products(ctx: AlgebraContext, xs: list[dict], ts: list[dict], legs: tup
     the right slot's target.  The terms of every t, with t's position j, are indexed
     by their ends on ``legs`` that meet x (targets when t is on the right, sources on
     the left), so each term of x looks up, by its opposite ends, only its partners.
+    Each partner carries one product line per leg, the products of its slot u with
+    every slot s of x: column u of ``prod`` when t is on the right, row u on the
+    left.  A slot product is then ``line[s]``.
     """
     dim, prod = ctx.dim, ctx.prod
-    # the product of slots s of x and u of t is prod[s * x_step + u * t_step]
-    t_ends, x_ends, x_step, t_step = ((ctx.target, ctx.source, dim, 1) if t_right
-                                      else (ctx.source, ctx.target, 1, dim))
-    by_ends: dict = {}  # ends -> [(j, offsets, c)]
+    if t_right:
+        t_ends, x_ends, lines = ctx.target, ctx.source, [prod[u::dim] for u in range(dim)]
+    else:
+        t_ends, x_ends, lines = ctx.source, ctx.target, [prod[u * dim:(u + 1) * dim] for u in range(dim)]
+    by_ends: dict = {}  # ends -> [(j, lines, c)]
     for j, t in enumerate(ts):
         for tkey, c in t.items():
-            by_ends.setdefault(tuple([t_ends[s] for s in tkey]), []).append((j, [s * t_step for s in tkey], c))
+            by_ends.setdefault(tuple([t_ends[u] for u in tkey]), []).append((j, [lines[u] for u in tkey], c))
     for x in xs:
         acc: dict = {}
         for key, c1 in x.items():
@@ -478,12 +506,16 @@ def _leg_products(ctx: AlgebraContext, xs: list[dict], ts: list[dict], legs: tup
             if partners is None:
                 continue
             nk = list(key)  # the slots off ``legs`` stay x's
-            for j, offsets, c2 in partners:
-                for leg, o in zip(legs, offsets):
-                    nk[leg] = prod[key[leg] * x_step + o]
-                pk, out = tuple(nk), acc.setdefault(j, {})
-                out[pk] = out.get(pk, 0) + c1 * c2
-        yield {j: terms for j, out in acc.items() if (terms := _prune(out))}
+            for j, tlines, c2 in partners:
+                for leg, line in zip(legs, tlines):
+                    nk[leg] = line[key[leg]]
+                pk = tuple(nk)
+                out = acc.get(j)
+                if out is None:
+                    acc[j] = {pk: c1 * c2}
+                else:
+                    out[pk] = out.get(pk, 0) + c1 * c2
+        yield {j: terms for j, out in acc.items() if (terms := _prune(out) if 0 in out.values() else out)}
 
 
 def _on_slot(coeffs: dict, slot: int, images: list[dict]) -> dict:
@@ -496,7 +528,7 @@ def _on_slot(coeffs: dict, slot: int, images: list[dict]) -> dict:
         for image, mult in images[key[slot]].items():
             nk = head + image + tail
             acc[nk] = acc.get(nk, 0) + c * mult
-    return _prune(acc)
+    return _prune(acc) if 0 in acc.values() else acc
 
 
 def slot_coproduct(t: TensorElement, slot: int, twisted: bool = False) -> TensorElement:
@@ -601,8 +633,9 @@ def verify_twist_conditions(ctx: AlgebraContext, twist: TensorElement | None = N
 
     ``twist`` overrides the context twist so corrupted inputs can be exercised
     as negative controls; the derived three-slot pieces always come from the
-    true tables.  Without it the cocycle's right side F23 F_{1,23} is the one
-    the context builds once.
+    true tables.  Without it the cocycle's sides F12 F_{12,3} and F123 =
+    F23 F_{1,23}, and the exchange laws' R12 F123 and R23 F123, are the ones the
+    context builds once; with it each is formed anew.
     """
     f = ctx.twist if twist is None else twist
     rf = ctx.twisted_r_matrix
@@ -610,16 +643,18 @@ def verify_twist_conditions(ctx: AlgebraContext, twist: TensorElement | None = N
 
     f_1_23 = _twist_1_tail(ctx, 3)
     f_12_3 = _twist_12_3(ctx)
-    lhs = apply_left(f, (0, 1), f_12_3)
-    rhs = (TensorElement(ctx, 3, ctx._f23_f1_23) if twist is None
-           else apply_left(f, (1, 2), f_1_23))
-    report.compare("cocycle", lhs, rhs)
-    f123 = rhs
+    if twist is None:
+        lhs, f123, r12_f123, r23_f123 = (TensorElement(ctx, 3, c) for c in (
+            ctx._f12_f12_3, ctx._f23_f1_23, ctx._r12_f123, ctx._r23_f123))
+    else:
+        lhs, f123 = apply_left(f, (0, 1), f_12_3), apply_left(f, (1, 2), f_1_23)
+        r12_f123, r23_f123 = apply_left(rf, (0, 1), f123), apply_left(rf, (1, 2), f123)
+    report.compare("cocycle", lhs, f123)
 
     report.compare("one_two_three_symmetry", f_1_23, f_1_23.slot_swap(1, 2))
     report.compare("two_one_three_symmetry", f_12_3, f_12_3.slot_swap(0, 1))
-    report.compare("exchange_r23", f123.slot_swap(1, 2), apply_left(rf, (1, 2), f123))
-    report.compare("exchange_r12", f123.slot_swap(0, 1), apply_left(rf, (0, 1), f123))
+    report.compare("exchange_r23", f123.slot_swap(1, 2), r23_f123)
+    report.compare("exchange_r12", f123.slot_swap(0, 1), r12_f123)
 
     w = f_12_3.first_diff(slot_coproduct(f, 0)) or f_1_23.first_diff(slot_coproduct(f, 1))
     report.add("coproduct_images", w is None, witness=w)
@@ -652,11 +687,13 @@ def verify_universal_ybe(ctx: AlgebraContext, rf: TensorElement | None = None) -
     ``verify_quasitriangularity`` fail on each.
     """
     if rf is None:
-        r, r13_r23, r13_r12 = ctx.twisted_r_matrix, ctx._r13_r23, ctx._r13_r12
+        r = ctx.twisted_r_matrix
+        r13_r23, r13_r12 = TensorElement(ctx, 3, ctx._r13_r23), TensorElement(ctx, 3, ctx._r13_r12)
     else:
-        r, r13_r23, r13_r12 = rf, _r13_times(ctx, rf, (1, 2)), _r13_times(ctx, rf, (0, 1))
-    lhs = apply_left(r, (0, 1), TensorElement(ctx, 3, r13_r23))
-    rhs = apply_left(r, (1, 2), TensorElement(ctx, 3, r13_r12))
+        r, r13 = rf, apply_right(ctx.unit_tensor(3), rf, (0, 2))
+        r13_r23, r13_r12 = apply_right(r13, rf, (1, 2)), apply_right(r13, rf, (0, 1))
+    lhs = apply_left(r, (0, 1), r13_r23)
+    rhs = apply_left(r, (1, 2), r13_r12)
     report = PropertyReport("universal_ybe")
     report.compare("ybe", lhs, rhs)
     return report
@@ -697,8 +734,11 @@ def nfold_twist(ctx: AlgebraContext, k: int) -> tuple[TensorElement, PropertyRep
 
     The recursion multiplies the (k-1)-fold twist against the one-slot and
     coproduct-image pieces in both bracketings, which must agree; at j = 3 the
-    one-slot bracketing is the context's F23 F_{1,23}.  The closed form writes
-    every w-subscript as a running circle product.
+    one-slot bracketing is the context's F123 = F23 F_{1,23}, and the other is
+    its F12 F_{12,3} when the coproduct piece equals F_{12,3}.  At k = 3 the
+    exchange laws read the context's R12 F123 and R23 F123 when the 3-fold twist
+    equals F123.  The closed form writes every w-subscript as a running circle
+    product.
     """
     if k not in (3, 4):
         raise LimitExceeded(f"tensor order {k} unsupported (k must be 3 or 4)")
@@ -714,9 +754,13 @@ def nfold_twist(ctx: AlgebraContext, k: int) -> tuple[TensorElement, PropertyRep
         for _ in range(j - 2):
             tail_piece = slot_coproduct(tail_piece, 0)
         # (F_{1..j-1} (x) 1) . piece and (1 (x) F_{1..j-1}) . one_slot
-        lhs = apply_left(prev, tuple(range(j - 1)), tail_piece)
-        rhs = (TensorElement(ctx, 3, ctx._f23_f1_23) if j == 3
-               else apply_left(prev, tuple(range(1, j)), _twist_1_tail(ctx, j)))
+        if j == 3:
+            lhs = (TensorElement(ctx, 3, ctx._f12_f12_3) if tail_piece == _twist_12_3(ctx)
+                   else apply_left(prev, (0, 1), tail_piece))
+            rhs = TensorElement(ctx, 3, ctx._f23_f1_23)
+        else:
+            lhs = apply_left(prev, tuple(range(j - 1)), tail_piece)
+            rhs = apply_left(prev, tuple(range(1, j)), _twist_1_tail(ctx, j))
         report.compare(f"recursion_{j}_fold", lhs, rhs)
         twists[j] = lhs
 
@@ -734,15 +778,12 @@ def nfold_twist(ctx: AlgebraContext, k: int) -> tuple[TensorElement, PropertyRep
     report.compare("closed_form", twists[k], closed_t)
 
     rf = ctx.twisted_r_matrix
+    shared = k == 3 and twists[3].coeffs == ctx._f23_f1_23
     for j in range(k - 1):
-        report.compare(f"exchange_law_legs_{j + 1}_{j + 2}", twists[k].slot_swap(j, j + 1),
-                       apply_left(rf, (j, j + 1), twists[k]))
+        moved = (TensorElement(ctx, 3, (ctx._r12_f123, ctx._r23_f123)[j]) if shared
+                 else apply_left(rf, (j, j + 1), twists[k]))
+        report.compare(f"exchange_law_legs_{j + 1}_{j + 2}", twists[k].slot_swap(j, j + 1), moved)
     return twists[k], report
-
-
-def _r13_times(ctx: AlgebraContext, r: TensorElement, legs: tuple[int, int]) -> dict:
-    # R13 R_legs: r placed at legs (0, 2) of the unit 3-tensor, times r at ``legs``
-    return apply_right(apply_right(ctx.unit_tensor(3), r, (0, 2)), r, legs).coeffs
 
 
 def _twist_1_tail(ctx: AlgebraContext, k: int) -> TensorElement:

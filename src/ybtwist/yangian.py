@@ -269,14 +269,17 @@ def check_augmented_relations(ctx: AlgebraContext, pmax: int = MAX_LEVEL) -> Pro
         raise LimitExceeded(f"level {pmax} outside 1..{MAX_LEVEL}")
     n, sigma = ctx.n, ctx.sigma
     report = PropertyReport("augmented_relations")
-    pi, pi_inv = _permutations(ctx)
+    pi, _ = _permutations(ctx)
     units = [rho_basis_entry(ctx, c * n) for c in range(n)]
 
     def w_fails(p, a, b, c):
+        # at p >= 1 the sides are e_{pi_a c, b} and e_{sigma_a c, pi_a^{-1} sigma_a b};
+        # the second indices differ iff pi_a b != sigma_a b, where the first
+        # indices differ at (p, a, 0, b), scanned no later: the first decide
         s = sigma[a]
         if p == 0:
             return (b == c) != (s[b] == s[c])
-        return (pi[a][c], b) != (s[c], pi_inv[a][s[b]])
+        return pi[a][c] != s[c]
 
     def h_fails(a, b):
         (rb, sb), (ra, sa) = units[b], units[a]

@@ -6,12 +6,14 @@ on each row of the coproduct table through the slot kernel ``_on_slot`` and
 basis element at a time, multiplies the slots with ``mul_slots`` and the
 coproducts pair by pair.  ``verify_universal_ybe``,
 ``verify_quasitriangularity``, ``verify_twist_conditions`` and
-``nfold_twist(ctx, 3)`` read the products R13 R23, R13 R12 and F23 F_{1,23}
-that the context builds once; their oracles form every product anew in its
-three-factor bracketing.  The two routes must give equal reports (names,
-verdicts, witnesses, detail), on failing subjects too: the universal YBE, the
-cocycle and the 3-fold exchange laws fail on the sampled order-6 contexts with
-non-abelian addition, and corrupted tables and overrides fail everywhere.
+``nfold_twist(ctx, 3)`` read the 3-leg products that the context builds once
+(R13, R13 R23, R13 R12, F12 F_{12,3}, F123 = F23 F_{1,23}, R12 F123 and
+R23 F123), ``nfold_twist`` only where its own operands equal the shared ones;
+their oracles form every product anew in its three-factor bracketing.  The two
+routes must give equal reports (names, verdicts, witnesses, detail), on
+failing subjects too: the universal YBE, the cocycle and the 3-fold exchange
+laws fail on the sampled order-6 contexts with non-abelian addition, and
+corrupted tables and overrides fail everywhere.
 The universal YBE does not see every corruption of R: R with its h_0 (x) h_0
 term dropped, negated or doubled still satisfies it on every brace, and only
 the fusion identities and the counit laws fail.
@@ -21,11 +23,14 @@ from __future__ import annotations
 
 import pytest
 
+import conftest
 import ybtwist as yb
 from conftest import (oracle_hopf_axioms, oracle_nfold_twist3, oracle_quasitriangularity,
                       oracle_twist_conditions, oracle_universal_ybe)
+from ybtwist import algebra
 from ybtwist.algebra import (AlgebraContext, nfold_twist, verify_hopf_axioms, verify_quasitriangularity,
                              verify_twist_conditions, verify_universal_ybe)
+from ybtwist.suites import universal_suite
 
 
 def outcome(fn, *args, **kwargs):
@@ -126,16 +131,67 @@ def test_shared_products_match_bracketed_oracle(contexts, name):
     assert failing == 12
 
 
+SHARED_PRODUCTS = ("_r13", "_r13_r23", "_r13_r12", "_f12_f12_3", "_f23_f1_23", "_r12_f123", "_r23_f123")
+
+
 def test_shared_products_are_built_once(z6_brace):
     ctx = AlgebraContext(z6_brace)
     verify_universal_ybe(ctx)
-    shared = ctx._r13_r23, ctx._r13_r12
-    verify_quasitriangularity(ctx)
     verify_twist_conditions(ctx)
-    f3 = ctx._f23_f1_23
+    built = {name: getattr(ctx, name) for name in SHARED_PRODUCTS}
+    assert all(type(c) is dict and c for c in built.values())
+    verify_quasitriangularity(ctx)
+    verify_universal_ybe(ctx)
+    verify_twist_conditions(ctx)
     nfold_twist(ctx, 3)
-    assert (ctx._r13_r23, ctx._r13_r12, ctx._f23_f1_23) == (*shared, f3)
-    assert ctx._r13_r23 is shared[0] and ctx._f23_f1_23 is f3
+    assert all(getattr(ctx, name) is c for name, c in built.items())
+
+
+def test_universal_suite_leg_product_calls(z6_brace, monkeypatch):
+    # the shared products save four joins a context: R13 once for both fusion
+    # sides, and the 3-fold twist and its two exchange products read from the
+    # twist conditions' F12 F_{12,3}, R12 F123 and R23 F123
+    calls = []
+    kernel = algebra._leg_products
+
+    def counting(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(algebra, "_leg_products", counting)
+    checks = universal_suite(z6_brace, 6)
+    assert all(c["status"] == "pass" for c in checks if c["status"] != "info")
+    assert len(calls) == 19
+
+
+@pytest.mark.parametrize("corrupt", ["tail_piece", "shared_operand"])
+def test_nfold_twist_reads_shared_products_only_for_equal_operands(contexts, monkeypatch, corrupt):
+    # the 3-fold recursion's coproduct piece, or the F_{12,3} the shared
+    # F12 F_{12,3} is formed from, with one term negated: the two operands then
+    # differ, so nfold_twist forms its products anew and its report is the
+    # oracle's, which multiplies its own piece in place
+    def negated_first(t):
+        coeffs = dict(t.coeffs)
+        key = min(coeffs)
+        coeffs[key] = -coeffs[key]
+        return t._like(coeffs)
+
+    true_piece, true_f_12_3 = algebra.slot_coproduct, algebra._twist_12_3
+    if corrupt == "tail_piece":
+        def piece(t, slot, twisted=False):
+            return negated_first(true_piece(t, slot, twisted))
+        for module in (algebra, conftest):
+            monkeypatch.setattr(module, "slot_coproduct", piece)
+    else:
+        monkeypatch.setattr(algebra, "_twist_12_3", lambda ctx: negated_first(true_f_12_3(ctx)))
+    failing = 0
+    for ctx in contexts:
+        ctx = AlgebraContext(ctx.brace)
+        verify_twist_conditions(ctx)  # build the shared products first
+        report = nfold_twist(ctx, 3)[1]
+        assert report == oracle_nfold_twist3(ctx), (ctx.brace.add.table, ctx.brace.mul.table)
+        failing += not report.ok
+    assert failing == (len(contexts) if corrupt == "tail_piece" else 12)
 
 
 def test_overrides_form_their_own_products(contexts):
