@@ -15,7 +15,10 @@ h_a w_g is the arrow from source sigma_g^{-1}(a) to target a, and a product
 survives iff the left source is the right target.  The context's per-basis
 ``target`` and ``source`` lists are the only code that knows this rule, and
 one batched join, ``_leg_products``, multiplies every pair of tensors, one
-pair or a whole table of products at a time.
+pair or a whole table of products at a time.  Nearly every product places a
+two-leg tensor (F, F^{-1}, R or a coproduct row), so the join has one branch
+for two legs that reads both ends and both slot products without a loop over
+the legs.
 
 There is one container, ``TensorElement``: an algebra element is the one-leg
 tensor.  Each structure map (Delta, Delta_F, eps, s, s~) is one per-basis
@@ -64,7 +67,8 @@ class AlgebraContext:
     (Delta), ``twisted_cop`` (Delta_F), ``eps`` (the counit), ``s`` (the
     antipode) and ``s_twisted`` (the twisted antipode).  Entry i of a table is
     the image of e_i as {tuple of basis indices: multiplicity}.  Also lazy, the
-    shared 3-leg products of the module docstring: ``_r13``, ``_r13_r23``,
+    closed-form F_{12,3} and F_{1,23} (``_f_12_3``, ``_f_1_23``) and the shared
+    3-leg products of the module docstring: ``_r13``, ``_r13_r23``,
     ``_r13_r12``, ``_f12_f12_3``, ``_f23_f1_23`` (F123), ``_r12_f123`` and
     ``_r23_f123``.
     """
@@ -185,14 +189,24 @@ class AlgebraContext:
         return apply_right(TensorElement(self, 3, self._r13), self.twisted_r_matrix, (0, 1)).coeffs
 
     @cached_property
+    def _f_12_3(self) -> dict:
+        """F_{12,3} = (Delta (x) id)(F), in closed form."""
+        return _twist_12_3(self).coeffs
+
+    @cached_property
+    def _f_1_23(self) -> dict:
+        """F_{1,23} = (id (x) Delta)(F), in closed form."""
+        return _twist_1_tail(self, 3).coeffs
+
+    @cached_property
     def _f12_f12_3(self) -> dict:
         """F12 F_{12,3}, the left side of the cocycle identity."""
-        return apply_left(self.twist, (0, 1), _twist_12_3(self)).coeffs
+        return apply_left(self.twist, (0, 1), TensorElement(self, 3, self._f_12_3)).coeffs
 
     @cached_property
     def _f23_f1_23(self) -> dict:
         """F123 = F23 F_{1,23}, the right side of the cocycle identity."""
-        return apply_left(self.twist, (1, 2), _twist_1_tail(self, 3)).coeffs
+        return apply_left(self.twist, (1, 2), TensorElement(self, 3, self._f_1_23)).coeffs
 
     @cached_property
     def _r12_f123(self) -> dict:
@@ -489,32 +503,60 @@ def _leg_products(ctx: AlgebraContext, xs: list[dict], ts: list[dict], legs: tup
     Each partner carries one product line per leg, the products of its slot u with
     every slot s of x: column u of ``prod`` when t is on the right, row u on the
     left.  A slot product is then ``line[s]``.
+
+    Two legs (l0, l1), the case of nearly every call, have their own branch: a
+    term (u, v) of t is indexed under the pair of its ends as (j, line_u,
+    line_v, c), a term of x looks its partners up by the pair of its own ends at
+    l0 and l1, and the two slot products are written into x's key at l0 and l1
+    without a loop over the legs.  Any other number of legs takes the loop.
     """
     dim, prod = ctx.dim, ctx.prod
     if t_right:
         t_ends, x_ends, lines = ctx.target, ctx.source, [prod[u::dim] for u in range(dim)]
     else:
         t_ends, x_ends, lines = ctx.source, ctx.target, [prod[u * dim:(u + 1) * dim] for u in range(dim)]
-    by_ends: dict = {}  # ends -> [(j, lines, c)]
-    for j, t in enumerate(ts):
-        for tkey, c in t.items():
-            by_ends.setdefault(tuple([t_ends[u] for u in tkey]), []).append((j, [lines[u] for u in tkey], c))
+    by_ends: dict = {}
+    two = len(legs) == 2  # the two-leg branch, chosen once per call
+    if two:
+        l0, l1 = legs
+        for j, t in enumerate(ts):  # (end_u, end_v) -> [(j, line_u, line_v, c)]
+            for (u, v), c in t.items():
+                by_ends.setdefault((t_ends[u], t_ends[v]), []).append((j, lines[u], lines[v], c))
+    else:
+        for j, t in enumerate(ts):  # ends -> [(j, lines, c)]
+            for tkey, c in t.items():
+                by_ends.setdefault(tuple([t_ends[u] for u in tkey]), []).append((j, [lines[u] for u in tkey], c))
     for x in xs:
         acc: dict = {}
         for key, c1 in x.items():
-            partners = by_ends.get(tuple([x_ends[key[leg]] for leg in legs]))
+            if two:
+                s0, s1 = key[l0], key[l1]
+                partners = by_ends.get((x_ends[s0], x_ends[s1]))
+            else:
+                partners = by_ends.get(tuple([x_ends[key[leg]] for leg in legs]))
             if partners is None:
                 continue
             nk = list(key)  # the slots off ``legs`` stay x's
-            for j, tlines, c2 in partners:
-                for leg, line in zip(legs, tlines):
-                    nk[leg] = line[key[leg]]
-                pk = tuple(nk)
-                out = acc.get(j)
-                if out is None:
-                    acc[j] = {pk: c1 * c2}
-                else:
-                    out[pk] = out.get(pk, 0) + c1 * c2
+            if two:
+                for j, line_u, line_v, c2 in partners:
+                    nk[l0] = line_u[s0]
+                    nk[l1] = line_v[s1]
+                    pk = tuple(nk)
+                    out = acc.get(j)
+                    if out is None:
+                        acc[j] = {pk: c1 * c2}
+                    else:
+                        out[pk] = out.get(pk, 0) + c1 * c2
+            else:
+                for j, tlines, c2 in partners:
+                    for leg, line in zip(legs, tlines):
+                        nk[leg] = line[key[leg]]
+                    pk = tuple(nk)
+                    out = acc.get(j)
+                    if out is None:
+                        acc[j] = {pk: c1 * c2}
+                    else:
+                        out[pk] = out.get(pk, 0) + c1 * c2
         yield {j: terms for j, out in acc.items() if (terms := _prune(out) if 0 in out.values() else out)}
 
 
@@ -641,8 +683,8 @@ def verify_twist_conditions(ctx: AlgebraContext, twist: TensorElement | None = N
     rf = ctx.twisted_r_matrix
     report = PropertyReport("twist_conditions")
 
-    f_1_23 = _twist_1_tail(ctx, 3)
-    f_12_3 = _twist_12_3(ctx)
+    f_1_23 = TensorElement(ctx, 3, ctx._f_1_23)
+    f_12_3 = TensorElement(ctx, 3, ctx._f_12_3)
     if twist is None:
         lhs, f123, r12_f123, r23_f123 = (TensorElement(ctx, 3, c) for c in (
             ctx._f12_f12_3, ctx._f23_f1_23, ctx._r12_f123, ctx._r23_f123))
@@ -755,7 +797,7 @@ def nfold_twist(ctx: AlgebraContext, k: int) -> tuple[TensorElement, PropertyRep
             tail_piece = slot_coproduct(tail_piece, 0)
         # (F_{1..j-1} (x) 1) . piece and (1 (x) F_{1..j-1}) . one_slot
         if j == 3:
-            lhs = (TensorElement(ctx, 3, ctx._f12_f12_3) if tail_piece == _twist_12_3(ctx)
+            lhs = (TensorElement(ctx, 3, ctx._f12_f12_3) if tail_piece.coeffs == ctx._f_12_3
                    else apply_left(prev, (0, 1), tail_piece))
             rhs = TensorElement(ctx, 3, ctx._f23_f1_23)
         else:

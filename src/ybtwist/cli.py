@@ -22,9 +22,12 @@ from .matrices import solution_matrix
 
 def _emit(obj, out_path: str | None) -> None:
     # streamed chunk by chunk, so a large report is never held as one string
-    with open(out_path, "w", encoding="utf-8") if out_path else nullcontext(sys.stdout) as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    try:
+        with open(out_path, "w", encoding="utf-8") if out_path else nullcontext(sys.stdout) as fh:
+            json.dump(obj, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+    except OSError as exc:  # a missing directory, a directory, a full device
+        raise ValidationFailure("output", out_path, f"cannot write {out_path or 'stdout'}: {exc}") from exc
 
 
 def _load_json(path: str):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -225,6 +226,28 @@ def test_report_merge(z4_radical_file, trivial2_file, tmp_path, capsys):
     assert len(merged["subjects"]) == 2
     a, b = json.loads(rep1.read_text()), json.loads(rep2.read_text())
     assert merged["summary"]["pass"] == a["summary"]["pass"] + b["summary"]["pass"]
+
+
+@pytest.mark.parametrize("where", ["missing_parent", "directory", "full_device"])
+@pytest.mark.parametrize("command", ["enumerate", "verify", "solution", "report-merge"])
+def test_unwritable_out_exits_2(command, where, trivial2_file, tmp_path, capsys):
+    # an --out path that cannot be opened, or whose writes fail, is invalid input
+    if where == "full_device" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this platform")
+    report = tmp_path / "report.json"
+    assert main(["verify", trivial2_file, "--level", "map", "--out", str(report)]) == 0
+    argv = {"enumerate": ["enumerate", "--order", "2"],
+            "verify": ["verify", trivial2_file, "--level", "map"],
+            "solution": ["solution", trivial2_file],
+            "report-merge": ["report-merge", str(report)]}[command]
+    out = {"missing_parent": str(tmp_path / "no_such_dir" / "out.json"), "directory": str(tmp_path),
+           "full_device": "/dev/full"}[where]
+    capsys.readouterr()
+    assert main([*argv, "--out", out]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert (err["error"], err["witness"]) == ("output", out)
 
 
 def test_report_merge_rejects_malformed_reports(tmp_path, capsys):

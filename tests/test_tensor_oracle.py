@@ -118,12 +118,15 @@ def test_tensor_mul_matches_all_pairs(small_contexts):
 
 
 def test_leg_products_match_all_pairs(small_contexts):
-    # every x against every t (one of them empty), t at the legs of x, on either side
+    # every x against every t (one of them empty), t at the legs of x, on either
+    # side; the two-leg join has its own branch, so every two-leg layout of a
+    # 3-leg x is here, and one of a 4-leg x
     rng = random.Random(7)
     nonempty = 0
     for ctx in small_contexts:
         left, right = partners(ctx)
-        for k, legs in ((1, (0,)), (2, (0, 1)), (2, (1, 0)), (3, (0, 2)), (3, (1, 0))):
+        for k, legs in ((1, (0,)), (2, (0, 1)), (2, (1, 0)), (3, (0, 2)), (3, (1, 0)), (3, (0, 1)),
+                        (3, (1, 2)), (3, (2, 1)), (3, (2, 0)), (4, (3, 1))):
             for t_right in (True, False):
                 xs = [random_tensor(ctx, rng, k, 8) for _ in range(3)]
                 near = [{tuple(key[leg] for leg in legs): 1 for key in x} for x in xs]
@@ -136,7 +139,7 @@ def test_leg_products_match_all_pairs(small_contexts):
                 got = list(_leg_products(ctx, xs, ts, legs, t_right))
                 assert got == expected, (ctx.n, k, legs, t_right)
                 nonempty += sum(map(len, expected))
-    assert nonempty >= 1200
+    assert nonempty >= 3000
 
 
 def test_apply_left_right_match_unit_padded_product(small_contexts):

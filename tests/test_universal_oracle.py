@@ -131,7 +131,8 @@ def test_shared_products_match_bracketed_oracle(contexts, name):
     assert failing == 12
 
 
-SHARED_PRODUCTS = ("_r13", "_r13_r23", "_r13_r12", "_f12_f12_3", "_f23_f1_23", "_r12_f123", "_r23_f123")
+SHARED_PRODUCTS = ("_f_12_3", "_f_1_23", "_r13", "_r13_r23", "_r13_r12", "_f12_f12_3", "_f23_f1_23", "_r12_f123",
+                   "_r23_f123")
 
 
 def test_shared_products_are_built_once(z6_brace):
