@@ -27,16 +27,17 @@ to any slot of a coefficient dict: the element maps are its one-slot case, the
 slot maps wrap it, and the Hopf axioms apply the tables through it to each row
 of the coproduct table, with no tensor built.
 
-The 3-leg products that several identities form from the context's own F and
-R are built once per context, as coefficient dicts: R13, R13 R23 and R13 R12
-(the fusion sides, and the YBE sides without their outer factor), F12 F_{12,3}
-and F123 = F23 F_{1,23} (the cocycle's sides and the 3-fold twist's two
-bracketings), and R12 F123 and R23 F123 (the exchange laws' moved sides).  An
-identity reads a shared product only when its own operands are the shared
-ones: ``verify_twist_conditions`` unless ``twist`` overrides F, and
-``nfold_twist(ctx, 3)`` only where its coproduct piece equals F_{12,3} and its
-3-fold twist equals F123.  Elsewhere it forms its products anew, so every
-verdict and witness is that of the products formed in place.
+The 3-leg products that several identities share come in two families, each
+formed by one builder as a tuple of coefficient dicts: ``_fusion_sides(ctx, r)``
+gives R13 R23 and R13 R12 (the fusion sides, and the YBE sides without their
+outer factor), and ``_cocycle_sides(ctx, f)`` gives F12 F_{12,3}, F123 =
+F23 F_{1,23} (the cocycle's sides and the 3-fold twist's two bracketings),
+R12 F123 and R23 F123 (the exchange laws' moved sides).  The context builds
+each family once from its own R and F; an identity given another R or F (the
+``rf`` and ``twist`` overrides) calls the builder on it, and
+``nfold_twist(ctx, 3)`` reads the context's family only where its coproduct
+piece equals F_{12,3} and its 3-fold twist equals F123.  So every verdict and
+witness is that of the products formed in place.
 """
 
 from __future__ import annotations
@@ -67,10 +68,9 @@ class AlgebraContext:
     (Delta), ``twisted_cop`` (Delta_F), ``eps`` (the counit), ``s`` (the
     antipode) and ``s_twisted`` (the twisted antipode).  Entry i of a table is
     the image of e_i as {tuple of basis indices: multiplicity}.  Also lazy, the
-    closed-form F_{12,3} and F_{1,23} (``_f_12_3``, ``_f_1_23``) and the shared
-    3-leg products of the module docstring: ``_r13``, ``_r13_r23``,
-    ``_r13_r12``, ``_f12_f12_3``, ``_f23_f1_23`` (F123), ``_r12_f123`` and
-    ``_r23_f123``.
+    closed-form F_{12,3} and F_{1,23} (``_f_12_3``, ``_f_1_23``) and the two
+    families of shared 3-leg products of the module docstring, as tuples of
+    dicts: ``_fusion`` (of R) and ``_cocycle`` (of F).
     """
 
     def __init__(self, brace: SkewBrace):
@@ -174,21 +174,6 @@ class AlgebraContext:
         return conj.coeffs
 
     @cached_property
-    def _r13(self) -> dict:
-        """R13: R at legs 1 and 3 of the unit 3-tensor."""
-        return apply_right(self.unit_tensor(3), self.twisted_r_matrix, (0, 2)).coeffs
-
-    @cached_property
-    def _r13_r23(self) -> dict:
-        """R13 R23, the right side of the first fusion identity."""
-        return apply_right(TensorElement(self, 3, self._r13), self.twisted_r_matrix, (1, 2)).coeffs
-
-    @cached_property
-    def _r13_r12(self) -> dict:
-        """R13 R12, the right side of the second fusion identity."""
-        return apply_right(TensorElement(self, 3, self._r13), self.twisted_r_matrix, (0, 1)).coeffs
-
-    @cached_property
     def _f_12_3(self) -> dict:
         """F_{12,3} = (Delta (x) id)(F), in closed form."""
         return _twist_12_3(self).coeffs
@@ -199,24 +184,14 @@ class AlgebraContext:
         return _twist_1_tail(self, 3).coeffs
 
     @cached_property
-    def _f12_f12_3(self) -> dict:
-        """F12 F_{12,3}, the left side of the cocycle identity."""
-        return apply_left(self.twist, (0, 1), TensorElement(self, 3, self._f_12_3)).coeffs
+    def _fusion(self) -> tuple[dict, dict]:
+        """The fusion family of the context's R (``_fusion_sides``)."""
+        return _fusion_sides(self, self.twisted_r_matrix)
 
     @cached_property
-    def _f23_f1_23(self) -> dict:
-        """F123 = F23 F_{1,23}, the right side of the cocycle identity."""
-        return apply_left(self.twist, (1, 2), TensorElement(self, 3, self._f_1_23)).coeffs
-
-    @cached_property
-    def _r12_f123(self) -> dict:
-        """R12 F123, the moved side of the exchange law on legs 1 and 2."""
-        return apply_left(self.twisted_r_matrix, (0, 1), TensorElement(self, 3, self._f23_f1_23)).coeffs
-
-    @cached_property
-    def _r23_f123(self) -> dict:
-        """R23 F123, the moved side of the exchange law on legs 2 and 3."""
-        return apply_left(self.twisted_r_matrix, (1, 2), TensorElement(self, 3, self._f23_f1_23)).coeffs
+    def _cocycle(self) -> tuple[dict, dict, dict, dict]:
+        """The cocycle family of the context's F (``_cocycle_sides``)."""
+        return _cocycle_sides(self, self.twist)
 
     @cached_property
     def cop(self) -> list[dict]:
@@ -670,27 +645,42 @@ def is_cocommutative(ctx: AlgebraContext) -> bool:
     return all(image == {(q, p): c for (p, q), c in image.items()} for image in ctx.cop)
 
 
+def _fusion_sides(ctx: AlgebraContext, r: TensorElement) -> tuple[dict, dict]:
+    """The fusion family of the two-leg r: R13 R23 and R13 R12, as coefficient
+    dicts, with R13 formed once for both.  They are the right sides of the two
+    fusion identities, and each side of the universal YBE is one of them times
+    R12 or R23 on the left."""
+    r13 = apply_right(ctx.unit_tensor(3), r, (0, 2))
+    return apply_right(r13, r, (1, 2)).coeffs, apply_right(r13, r, (0, 1)).coeffs
+
+
+def _cocycle_sides(ctx: AlgebraContext, f: TensorElement) -> tuple[dict, dict, dict, dict]:
+    """The cocycle family of the two-leg f: F12 F_{12,3}, F123 = F23 F_{1,23},
+    R12 F123 and R23 F123, as coefficient dicts.  They are the cocycle's two
+    sides (and the 3-fold twist's two bracketings) and the exchange laws' moved
+    sides.  F_{12,3}, F_{1,23} and R are always the context's own."""
+    r = ctx.twisted_r_matrix
+    f123 = apply_left(f, (1, 2), TensorElement(ctx, 3, ctx._f_1_23))
+    return (apply_left(f, (0, 1), TensorElement(ctx, 3, ctx._f_12_3)).coeffs, f123.coeffs,
+            apply_left(r, (0, 1), f123).coeffs, apply_left(r, (1, 2), f123).coeffs)
+
+
 def verify_twist_conditions(ctx: AlgebraContext, twist: TensorElement | None = None) -> PropertyReport:
     """Check the cocycle identity and the leg symmetries of the three-slot twists.
 
     ``twist`` overrides the context twist so corrupted inputs can be exercised
     as negative controls; the derived three-slot pieces always come from the
-    true tables.  Without it the cocycle's sides F12 F_{12,3} and F123 =
-    F23 F_{1,23}, and the exchange laws' R12 F123 and R23 F123, are the ones the
-    context builds once; with it each is formed anew.
+    true tables.  The cocycle's sides and the exchange laws' moved sides are
+    the cocycle family (``_cocycle_sides``): the context's, built once, or
+    that of ``twist``.
     """
     f = ctx.twist if twist is None else twist
-    rf = ctx.twisted_r_matrix
+    sides = ctx._cocycle if twist is None else _cocycle_sides(ctx, f)
+    lhs, f123, r12_f123, r23_f123 = (TensorElement(ctx, 3, c) for c in sides)
     report = PropertyReport("twist_conditions")
 
     f_1_23 = TensorElement(ctx, 3, ctx._f_1_23)
     f_12_3 = TensorElement(ctx, 3, ctx._f_12_3)
-    if twist is None:
-        lhs, f123, r12_f123, r23_f123 = (TensorElement(ctx, 3, c) for c in (
-            ctx._f12_f12_3, ctx._f23_f1_23, ctx._r12_f123, ctx._r23_f123))
-    else:
-        lhs, f123 = apply_left(f, (0, 1), f_12_3), apply_left(f, (1, 2), f_1_23)
-        r12_f123, r23_f123 = apply_left(rf, (0, 1), f123), apply_left(rf, (1, 2), f123)
     report.compare("cocycle", lhs, f123)
 
     report.compare("one_two_three_symmetry", f_1_23, f_1_23.slot_swap(1, 2))
@@ -720,20 +710,17 @@ def verify_universal_ybe(ctx: AlgebraContext, rf: TensorElement | None = None) -
 
     Each side is one product, R12 (R13 R23) and R23 (R13 R12): the product is
     associative (the construction check), so the tensors are those of any
-    bracketing.  For the context's own R the bracketed pairs are the fusion
-    sides the context builds once; ``rf`` overrides R and forms them anew.
+    bracketing.  The bracketed pairs are the fusion family (``_fusion_sides``):
+    the context's, built once, or that of ``rf``, which overrides R.
 
     The YBE alone does not pin R: with its h_0 (x) h_0 term dropped, negated
     or doubled, R still satisfies it (and the intertwining law) on every brace
     of orders 2-6; the fusion identities and the counit laws of
     ``verify_quasitriangularity`` fail on each.
     """
-    if rf is None:
-        r = ctx.twisted_r_matrix
-        r13_r23, r13_r12 = TensorElement(ctx, 3, ctx._r13_r23), TensorElement(ctx, 3, ctx._r13_r12)
-    else:
-        r, r13 = rf, apply_right(ctx.unit_tensor(3), rf, (0, 2))
-        r13_r23, r13_r12 = apply_right(r13, rf, (1, 2)), apply_right(r13, rf, (0, 1))
+    r = ctx.twisted_r_matrix if rf is None else rf
+    sides = ctx._fusion if rf is None else _fusion_sides(ctx, rf)
+    r13_r23, r13_r12 = (TensorElement(ctx, 3, c) for c in sides)
     lhs = apply_left(r, (0, 1), r13_r23)
     rhs = apply_left(r, (1, 2), r13_r12)
     report = PropertyReport("universal_ybe")
@@ -758,10 +745,9 @@ def verify_quasitriangularity(ctx: AlgebraContext) -> PropertyReport:
     w = next((i for i, r in enumerate(rhs) if lhs.get(i, {}) != r.get(0, {})), None)
     report.add("intertwines_coproduct", w is None, witness=w)
 
-    report.compare("fusion_first_leg", slot_coproduct(rf, 0, twisted=True),
-                   TensorElement(ctx, 3, ctx._r13_r23))
-    report.compare("fusion_second_leg", slot_coproduct(rf, 1, twisted=True),
-                   TensorElement(ctx, 3, ctx._r13_r12))
+    r13_r23, r13_r12 = (TensorElement(ctx, 3, c) for c in ctx._fusion)
+    report.compare("fusion_first_leg", slot_coproduct(rf, 0, twisted=True), r13_r23)
+    report.compare("fusion_second_leg", slot_coproduct(rf, 1, twisted=True), r13_r12)
 
     one = ctx.one()
     w = counit_slot(rf, 0).first_diff(one) or counit_slot(rf, 1).first_diff(one)
@@ -775,12 +761,12 @@ def nfold_twist(ctx: AlgebraContext, k: int) -> tuple[TensorElement, PropertyRep
     """Build the k-fold twist two ways and check the closed form and exchange laws.
 
     The recursion multiplies the (k-1)-fold twist against the one-slot and
-    coproduct-image pieces in both bracketings, which must agree; at j = 3 the
-    one-slot bracketing is the context's F123 = F23 F_{1,23}, and the other is
-    its F12 F_{12,3} when the coproduct piece equals F_{12,3}.  At k = 3 the
-    exchange laws read the context's R12 F123 and R23 F123 when the 3-fold twist
-    equals F123.  The closed form writes every w-subscript as a running circle
-    product.
+    coproduct-image pieces in both bracketings, which must agree.  Two value
+    guards let it read the context's cocycle family (``_cocycle_sides``): at
+    j = 3 both bracketings are its F12 F_{12,3} and F123 = F23 F_{1,23} when
+    the coproduct piece equals F_{12,3}, and at k = 3 the exchange laws' moved
+    sides are its R12 F123 and R23 F123 when the 3-fold twist equals F123.
+    The closed form writes every w-subscript as a running circle product.
     """
     if k not in (3, 4):
         raise LimitExceeded(f"tensor order {k} unsupported (k must be 3 or 4)")
@@ -796,10 +782,8 @@ def nfold_twist(ctx: AlgebraContext, k: int) -> tuple[TensorElement, PropertyRep
         for _ in range(j - 2):
             tail_piece = slot_coproduct(tail_piece, 0)
         # (F_{1..j-1} (x) 1) . piece and (1 (x) F_{1..j-1}) . one_slot
-        if j == 3:
-            lhs = (TensorElement(ctx, 3, ctx._f12_f12_3) if tail_piece.coeffs == ctx._f_12_3
-                   else apply_left(prev, (0, 1), tail_piece))
-            rhs = TensorElement(ctx, 3, ctx._f23_f1_23)
+        if j == 3 and tail_piece.coeffs == ctx._f_12_3:
+            lhs, rhs = (TensorElement(ctx, 3, c) for c in ctx._cocycle[:2])
         else:
             lhs = apply_left(prev, tuple(range(j - 1)), tail_piece)
             rhs = apply_left(prev, tuple(range(1, j)), _twist_1_tail(ctx, j))
@@ -820,9 +804,9 @@ def nfold_twist(ctx: AlgebraContext, k: int) -> tuple[TensorElement, PropertyRep
     report.compare("closed_form", twists[k], closed_t)
 
     rf = ctx.twisted_r_matrix
-    shared = k == 3 and twists[3].coeffs == ctx._f23_f1_23
+    shared = k == 3 and twists[3].coeffs == ctx._cocycle[1]
     for j in range(k - 1):
-        moved = (TensorElement(ctx, 3, (ctx._r12_f123, ctx._r23_f123)[j]) if shared
+        moved = (TensorElement(ctx, 3, ctx._cocycle[2 + j]) if shared
                  else apply_left(rf, (j, j + 1), twists[k]))
         report.compare(f"exchange_law_legs_{j + 1}_{j + 2}", twists[k].slot_swap(j, j + 1), moved)
     return twists[k], report

@@ -81,8 +81,11 @@ def _patterns(n: int, k: int) -> list[tuple[tuple[int, ...], int]]:
     The least tuple of an orbit is its restricted growth string: it starts at
     0, and each entry is at most one more than the largest entry before it.
     An orbit with b distinct entries has n (n - 1) ... (n - b + 1) tuples, so
-    the sizes sum to n^k.
+    the sizes sum to n^k.  Every n-only check goes through here, so n < 1, which
+    has no index to check, raises LimitExceeded as ``_cleared`` does.
     """
+    if n < 1:
+        raise LimitExceeded("n must be at least 1")
     out: list[tuple[tuple[int, ...], int]] = [((), 1)]
     for _ in range(k):
         grown = []

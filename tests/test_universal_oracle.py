@@ -6,17 +6,21 @@ on each row of the coproduct table through the slot kernel ``_on_slot`` and
 basis element at a time, multiplies the slots with ``mul_slots`` and the
 coproducts pair by pair.  ``verify_universal_ybe``,
 ``verify_quasitriangularity``, ``verify_twist_conditions`` and
-``nfold_twist(ctx, 3)`` read the 3-leg products that the context builds once
-(R13, R13 R23, R13 R12, F12 F_{12,3}, F123 = F23 F_{1,23}, R12 F123 and
-R23 F123), ``nfold_twist`` only where its own operands equal the shared ones;
-their oracles form every product anew in its three-factor bracketing.  The two
+``nfold_twist(ctx, 3)`` read the two families of 3-leg products that the
+context builds once, the fusion family of R (R13 R23, R13 R12) and the cocycle
+family of F (F12 F_{12,3}, F123 = F23 F_{1,23}, R12 F123, R23 F123), and an
+override of R or F calls the same builder on it; ``nfold_twist`` reads the
+context's family only where its own operands equal the shared ones.  Their
+oracles form every product anew in its three-factor bracketing.  The two
 routes must give equal reports (names, verdicts, witnesses, detail), on
 failing subjects too: the universal YBE, the cocycle and the 3-fold exchange
 laws fail on the sampled order-6 contexts with non-abelian addition, and
 corrupted tables and overrides fail everywhere.
 The universal YBE does not see every corruption of R: R with its h_0 (x) h_0
 term dropped, negated or doubled still satisfies it on every brace, and only
-the fusion identities and the counit laws fail.
+the fusion identities and the counit laws fail.  The last test pins, over
+every context of orders 2-6, the negative controls that must fail there and
+the laws that see them.
 """
 
 from __future__ import annotations
@@ -131,8 +135,7 @@ def test_shared_products_match_bracketed_oracle(contexts, name):
     assert failing == 12
 
 
-SHARED_PRODUCTS = ("_f_12_3", "_f_1_23", "_r13", "_r13_r23", "_r13_r12", "_f12_f12_3", "_f23_f1_23", "_r12_f123",
-                   "_r23_f123")
+SHARED_PRODUCTS = {"_f_12_3": 1, "_f_1_23": 1, "_fusion": 2, "_cocycle": 4}  # name: dicts it holds
 
 
 def test_shared_products_are_built_once(z6_brace):
@@ -140,7 +143,9 @@ def test_shared_products_are_built_once(z6_brace):
     verify_universal_ybe(ctx)
     verify_twist_conditions(ctx)
     built = {name: getattr(ctx, name) for name in SHARED_PRODUCTS}
-    assert all(type(c) is dict and c for c in built.values())
+    for name, size in SHARED_PRODUCTS.items():
+        dicts = built[name] if size > 1 else (built[name],)
+        assert type(dicts) is tuple and len(dicts) == size and all(type(c) is dict and c for c in dicts), name
     verify_quasitriangularity(ctx)
     verify_universal_ybe(ctx)
     verify_twist_conditions(ctx)
@@ -149,9 +154,9 @@ def test_shared_products_are_built_once(z6_brace):
 
 
 def test_universal_suite_leg_product_calls(z6_brace, monkeypatch):
-    # the shared products save four joins a context: R13 once for both fusion
+    # the two families save four joins a context: R13 once for both fusion
     # sides, and the 3-fold twist and its two exchange products read from the
-    # twist conditions' F12 F_{12,3}, R12 F123 and R23 F123
+    # cocycle family's F12 F_{12,3}, R12 F123 and R23 F123
     calls = []
     kernel = algebra._leg_products
 
@@ -198,9 +203,13 @@ def test_nfold_twist_reads_shared_products_only_for_equal_operands(contexts, mon
 def test_overrides_form_their_own_products(contexts):
     # a corrupted R or F passed in must not read the context's shared products;
     # the swapped R terms of the perfbench negative control break the YBE only
-    # where the first two terms of R do not commute past the others
+    # where the first two terms of R do not commute past the others.  The
+    # context's own R and F passed in give the reports without an override, so
+    # both routes run the same builder.
     ybe_failures = 0
     for ctx in contexts[1:]:
+        assert verify_universal_ybe(ctx, rf=ctx.twisted_r_matrix) == verify_universal_ybe(ctx)
+        assert verify_twist_conditions(ctx, twist=ctx.twist) == verify_twist_conditions(ctx)
         coeffs = dict(ctx.twisted_r_matrix.coeffs)
         k1, k2 = sorted(coeffs)[:2]
         coeffs[k1], coeffs[k2] = coeffs[k2] + 1, coeffs[k1] - 1
@@ -237,3 +246,53 @@ def test_h0_h0_term_of_r_is_seen_by_fusion_and_counit_only(contexts, factor):
         report = verify_quasitriangularity(ctx)
         assert [c.name for c in report.failures()] == [
             "fusion_first_leg", "fusion_second_leg", "counit_laws"], brace.mul.table
+
+
+def _with_r(brace, coeffs: dict) -> AlgebraContext:
+    """A fresh context whose cached R is ``coeffs``, so its fusion family is
+    formed from that R."""
+    ctx = AlgebraContext(brace)
+    ctx._twisted_r = ctx.tensor(2, coeffs).coeffs
+    return ctx
+
+
+def _seen(report, *names) -> bool:
+    """Whether each named check of ``report`` fails with a witness."""
+    return all(not (c := report.check(name)).passed and c.witness is not None for name in names)
+
+
+def test_negative_controls_fail_on_every_context(skew_braces_up_to_6):
+    contexts = conftest._contexts(b for n in range(2, 7) for b in skew_braces_up_to_6[n])
+    assert len(contexts) == 218
+    ybe_failures = 0
+    for ctx in contexts:
+        where = (ctx.brace.add.table, ctx.brace.mul.table)
+        # F with its middle coefficient negated.  (eps (x) id) Delta = id, so Delta
+        # is injective and (Delta (x) id)(F') != F_{12,3}.  The cocycle holds for
+        # F, and F' changes F23 F_{1,23} at every first leg h_a but F12 F_{12,3}
+        # only at the first leg of the negated term, so for n >= 2 it fails.
+        f = dict(ctx.twist.coeffs)
+        key = sorted(f)[len(f) // 2]
+        f[key] = -f[key]
+        assert _seen(verify_twist_conditions(ctx, twist=ctx.tensor(2, f)), "cocycle", "coproduct_images"), where
+        # R with its h_0 (x) h_0 coefficient doubled.  eps(h_0) = 1, so
+        # (eps (x) id)(R') = 1 + h_0 breaks the counit laws; eps on the outer leg
+        # turns each fusion identity into R' = (counit image) R', which the
+        # broken counit image breaks too.
+        r = dict(ctx.twisted_r_matrix.coeffs)
+        r[(0, 0)] *= 2
+        assert _seen(verify_quasitriangularity(_with_r(ctx.brace, r)),
+                     "counit_laws", "fusion_first_leg", "fusion_second_leg"), where
+        # perfbench's "swapped R terms": the two least keys of R, h_0 (x) h_0 and
+        # h_0 w_1 (x) h_{1^-1}, get 2 and 0, so (eps (x) id)(R') = 1 + h_0 -
+        # h_{1^-1} and the counit and fusion laws fail as above.  The universal
+        # YBE sees it on only 132 of the 218 contexts: a documented blind spot,
+        # and the perfbench gate, which reads the YBE, catches it only because
+        # it runs on the order-4 radical brace.
+        r = dict(ctx.twisted_r_matrix.coeffs)
+        k1, k2 = sorted(r)[:2]
+        r[k1], r[k2] = r[k2] + 1, r[k1] - 1
+        swapped = _with_r(ctx.brace, r)
+        assert _seen(verify_quasitriangularity(swapped), "counit_laws", "fusion_first_leg", "fusion_second_leg"), where
+        ybe_failures += not verify_universal_ybe(swapped).ok
+    assert ybe_failures == 132

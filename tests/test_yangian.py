@@ -84,6 +84,17 @@ def test_defining_relations_accept_the_range_ends():
     assert check_defining_relations(2, yangian.MAX_LEVEL, 0).ok
 
 
+@pytest.mark.parametrize("check", [check_defining_relations, check_displayed_exchange_relations,
+                                   coassociativity_report, lambda n: antipode_series(n)[1]],
+                         ids=["defining", "displayed", "coassociativity", "antipode"])
+def test_n_only_checks_refuse_n_below_one_and_accept_one(check):
+    # n = 0 and n = -1 used to pass vacuously, with no index tuple to check
+    for n in (0, -1):
+        with pytest.raises(yb.LimitExceeded):
+            check(n)
+    assert check(1).ok
+
+
 @pytest.mark.parametrize("pmax", [-1, 0, yangian.MAX_LEVEL + 1])
 def test_augmented_relations_refuse_levels_outside_range(z4_radical_ctx, pmax):
     # pmax = -1 passed w_exchange and h_transport vacuously while h_annihilation
