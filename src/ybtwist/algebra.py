@@ -33,11 +33,12 @@ gives R13 R23 and R13 R12 (the fusion sides, and the YBE sides without their
 outer factor), and ``_cocycle_sides(ctx, f)`` gives F12 F_{12,3}, F123 =
 F23 F_{1,23} (the cocycle's sides and the 3-fold twist's two bracketings),
 R12 F123 and R23 F123 (the exchange laws' moved sides).  The context builds
-each family once from its own R and F; an identity given another R or F (the
-``rf`` and ``twist`` overrides) calls the builder on it, and
-``nfold_twist(ctx, 3)`` reads the context's family only where its coproduct
-piece equals F_{12,3} and its 3-fold twist equals F123.  So every verdict and
-witness is that of the products formed in place.
+each family once from its own R and F, with F_{12,3} = (Delta (x) id)(F)
+formed in place, and an identity given another R or F (the ``rf`` and
+``twist`` overrides) calls the builder on it.  The cocycle family's operands
+are those that the k-fold recursion multiplies, so ``nfold_twist`` takes its
+3-fold step from it as is: every shared product is shared because the same
+builder runs on the same operands, and no value is compared to allow it.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .errors import CheckFailed, LimitExceeded, ValidationFailure
 from .rational import Sparse, _prune
 from .reports import PropertyReport
 
-#: (n^2)^k coefficients is the hard cap for tensor constructions.
+#: The cap on the n^k terms of a k-fold twist.
 MAX_TENSOR_COEFFS = 65536
 
 
@@ -67,10 +68,11 @@ class AlgebraContext:
     back at the context), and one per-basis table for each structure map -- ``cop``
     (Delta), ``twisted_cop`` (Delta_F), ``eps`` (the counit), ``s`` (the
     antipode) and ``s_twisted`` (the twisted antipode).  Entry i of a table is
-    the image of e_i as {tuple of basis indices: multiplicity}.  Also lazy, the
-    closed-form F_{12,3} and F_{1,23} (``_f_12_3``, ``_f_1_23``) and the two
-    families of shared 3-leg products of the module docstring, as tuples of
-    dicts: ``_fusion`` (of R) and ``_cocycle`` (of F).
+    the image of e_i as {tuple of basis indices: multiplicity}.  Also lazy,
+    F_{12,3} = (Delta (x) id)(F) formed in place and the closed-form F_{1,23}
+    (``_f_12_3``, ``_f_1_23``), and the two families of shared 3-leg products
+    of the module docstring, as tuples of dicts: ``_fusion`` (of R) and
+    ``_cocycle`` (of F).
     """
 
     def __init__(self, brace: SkewBrace):
@@ -146,8 +148,7 @@ class AlgebraContext:
 
     @cached_property
     def _twist(self) -> dict:
-        n = self.n
-        return {(b * n, a * n + self.circle_inv[b]): 1 for b in range(n) for a in range(n)}
+        return _twist_1_tail(self, 2).coeffs  # F = F_{1,2..k} at k = 2
 
     @cached_property
     def _twist_inv(self) -> dict:
@@ -175,8 +176,9 @@ class AlgebraContext:
 
     @cached_property
     def _f_12_3(self) -> dict:
-        """F_{12,3} = (Delta (x) id)(F), in closed form."""
-        return _twist_12_3(self).coeffs
+        """F_{12,3} = (Delta (x) id)(F), formed in place: the operand that the
+        k-fold recursion multiplies (the closed form only cross-checks it)."""
+        return slot_coproduct(self.twist, 0).coeffs
 
     @cached_property
     def _f_1_23(self) -> dict:
@@ -658,7 +660,8 @@ def _cocycle_sides(ctx: AlgebraContext, f: TensorElement) -> tuple[dict, dict, d
     """The cocycle family of the two-leg f: F12 F_{12,3}, F123 = F23 F_{1,23},
     R12 F123 and R23 F123, as coefficient dicts.  They are the cocycle's two
     sides (and the 3-fold twist's two bracketings) and the exchange laws' moved
-    sides.  F_{12,3}, F_{1,23} and R are always the context's own."""
+    sides.  F_{12,3} (the context's (Delta (x) id)(F)), F_{1,23} and R are
+    always the context's own."""
     r = ctx.twisted_r_matrix
     f123 = apply_left(f, (1, 2), TensorElement(ctx, 3, ctx._f_1_23))
     return (apply_left(f, (0, 1), TensorElement(ctx, 3, ctx._f_12_3)).coeffs, f123.coeffs,
@@ -672,7 +675,8 @@ def verify_twist_conditions(ctx: AlgebraContext, twist: TensorElement | None = N
     as negative controls; the derived three-slot pieces always come from the
     true tables.  The cocycle's sides and the exchange laws' moved sides are
     the cocycle family (``_cocycle_sides``): the context's, built once, or
-    that of ``twist``.
+    that of ``twist``.  The closed form of F_{12,3} (``_twist_12_3``) is built
+    here only, for its leg symmetry and to cross-check (Delta (x) id)(F).
     """
     f = ctx.twist if twist is None else twist
     sides = ctx._cocycle if twist is None else _cocycle_sides(ctx, f)
@@ -680,7 +684,7 @@ def verify_twist_conditions(ctx: AlgebraContext, twist: TensorElement | None = N
     report = PropertyReport("twist_conditions")
 
     f_1_23 = TensorElement(ctx, 3, ctx._f_1_23)
-    f_12_3 = TensorElement(ctx, 3, ctx._f_12_3)
+    f_12_3 = _twist_12_3(ctx)
     report.compare("cocycle", lhs, f123)
 
     report.compare("one_two_three_symmetry", f_1_23, f_1_23.slot_swap(1, 2))
@@ -760,35 +764,29 @@ def verify_quasitriangularity(ctx: AlgebraContext) -> PropertyReport:
 def nfold_twist(ctx: AlgebraContext, k: int) -> tuple[TensorElement, PropertyReport]:
     """Build the k-fold twist two ways and check the closed form and exchange laws.
 
-    The recursion multiplies the (k-1)-fold twist against the one-slot and
-    coproduct-image pieces in both bracketings, which must agree.  Two value
-    guards let it read the context's cocycle family (``_cocycle_sides``): at
-    j = 3 both bracketings are its F12 F_{12,3} and F123 = F23 F_{1,23} when
-    the coproduct piece equals F_{12,3}, and at k = 3 the exchange laws' moved
-    sides are its R12 F123 and R23 F123 when the 3-fold twist equals F123.
+    The j-fold twist is formed from the (j-1)-fold one in both bracketings,
+    (F_{1..j-1} (x) 1) (Delta^{j-2} (x) id)(F) and (1 (x) F_{1..j-1}) F_{1,2..j},
+    which must agree; the second is the j-fold twist.  At j = 3 the two are the
+    context's cocycle family's F12 F_{12,3} and F123 = F23 F_{1,23}
+    (``_cocycle_sides``), whose F_{12,3} is (Delta (x) id)(F) formed in place,
+    and at k = 3 the exchange laws' moved sides are its R12 F123 and R23 F123.
     The closed form writes every w-subscript as a running circle product.
     """
     if k not in (3, 4):
         raise LimitExceeded(f"tensor order {k} unsupported (k must be 3 or 4)")
-    if ctx.dim ** k > MAX_TENSOR_COEFFS:
-        raise LimitExceeded(f"(n^2)^{k} = {ctx.dim ** k} exceeds cap {MAX_TENSOR_COEFFS}")
+    if ctx.n ** k > MAX_TENSOR_COEFFS:
+        raise LimitExceeded(f"n^{k} = {ctx.n ** k} terms exceed cap {MAX_TENSOR_COEFFS}")
     n = ctx.n
     report = PropertyReport(f"nfold_twist_k{k}")
-    twists: dict[int, TensorElement] = {2: ctx.twist}
-
-    for j in range(3, k + 1):
-        prev = twists[j - 1]
-        tail_piece = ctx.twist
-        for _ in range(j - 2):
-            tail_piece = slot_coproduct(tail_piece, 0)
-        # (F_{1..j-1} (x) 1) . piece and (1 (x) F_{1..j-1}) . one_slot
-        if j == 3 and tail_piece.coeffs == ctx._f_12_3:
-            lhs, rhs = (TensorElement(ctx, 3, c) for c in ctx._cocycle[:2])
-        else:
-            lhs = apply_left(prev, tuple(range(j - 1)), tail_piece)
-            rhs = apply_left(prev, tuple(range(1, j)), _twist_1_tail(ctx, j))
-        report.compare(f"recursion_{j}_fold", lhs, rhs)
-        twists[j] = lhs
+    lhs, twist, *moved = (TensorElement(ctx, 3, c) for c in ctx._cocycle)
+    report.compare("recursion_3_fold", lhs, twist)
+    if k == 4:
+        piece = slot_coproduct(TensorElement(ctx, 3, ctx._f_12_3), 0)
+        lhs = apply_left(twist, (0, 1, 2), piece)
+        twist = apply_left(twist, (1, 2, 3), _twist_1_tail(ctx, 4))
+        report.compare("recursion_4_fold", lhs, twist)
+        rf = ctx.twisted_r_matrix
+        moved = [apply_left(rf, (j, j + 1), twist) for j in range(3)]
 
     closed: dict = {}
     for heads in iproduct(range(n), repeat=k - 1):
@@ -801,15 +799,11 @@ def nfold_twist(ctx: AlgebraContext, k: int) -> tuple[TensorElement, PropertyRep
         for c in range(n):
             closed[tuple(key + [c * n + last_sub])] = 1
     closed_t = TensorElement(ctx, k, closed)
-    report.compare("closed_form", twists[k], closed_t)
+    report.compare("closed_form", twist, closed_t)
 
-    rf = ctx.twisted_r_matrix
-    shared = k == 3 and twists[3].coeffs == ctx._cocycle[1]
-    for j in range(k - 1):
-        moved = (TensorElement(ctx, 3, ctx._cocycle[2 + j]) if shared
-                 else apply_left(rf, (j, j + 1), twists[k]))
-        report.compare(f"exchange_law_legs_{j + 1}_{j + 2}", twists[k].slot_swap(j, j + 1), moved)
-    return twists[k], report
+    for j, side in enumerate(moved):
+        report.compare(f"exchange_law_legs_{j + 1}_{j + 2}", twist.slot_swap(j, j + 1), side)
+    return twist, report
 
 
 def _twist_1_tail(ctx: AlgebraContext, k: int) -> TensorElement:

@@ -33,7 +33,7 @@ SYMBOLIC_LEVEL = 3
 ADJUDICATION_LEVEL = 2
 
 
-def _run(checks: list[dict], name: str, anchor: str, fn, detail=None):
+def _run(checks: list[dict], name: str, anchor: str, fn):
     """Append the entry of one check; return what ``fn`` returned if it passed, else None.
 
     ``fn`` passes unless it raises, returns False or returns a failing report.
@@ -57,8 +57,6 @@ def _run(checks: list[dict], name: str, anchor: str, fn, detail=None):
     entry = {"name": name, "anchor": anchor, "status": status, "millis": millis}
     if witness is not None:
         entry["witness"] = witness
-    if detail is not None:
-        entry["detail"] = detail
     checks.append(entry)
     return result if status == "pass" else None
 
@@ -100,9 +98,13 @@ def _skip(checks: list[dict], name: str, anchor: str, reason: str) -> None:
                    "millis": 0, "witness": reason})
 
 
-def _info(checks: list[dict], name: str, anchor: str, detail) -> None:
-    checks.append({"name": name, "anchor": anchor, "status": "pass",
-                   "millis": 0, "detail": detail})
+def _info(checks: list[dict], name: str, anchor: str, fn) -> None:
+    """A reported, never asserted entry: ``fn`` runs through ``_run``, so it is
+    timed and an error it raises is a fail entry, and what it returns when it
+    passes is the entry's detail."""
+    detail = _run(checks, name, anchor, fn)
+    if detail is not None:
+        checks[-1]["detail"] = detail
 
 
 def map_suite(brace: SkewBrace) -> list[dict]:
@@ -120,7 +122,7 @@ def map_suite(brace: SkewBrace) -> list[dict]:
          "sigma_a(b) o tau_b(a) = -a + a o b + a ; sigma_a sigma_b = sigma_{a o b} ; neutral values",
          lambda: braces.check_brace_identities(brace))
     _info(checks, "map.involutive", "r(r(a, b)) = (a, b) [reported, never asserted]",
-          {"holds": braces.is_involutive(m)})
+          lambda: {"holds": braces.is_involutive(m)})
     return checks
 
 
@@ -191,7 +193,7 @@ def universal_suite(brace: SkewBrace, ceiling: int = UNIVERSAL_CEILING,
               "twisted antipode requires abelian addition")
         _info(checks, "universal.quasitriangularity",
               "R Delta_F = Delta_F^op R ; fusion identities ; counit laws [exploratory]",
-              {c.name: c.passed for c in algebra.verify_quasitriangularity(ctx).checks})
+              lambda: {c.name: c.passed for c in algebra.verify_quasitriangularity(ctx).checks})
     _run(checks, "universal.nfold_twist",
          "three-fold twist: recursion = closed form; exchange via R",
          lambda: algebra.nfold_twist(ctx, 3)[1])

@@ -374,14 +374,15 @@ def oracle_twist_conditions(ctx, twist=None) -> PropertyReport:
 
 
 def oracle_nfold_twist3(ctx) -> PropertyReport:
-    """The 3-fold twist F12 (Delta (x) id)(F) against F23 F_{1,23}, its closed
-    form sum h_a (x) h_b w_{a^-1} (x) h_c w_{(a o b)^-1}, and its exchange laws."""
+    """F12 (Delta (x) id)(F) against the 3-fold twist F123 = F23 F_{1,23}, and
+    F123 against its closed form sum h_a (x) h_b w_{a^-1} (x) h_c w_{(a o b)^-1}
+    and its exchange laws."""
     n, inv, circle = ctx.n, ctx.circle_inv, ctx.circle
     f, rf = ctx.twist, ctx.twisted_r_matrix
     f_1_23, _ = _three_slot_twists(ctx)
     report = PropertyReport("nfold_twist_k3")
-    f123 = apply_left(f, (0, 1), slot_coproduct(f, 0))
-    report.compare("recursion_3_fold", f123, apply_left(f, (1, 2), f_1_23))
+    f123 = apply_left(f, (1, 2), f_1_23)
+    report.compare("recursion_3_fold", apply_left(f, (0, 1), slot_coproduct(f, 0)), f123)
     closed = {(a * n, b * n + inv[a], c * n + inv[circle[a][b]]): 1
               for a, b, c in product(range(n), repeat=3)}
     report.compare("closed_form", f123, ctx.tensor(3, closed))

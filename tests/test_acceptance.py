@@ -139,12 +139,15 @@ def test_criterion_5_yangian_layer(braces_up_to_4, z4_radical_ctx):
 def test_criterion_6_negative_controls(tmp_path, capsys, z4_radical_ctx):
     t0 = time.perf_counter()
     ok = True
-    # map level: corrupted sigma/tau pair produces a braid counterexample
+    # map level: sigma_a(b) = b + a with tau = id breaks the braid relation
+    # (r x 1)(1 x r)(r x 1) = (1 x r)(r x 1)(1 x r): on (a, b, c) the two
+    # sides' first coordinates are 2a + b + c and a + b + c
     sigma = tuple(tuple((b + a) % 3 for b in range(3)) for a in range(3))
     tau = tuple(tuple(range(3)) for _ in range(3))
     rep = yb.check_braid(yb.YBMap(3, sigma, tau))
     ok &= (not rep.ok) and rep.checks[0].witness is not None
-    # matrix level: transposed representation images break the homomorphism scan
+    # matrix level: transposed images reverse every product, so rho(x y) =
+    # rho(x) rho(y) fails on the first basis pair whose images do not commute
     ctx = z4_radical_ctx
 
     def transposed(i):
@@ -153,22 +156,34 @@ def test_criterion_6_negative_controls(tmp_path, capsys, z4_radical_ctx):
 
     rep = yb.rho_is_homomorphism(ctx, images=transposed)
     ok &= (not rep.ok) and rep.checks[0].witness is not None
-    # universal level: one flipped twist coefficient trips the cocycle check
+    # universal level: the flipped coefficient of h_0 (x) h_0 in the twist
+    # breaks the cocycle F12 F_{12,3} = F23 F_{1,23}: it moves the left side
+    # only at first leg h_0, the right side at every first leg
     corrupted = dict(ctx.twist.coeffs)
     key = next(iter(corrupted))
     corrupted[key] = -corrupted[key]
     rep = yb.verify_twist_conditions(ctx, twist=ctx.tensor(2, corrupted))
     ok &= (not rep.check("cocycle").passed) and rep.check("cocycle").witness is not None
-    # universal level: two swapped R terms break the universal YBE
+    # universal level: two swapped R terms.  The first leg's counit image of
+    # R' is 1 + h_0 - h_{1^-1}, not 1, so the counit laws fail on every
+    # subject; the universal YBE sees the swap here, on the radical brace, but
+    # not on every subject
     coeffs = dict(ctx.twisted_r_matrix.coeffs)
     k1, k2 = sorted(coeffs)[:2]
     coeffs[k1], coeffs[k2] = coeffs[k2] + 1, coeffs[k1] - 1
     rep = yb.verify_universal_ybe(ctx, rf=ctx.tensor(2, coeffs))
     ok &= not rep.ok
-    # yangian level: transposed evaluation images and a shifted L pole
+    swapped = yb.algebra_from_brace(ctx.brace)  # a fresh context with R' cached
+    swapped._twisted_r = swapped.tensor(2, coeffs).coeffs
+    counit = yb.verify_quasitriangularity(swapped).check("counit_laws")
+    ok &= (not counit.passed) and counit.witness is not None
+    # yangian level: transposed evaluation images reverse every product and
+    # break the defining relation at levels (p, m); a shifted pole of the first
+    # L leg breaks R12 L1 L2 = L2 L1 R12 with the poles cleared
     ok &= not check_defining_relations(2, 2, 2, transpose=True).ok
     ok &= not check_rtt(2, corrupt_shift=2).ok
-    # exit codes: parse failure is 2, a failing executed check is 1
+    # exit codes: parse failure is 2, a failing executed check is 1 (the S_3
+    # opposite skew brace's tau rows are not permutations, so map.derive fails)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"n": 2, "add": [[0, 1], [1, 0]], "mul": [[0, 1], [1, 1]]}))
     ok &= main(["verify", str(bad)]) == 2

@@ -288,16 +288,29 @@ def test_order9_pins_the_antipode_formula(z3_squared_brace, monkeypatch):
     assert verify_hopf_axioms(ctx).ok
     assert verify_hopf_axioms(ctx, twisted=True).ok
 
+    # every check runs: the 3-fold twist has 9^3 terms, under the cap
     checks = run_suites(z3_squared_brace, "universal", {"universal": 9})
-    assert [c["name"] for c in checks if c["status"] == "fail"] == []
-    assert [c["name"] for c in checks if c["status"] == "skipped"] == ["universal.nfold_twist"]
-    assert "exceeds cap" in checks[-1]["witness"]
+    assert [c["name"] for c in checks if c["status"] != "pass"] == []
+    assert checks[-1]["name"] == "universal.nfold_twist"
 
     wrong = [{(ctx.sigma[g][ctx.neg[a]] * n + inv[g],): 1} for a in range(n) for g in range(n)]
     monkeypatch.setattr(ctx, "s", wrong)
     report = verify_hopf_axioms(ctx)
     assert [c.name for c in report.checks if not c.passed] == ["antipode"]
     assert report.check("antipode").witness == 1
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_nfold_twist_cap_bounds_the_terms_it_forms(z4_radical_ctx, monkeypatch, k):
+    # each tensor of the k-fold recursion has n^k terms, so a cap of exactly
+    # n^k runs and one term less refuses, however large (n^2)^k is
+    ctx = z4_radical_ctx
+    monkeypatch.setattr(algebra, "MAX_TENSOR_COEFFS", ctx.n ** k)
+    twist, report = nfold_twist(ctx, k)
+    assert report.ok and len(twist.coeffs) == ctx.n ** k
+    monkeypatch.setattr(algebra, "MAX_TENSOR_COEFFS", ctx.n ** k - 1)
+    with pytest.raises(yb.LimitExceeded, match=f"n\\^{k} = {ctx.n ** k} terms"):
+        nfold_twist(ctx, k)
 
 
 def test_quasitriangularity_counit_laws_witness(z4_radical_ctx, monkeypatch):

@@ -278,13 +278,13 @@ def test_check_names_are_a_stable_contract(monkeypatch):
     inner = {}
     run = suites._run
 
-    def recording(checks, name, anchor, fn, detail=None):
+    def recording(checks, name, anchor, fn):
         def call():
             result = fn()
             if isinstance(result, PropertyReport):
                 inner[name] = (result.subject, [c.name for c in result.checks])
             return result
-        return run(checks, name, anchor, call, detail)
+        return run(checks, name, anchor, call)
 
     monkeypatch.setattr(suites, "_run", recording)
     names = [c["name"] for c in suites.run_suites(yb.trivial_brace(2), "all")]

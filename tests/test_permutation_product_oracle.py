@@ -8,8 +8,8 @@ over one permutation per factor and multiply only the weights
 operator as an ``ExactMatrix``, place it on its legs digit by digit and
 multiply the matrices.  The two routes must give equal reports (names,
 verdicts, witnesses) for n = 1-5, on every context of orders 1-5, on a seeded
-sample of order-6 contexts, and under a shifted L pole, a corrupted solution
-and a corrupted twist.
+sample of order-6 contexts, on the order-9 brace (twisted RTT), and under a
+shifted L pole, a corrupted solution and a corrupted twist.
 """
 
 from __future__ import annotations
@@ -55,6 +55,16 @@ def test_twisted_rtt_matches_oracle(contexts):
         report = check_twisted_rtt(ctx)
         assert report == oracle_twisted_rtt(ctx), (ctx.brace.add.table, ctx.brace.mul.table)
         assert report.ok
+
+
+def test_twisted_rtt_matches_oracle_on_order9(z3_squared_brace):
+    # on every context of orders 1-6 each sigma_g is an involution, and the
+    # twisted RTT holds with L1 placed on legs (2, 0) as well as (0, 2); the
+    # order-9 brace, whose sigma_g have order 3, tells the two apart
+    ctx = yb.algebra_from_brace(z3_squared_brace)
+    report = check_twisted_rtt(ctx)
+    assert report == oracle_twisted_rtt(ctx)
+    assert report.ok
 
 
 @pytest.mark.parametrize("patched", ["solution_matrix", "twist_matrix"])

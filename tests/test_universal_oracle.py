@@ -9,9 +9,10 @@ coproducts pair by pair.  ``verify_universal_ybe``,
 ``nfold_twist(ctx, 3)`` read the two families of 3-leg products that the
 context builds once, the fusion family of R (R13 R23, R13 R12) and the cocycle
 family of F (F12 F_{12,3}, F123 = F23 F_{1,23}, R12 F123, R23 F123), and an
-override of R or F calls the same builder on it; ``nfold_twist`` reads the
-context's family only where its own operands equal the shared ones.  Their
-oracles form every product anew in its three-factor bracketing.  The two
+override of R or F calls the same builder on it.  The cocycle family
+multiplies F_{12,3} = (Delta (x) id)(F) formed in place, the operand of the
+3-fold recursion, so ``nfold_twist`` takes its 3-fold step from it as is.
+Their oracles form every product anew in its three-factor bracketing.  The two
 routes must give equal reports (names, verdicts, witnesses, detail), on
 failing subjects too: the universal YBE, the cocycle and the 3-fold exchange
 laws fail on the sampled order-6 contexts with non-abelian addition, and
@@ -155,8 +156,9 @@ def test_shared_products_are_built_once(z6_brace):
 
 def test_universal_suite_leg_product_calls(z6_brace, monkeypatch):
     # the two families save four joins a context: R13 once for both fusion
-    # sides, and the 3-fold twist and its two exchange products read from the
-    # cocycle family's F12 F_{12,3}, R12 F123 and R23 F123
+    # sides, and the 3-fold recursion's first bracketing and its two exchange
+    # products read from the cocycle family's F12 F_{12,3}, R12 F123 and
+    # R23 F123
     calls = []
     kernel = algebra._leg_products
 
@@ -170,12 +172,35 @@ def test_universal_suite_leg_product_calls(z6_brace, monkeypatch):
     assert len(calls) == 19
 
 
-@pytest.mark.parametrize("corrupt", ["tail_piece", "shared_operand"])
-def test_nfold_twist_reads_shared_products_only_for_equal_operands(contexts, monkeypatch, corrupt):
-    # the 3-fold recursion's coproduct piece, or the F_{12,3} the shared
-    # F12 F_{12,3} is formed from, with one term negated: the two operands then
-    # differ, so nfold_twist forms its products anew and its report is the
-    # oracle's, which multiplies its own piece in place
+def test_exploratory_quasitriangularity_entry_is_run_and_timed(order6_nonabelian, monkeypatch):
+    # on non-abelian addition the entry only reports, but it runs the whole
+    # check through ``_run``: it is timed, and an error raised there is a fail
+    # entry with its kind and witness, and the suite goes on
+    name = "universal.quasitriangularity"
+    entry = next(c for c in universal_suite(order6_nonabelian, 6) if c["name"] == name)
+    report = verify_quasitriangularity(AlgebraContext(order6_nonabelian))
+    assert entry["status"] == "pass" and entry["millis"] > 0
+    assert entry["detail"] == {c.name: c.passed for c in report.checks}
+
+    def raising(ctx):
+        raise yb.CheckFailed("twisted_coproduct_closed_form", ("w", 1))
+
+    monkeypatch.setattr(algebra, "verify_quasitriangularity", raising)
+    checks = universal_suite(order6_nonabelian, 6)
+    entry = next(c for c in checks if c["name"] == name)
+    assert entry["status"] == "fail" and "detail" not in entry
+    assert entry["witness"] == {"error": "twisted_coproduct_closed_form", "witness": ("w", 1)}
+    assert checks[-1]["name"] == "universal.nfold_twist"
+
+
+@pytest.mark.parametrize("corrupt", ["slot_coproduct", "closed_form"])
+def test_nfold_twist_step_3_multiplies_the_in_place_piece(contexts, monkeypatch, corrupt):
+    # one term negated in the slot coproduct, or in the closed form of F_{12,3}.
+    # The cocycle family's F12 F_{12,3} multiplies (Delta (x) id)(F) formed in
+    # place, as the 3-fold recursion does, so a corrupted slot coproduct breaks
+    # the recursion and the cocycle with one witness on every context, and a
+    # corrupted closed form leaves nfold_twist as it is and is seen only by the
+    # coproduct images.  The oracle multiplies its own piece in place.
     def negated_first(t):
         coeffs = dict(t.coeffs)
         key = min(coeffs)
@@ -183,7 +208,7 @@ def test_nfold_twist_reads_shared_products_only_for_equal_operands(contexts, mon
         return t._like(coeffs)
 
     true_piece, true_f_12_3 = algebra.slot_coproduct, algebra._twist_12_3
-    if corrupt == "tail_piece":
+    if corrupt == "slot_coproduct":
         def piece(t, slot, twisted=False):
             return negated_first(true_piece(t, slot, twisted))
         for module in (algebra, conftest):
@@ -193,11 +218,16 @@ def test_nfold_twist_reads_shared_products_only_for_equal_operands(contexts, mon
     failing = 0
     for ctx in contexts:
         ctx = AlgebraContext(ctx.brace)
-        verify_twist_conditions(ctx)  # build the shared products first
+        where = (ctx.brace.add.table, ctx.brace.mul.table)
+        conditions = verify_twist_conditions(ctx)
         report = nfold_twist(ctx, 3)[1]
-        assert report == oracle_nfold_twist3(ctx), (ctx.brace.add.table, ctx.brace.mul.table)
+        assert report == oracle_nfold_twist3(ctx), where
+        assert not conditions.check("coproduct_images").passed, where
+        if corrupt == "slot_coproduct":
+            recursion, cocycle = report.check("recursion_3_fold"), conditions.check("cocycle")
+            assert not recursion.passed and recursion.witness == cocycle.witness is not None, where
         failing += not report.ok
-    assert failing == (len(contexts) if corrupt == "tail_piece" else 12)
+    assert failing == (len(contexts) if corrupt == "slot_coproduct" else 12)
 
 
 def test_overrides_form_their_own_products(contexts):
