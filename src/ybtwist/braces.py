@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ValidationFailure
-from .groups import DEFAULT_CEILING, GroupTable, Table, enumerate_group_tables
+from .groups import DEFAULT_CEILING, GroupTable, Row, Table, automorphisms, enumerate_group_tables
 from .reports import PropertyReport
 
 
@@ -209,30 +209,45 @@ def enumerate_braces(n: int, skew: bool = True, ceiling: int = DEFAULT_CEILING) 
     Pairs appear sorted by (add, mul) flattened tables, matching the
     enumeration order of the underlying group tables.  A pair is a skew brace
     exactly when every lambda_a(b) = -a + a o b is an automorphism of (A, +)
-    (Guarnieri-Vendramin), so only pairs whose rows lambda_1..lambda_{n-1}
-    are all automorphisms reach validate_brace, which still decides each one.
+    (Guarnieri-Vendramin).  So the o-tables are indexed once by their row 1,
+    and for each additive table and each alpha in Aut(A, +) only the tables
+    with 1 o b = 1 + alpha(b) are candidates; a candidate whose rows
+    lambda_2..lambda_{n-1} all lie in Aut(A, +) reaches validate_brace, which
+    still decides each one.  Order 1 has no row 1: its one table pairs with
+    itself.
     """
     groups = enumerate_group_tables(n, ceiling)
     adds = groups if skew else [g for g in groups if g.is_abelian]
-    out: list[SkewBrace] = []
-    for add in adds:
-        at, neg = add.table, add.inverses
-        is_auto: dict[tuple[int, ...], bool] = {}
+    if n == 1:
+        return [validate_brace(add, mul) for add in adds for mul in groups]
+    by_row1 = _row1_index(groups)
+    return [b for add in adds for b in _braces_with_addition(add, by_row1)]
 
-        def automorphism(lam: tuple[int, ...]) -> bool:
-            # lambda(x + y) = lambda(x) + lambda(y); x = 0 holds as lambda(0) = 0
-            if lam not in is_auto:
-                is_auto[lam] = all(
-                    lam[at[x][y]] == at[lam[x]][lam[y]] for x in range(1, n) for y in range(1, n)
-                )
-            return is_auto[lam]
 
-        minus = [at[neg[a]].__getitem__ for a in range(n)]  # b -> -a + b
-        for mul in groups:
-            mt = mul.table
-            if all(automorphism(tuple(map(minus[a], mt[a]))) for a in range(1, n)):
-                out.append(validate_brace(add, mul))
-    return out
+_Row1Index = dict[Row, list[tuple[int, GroupTable]]]
+
+
+def _row1_index(groups: list[GroupTable]) -> _Row1Index:
+    """The tables keyed by their row 1, each with its position in ``groups``."""
+    by_row1: _Row1Index = {}
+    for i, mul in enumerate(groups):
+        by_row1.setdefault(mul.table[1], []).append((i, mul))
+    return by_row1
+
+
+def _braces_with_addition(add: GroupTable, by_row1: _Row1Index) -> list[SkewBrace]:
+    """The skew braces (add, mul) over the tables of ``_row1_index``, in table order."""
+    n, at, neg = add.n, add.table, add.inverses
+    auts = automorphisms(add)
+    is_aut = set(auts)
+    minus = [at[neg[a]].__getitem__ for a in range(n)]  # b -> -a + b
+    found = [
+        (i, mul)
+        for alpha in auts
+        for i, mul in by_row1.get(tuple(at[1][v] for v in alpha), ())
+        if all(tuple(map(minus[a], mul.table[a])) in is_aut for a in range(2, n))
+    ]
+    return [validate_brace(add, mul) for _i, mul in sorted(found, key=lambda f: f[0])]
 
 
 def is_involutive(m: YBMap) -> bool:

@@ -30,8 +30,11 @@ context.  The permutation and RTT identities (matrix YBE, reversibility, the
 braid bridge, unitarity, RTT and twisted RTT) are decided by ``oracle_matmul``
 products of the materialised operators, where the library multiplies only the
 weights of permutation paths.  The Guarnieri-Vendramin solution
-(``oracle_gv_tau``) is read off the raw brace tables.  They are the reference
-the fast implementations are checked against.
+(``oracle_gv_tau``) is read off the raw brace tables.  Automorphisms are every
+permutation fixing 0 that passes the full homomorphism scan
+(``oracle_automorphisms``), where the library extends generator images along
+the Cayley graph.  They are the reference the fast implementations are
+checked against.
 """
 
 from __future__ import annotations
@@ -177,6 +180,30 @@ def oracle_brace_pairs(n: int, skew: bool = True) -> list[tuple]:
             if ok:
                 found.append((add, mul))
     return found
+
+
+def oracle_automorphisms(table) -> list[tuple[int, ...]]:
+    """Every permutation fixing 0 that is a homomorphism of ``table``, in order."""
+    n = len(table)
+    return [
+        p for p in ((0, *tail) for tail in permutations(range(1, n)))
+        if all(p[table[x][y]] == table[p[x]][p[y]] for x in range(1, n) for y in range(1, n))
+    ]
+
+
+def order8_type(table) -> str:
+    """The isomorphism type of an order-8 group table, read off its element
+    orders and commutativity."""
+    n = len(table)
+    orders = []
+    for x in range(n):
+        k, y = 1, x
+        while y:
+            y, k = table[y][x], k + 1
+        orders.append(k)
+    if all(table[a][b] == table[b][a] for a in range(n) for b in range(n)):
+        return {8: "Z8", 4: "Z4xZ2", 2: "Z2^3"}[max(orders)]
+    return "D4" if orders.count(2) == 5 else "Q8"
 
 
 def oracle_matmul(a: ExactMatrix, b: ExactMatrix, *more: ExactMatrix) -> ExactMatrix:
@@ -750,6 +777,11 @@ N_ONLY = ("yangian.defining_relations", "yangian.displayed_relations", "yangian.
 #: the entries that build a brace's AlgebraContext, in report order; run_suites
 #: builds it in the first one present and reuses it in the others
 CONTEXT_ENTRIES = ("matrix.rep_consistency", "universal.construction", "yangian.context")
+
+
+@pytest.fixture(scope="session")
+def order8_tables():
+    return yb.enumerate_group_tables(8, ceiling=8)
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 import ybtwist as yb
-from conftest import oracle_brace_pairs, oracle_gv_tau, validated_pairs
+from conftest import oracle_brace_pairs, oracle_gv_tau, order8_type, validated_pairs
+from ybtwist import braces
 
 
 def test_trivial_brace_valid(trivial2):
@@ -127,11 +128,41 @@ def test_enumerate_braces_skew_flag_matches_oracle():
         ] == oracle_brace_pairs(n, skew=False)
 
 
-@pytest.mark.parametrize("skew", [True, False])
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize(
+    "n,skew", [(n, skew) for n in range(1, 7) for skew in (True, False)] + [(7, True)]
+)
 def test_enumerate_braces_matches_validated_pair_scan(n, skew):
-    found = yb.enumerate_braces(n, skew=skew)
+    found = yb.enumerate_braces(n, skew=skew, ceiling=7)
     assert [(b.add.table, b.mul.table) for b in found] == validated_pairs(n, skew)
+
+
+def test_order8_braces_per_additive_type(order8_tables):
+    # One additive table per isomorphism type against the validated scan over
+    # all 2760 o-tables; the labelled copies of each type give the full count.
+    index = braces._row1_index(order8_tables)
+    counts, copies, nonabelian = {}, {}, set()
+    for add in order8_tables:
+        kind = order8_type(add.table)
+        copies[kind] = copies.get(kind, 0) + 1
+        if not add.is_abelian:
+            nonabelian.add(kind)
+        if kind in counts:
+            continue
+        found = [b.mul.table for b in braces._braces_with_addition(add, index)]
+        assert found == [mul.table for mul in order8_tables if _is_brace(add, mul)]
+        counts[kind] = len(found)
+    assert counts == {"D4": 20, "Q8": 28, "Z2^3": 232, "Z4xZ2": 28, "Z8": 6}
+    assert copies == {"D4": 630, "Q8": 210, "Z2^3": 30, "Z4xZ2": 630, "Z8": 1260}
+    assert sum(counts[k] * copies[k] for k in counts) == 50640
+    assert sum(counts[k] * copies[k] for k in nonabelian) == 18480
+
+
+def _is_brace(add, mul) -> bool:
+    try:
+        yb.validate_brace(add, mul)
+    except yb.ValidationFailure:
+        return False
+    return True
 
 
 def test_order7_braces_are_trivial():

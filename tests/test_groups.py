@@ -5,7 +5,10 @@ from __future__ import annotations
 import pytest
 
 import ybtwist as yb
-from conftest import backtrack_group_tables, cyclic_rows, oracle_group_tables
+from conftest import (
+    backtrack_group_tables, cyclic_rows, oracle_automorphisms, oracle_group_tables, order8_type,
+)
+from ybtwist.groups import automorphisms
 
 # A reduced Latin square of order 5 that is not associative (loops of order
 # up to 4 are groups, so 5 is the smallest order where this is possible).
@@ -80,9 +83,9 @@ def test_enumeration_matches_backtracking_oracle(n):
     assert [g.table for g in yb.enumerate_group_tables(n, ceiling=7)] == backtrack_group_tables(n)
 
 
-def test_order8_group_tables():
+def test_order8_group_tables(order8_tables):
     # 5 isomorphism types: 3 abelian (Z8, Z4 x Z2, Z2^3) and 2 not (D4, Q8)
-    tables = yb.enumerate_group_tables(8, ceiling=8)
+    tables = order8_tables
     assert len(tables) == 2760
     assert sum(g.is_abelian for g in tables) == 1920
     assert len({g.table for g in tables}) == 2760
@@ -132,3 +135,23 @@ def test_orders_up_to_five_are_abelian():
 
 def test_cyclic_rows_helper():
     assert yb.validate_group(cyclic_rows(3)).n == 3
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_automorphisms_match_brute_force(n):
+    for g in yb.enumerate_group_tables(n):
+        assert automorphisms(g) == oracle_automorphisms(g.table)
+
+
+def test_automorphisms_one_table_per_type_at_orders_7_and_8(order8_tables):
+    z7 = yb.enumerate_group_tables(7, ceiling=7)[0]
+    assert automorphisms(z7) == oracle_automorphisms(z7.table)
+    assert len(automorphisms(z7)) == 6
+    sizes = {}
+    for g in order8_tables:
+        kind = order8_type(g.table)
+        if kind not in sizes:
+            auts = automorphisms(g)
+            assert auts == oracle_automorphisms(g.table)
+            sizes[kind] = len(auts)
+    assert sizes == {"Z8": 4, "Z4xZ2": 8, "Z2^3": 168, "D4": 8, "Q8": 24}
