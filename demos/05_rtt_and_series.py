@@ -31,7 +31,7 @@ print("R(2, 1) =", sorted((k, str(v.evaluate(2, 1))) for k, v in r.coeffs.items(
 print("unitarity:", unitarity_report(2).ok)
 
 # The defining relations hold with zero violations in the evaluation image.
-rep = check_defining_relations(3, 4, 4)
+rep = check_defining_relations(3)
 print("defining relations n=3, levels <= 4:", rep.ok,
       f"({rep.checks[0].detail['violations']} violations)")
 
@@ -51,12 +51,12 @@ for check in check_twisted_rtt(ctx).checks:
     print(f"twisted {check.name}:", "ok" if check.passed else check.witness)
 
 # Symbolic layer: coproducts of the level generators...
-table = coproduct_table(2, 2)
+table = coproduct_table(2)
 print("\nDelta(L^(1)_{0,1}) terms:", len(table[(1, 0, 1)].coeffs))
 print("Delta(L^(2)_{0,1}) terms:", len(table[(2, 0, 1)].coeffs))
 
 # ... and the antipode series solved from its recursion.  Level 1 and 2:
-s_table, s_report = antipode_series(2, 4)
+s_table, s_report = antipode_series(2)
 print("s(L^(1)_{0,1}) =", s_table[(1, 0, 1)])
 print("s(L^(2)_{0,1}) =", s_table[(2, 0, 1)])
 print("antipode identities vanish up to level 4:", s_report.ok)
@@ -64,5 +64,5 @@ assert s_table[(1, 0, 1)] == -gen(1, 0, 1)
 
 # Which summation range of the displayed twisted coproduct reproduces the
 # conjugation?  The adjudication answers definitively.
-detail = adjudicate_twisted_coproduct(ctx, 2).check("adjudication").detail
+detail = adjudicate_twisted_coproduct(ctx).check("adjudication").detail
 print("\nadjudication:", detail["conclusion"])

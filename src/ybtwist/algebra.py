@@ -22,8 +22,9 @@ the legs.
 
 There is one container, ``TensorElement``: an algebra element is the one-leg
 tensor.  Each structure map (Delta, Delta_F, eps, s, s~) is one per-basis
-table on the context, and one slot kernel, ``_on_slot``, applies any of them
-to any slot of a coefficient dict: the element maps are its one-slot case, the
+table on the context, and one slot kernel, ``rational._on_slot`` (shared with
+the free coproduct of ``ncpoly``), applies any of them to any slot of a
+coefficient dict: the element maps are its one-slot case, the
 slot maps wrap it, and the Hopf axioms apply the tables through it to each row
 of the coproduct table, with no tensor built.
 
@@ -48,7 +49,7 @@ from itertools import product as iproduct
 
 from .braces import SkewBrace, _perm_inverse, derive_sigma_tau
 from .errors import CheckFailed, LimitExceeded, ValidationFailure
-from .rational import Sparse, _prune
+from .rational import Sparse, _on_slot, _prune
 from .reports import PropertyReport
 
 #: The cap on the n^k terms of a k-fold twist.
@@ -535,19 +536,6 @@ def _leg_products(ctx: AlgebraContext, xs: list[dict], ts: list[dict], legs: tup
                     else:
                         out[pk] = out.get(pk, 0) + c1 * c2
         yield {j: terms for j, out in acc.items() if (terms := _prune(out) if 0 in out.values() else out)}
-
-
-def _on_slot(coeffs: dict, slot: int, images: list[dict]) -> dict:
-    """The structure-map kernel: slot ``slot`` of each key of ``coeffs`` replaced
-    by every image tuple of its basis index, pruned.  An image tuple of width w
-    changes the tensor order by w - 1."""
-    acc: dict = {}
-    for key, c in coeffs.items():
-        head, tail = key[:slot], key[slot + 1:]
-        for image, mult in images[key[slot]].items():
-            nk = head + image + tail
-            acc[nk] = acc.get(nk, 0) + c * mult
-    return _prune(acc) if 0 in acc.values() else acc
 
 
 def slot_coproduct(t: TensorElement, slot: int, twisted: bool = False) -> TensorElement:

@@ -10,12 +10,14 @@ the free algebra itself.
 
 from __future__ import annotations
 
-from operator import add
-
 from .errors import ValidationFailure
-from .rational import Sparse, _prune
+from .rational import Sparse, _on_slot, _prune, _slot_product
 
 Gen = tuple[int, int, int]
+
+#: the top generator level of the antipode series, and of the RTT layer's
+#: evaluation-image checks (``yangian.MAX_LEVEL``)
+MAX_LEVEL = 4
 
 
 class NCTensor(Sparse):
@@ -49,12 +51,7 @@ class NCTensor(Sparse):
     def __mul__(self, other) -> NCTensor:
         if not isinstance(other, NCTensor) or self.k != other.k:
             return NotImplemented
-        out: dict = {}
-        for key1, c1 in self.coeffs.items():
-            for key2, c2 in other.coeffs.items():
-                key = tuple(map(add, key1, key2))
-                out[key] = out.get(key, 0) + c1 * c2
-        return self._like(_prune(out))
+        return self._like(_slot_product(self.coeffs, other.coeffs))
 
     def __repr__(self):
         """A polynomial prints as its sum of words; a tensor by its order and size."""
@@ -100,25 +97,24 @@ def tensor_coproduct(t: NCTensor, slot: int, table: dict) -> NCTensor:
 
     ``table`` maps each generator to its coproduct (``coproduct_gen``).  The
     coproduct is an algebra homomorphism, so the image of a word is the
-    product of its letters' images.
+    product of its letters' images; each word of the slot gets one image, and
+    the slot kernel ``_on_slot`` places them.
     """
-    one = NCTensor.one(2)
-    out: dict = {}
-    for key, c in t.coeffs.items():
-        image = one
-        for g in key[slot]:
-            image = image * table[g]
-        head, tail = key[:slot], key[slot + 1:]
-        for pair, c2 in image.coeffs.items():
-            nk = head + pair + tail
-            out[nk] = out.get(nk, 0) + c * c2
-    return NCTensor(t.k + 1, out)
+    images: dict = {}
+    for key in t.coeffs:
+        if (word := key[slot]) not in images:
+            image = {((), ()): 1}
+            for g in word:
+                image = _slot_product(image, table[g].coeffs)
+            images[word] = image
+    return NCTensor(t.k + 1, _on_slot(t.coeffs, slot, images))
 
 
-def antipode_table(n: int, max_level: int) -> dict[Gen, NCTensor]:
-    """Solve s(L^{(m)}_{a,b}) = -sum_{k<m} sum_c s(L^{(k)}_{c,b}) L^{(m-k)}_{a,c} recursively."""
+def antipode_table(n: int) -> dict[Gen, NCTensor]:
+    """Solve s(L^{(m)}_{a,b}) = -sum_{k<m} sum_c s(L^{(k)}_{c,b}) L^{(m-k)}_{a,c}
+    recursively, for m <= MAX_LEVEL."""
     table: dict[Gen, NCTensor] = {}
-    for m in range(1, max_level + 1):
+    for m in range(1, MAX_LEVEL + 1):
         for a in range(n):
             for b in range(n):
                 acc: dict = {}

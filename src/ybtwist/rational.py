@@ -6,9 +6,15 @@ noncommutative tensors, whose one-leg case is a polynomial) is a ``Sparse``: a d
 exact coefficients.  Zero coefficients are never stored, so two equal
 combinations always have equal dictionaries and equality is syntactic.
 ``Sparse`` owns the vector-space arithmetic and the one first-difference
-scan that witnesses a failed identity.  Tensors and polynomials add their own
-products; ``ExactMatrix`` adds none, as every matrix identity is decided by
-the permutation-sum kernel ``matrices._product``.
+scan that witnesses a failed identity.  Two kernels on coefficient dicts
+serve every ring: ``_slot_product`` multiplies two combinations whose keys
+multiply slot by slot (polynomial exponents add, free-algebra words
+concatenate), behind ``BivarPoly`` and ``NCTensor`` products, and
+``_on_slot`` applies a per-basis table of structure-map images at one slot
+(the algebra's coproduct, counit and antipode, the free coproduct of a
+word).  Algebra tensors multiply through their own groupoid join, and
+``ExactMatrix`` has no product, as every matrix identity is decided by the
+permutation-sum kernel ``matrices._product``.
 
 Polynomials map (i, j) exponent pairs of the variables (written u and v in
 reprs) to exact coefficients: integers stay integers, and ``Fraction``s
@@ -24,6 +30,7 @@ needed.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 #: scalars a polynomial combines with, as constant polynomials
 _SCALARS = (int, Fraction)
@@ -32,6 +39,30 @@ _SCALARS = (int, Fraction)
 def _prune(coeffs: dict) -> dict:
     """Drop zero coefficients; every sparse exact container in the package uses it."""
     return {k: v for k, v in coeffs.items() if v != 0}
+
+
+def _slot_product(a: dict, b: dict) -> dict:
+    """The product of two combinations whose keys are tuples multiplied slot by
+    slot, pruned: an exponent pair adds, a tuple of words concatenates."""
+    out: dict = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            key = tuple(map(add, k1, k2))
+            out[key] = out.get(key, 0) + c1 * c2
+    return _prune(out)
+
+
+def _on_slot(coeffs: dict, slot: int, images) -> dict:
+    """The structure-map kernel: slot ``slot`` of each key of ``coeffs`` replaced
+    by every image tuple of its basis index (``images[key[slot]]``, a list or a
+    dict), pruned.  An image tuple of width w changes the tensor order by w - 1."""
+    acc: dict = {}
+    for key, c in coeffs.items():
+        head, tail = key[:slot], key[slot + 1:]
+        for image, mult in images[key[slot]].items():
+            nk = head + image + tail
+            acc[nk] = acc.get(nk, 0) + c * mult
+    return _prune(acc) if 0 in acc.values() else acc
 
 
 class Sparse:
@@ -146,12 +177,7 @@ class BivarPoly(Sparse):
             return self.scale(other)
         if not isinstance(other, BivarPoly):
             return NotImplemented
-        out: dict = {}
-        for (i1, j1), v1 in self.coeffs.items():
-            for (i2, j2), v2 in other.coeffs.items():
-                key = (i1 + i2, j1 + j2)
-                out[key] = out.get(key, 0) + v1 * v2
-        return self._like(_prune(out))
+        return self._like(_slot_product(self.coeffs, other.coeffs))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, BivarPoly):

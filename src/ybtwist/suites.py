@@ -29,8 +29,6 @@ LEVELS = ("map", "matrix", "universal", "yangian")
 #: space, grow fast past order 4.
 UNIVERSAL_CEILING = 4
 YANGIAN_CEILING = 4
-SYMBOLIC_LEVEL = 3
-ADJUDICATION_LEVEL = 2
 
 
 def _run(checks: list[dict], name: str, anchor: str, fn):
@@ -206,8 +204,8 @@ def yangian_suite(brace: SkewBrace, ceiling: int = YANGIAN_CEILING,
 
     Six checks are n-only: ``defining_relations``, ``displayed_relations``,
     ``unitarity``, ``rtt``, ``coassociativity`` and ``antipode_series``.  Their
-    functions take only n (plus the module constants ``yangian.MAX_LEVEL`` and
-    ``SYMBOLIC_LEVEL``), never the brace's sigma/tau, twist or context, so
+    functions take only n (each check's levels are constants of ``yangian``),
+    never the brace's sigma/tau, twist or context, so
     (check name, n) determines the verdict.  With a ``shared`` dict (one per
     verify run) each is decided once per (name, n) and reused for every later
     subject of that order.  Their verdicts are also invariant under relabelling
@@ -250,13 +248,13 @@ def yangian_suite(brace: SkewBrace, ceiling: int = YANGIAN_CEILING,
          lambda: yangian.check_twisted_rtt(ctx))
     n_only("yangian.coassociativity",
            "(Delta x id) Delta = (id x Delta) Delta, symbolic",
-           lambda: yangian.coassociativity_report(n, SYMBOLIC_LEVEL))
+           lambda: yangian.coassociativity_report(n))
     n_only("yangian.antipode_series",
            "sum_k s(A^k) A^{m-k} = sum_k A^k s(A^{m-k}) = 0 in the free algebra",
-           lambda: yangian.antipode_series(n, yangian.MAX_LEVEL)[1])
+           lambda: yangian.antipode_series(n)[1])
     _run(checks, "yangian.twisted_coproduct_adjudication",
          "which displayed summation range reproduces F Delta F^{-1}",
-         lambda: yangian.adjudicate_twisted_coproduct(ctx, ADJUDICATION_LEVEL))
+         lambda: yangian.adjudicate_twisted_coproduct(ctx))
     return checks
 
 

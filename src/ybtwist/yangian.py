@@ -45,11 +45,17 @@ from .braces import _perm_inverse
 from .errors import LimitExceeded
 from .matrices import (ExactMatrix, _as_mapping, _product, flip_matrix, rho, rho_basis_entry,
                        solution_matrix, twist_matrix)
-from .ncpoly import _word, antipode_table, coproduct_gen, gen, tensor_coproduct
+from .ncpoly import MAX_LEVEL, _word, antipode_table, coproduct_gen, gen, tensor_coproduct
 from .rational import BivarPoly
 from .reports import PropertyReport
 
-MAX_LEVEL = 4
+#: the levels each check covers: the defining relations at p, m <= MAX_LEVEL
+#: by default, the augmented relations and the antipode series at levels
+#: 1..MAX_LEVEL, the coproduct table and its coassociativity at
+#: 1..COPRODUCT_LEVEL, and the twisted-coproduct adjudication at
+#: 1..ADJUDICATION_LEVEL
+COPRODUCT_LEVEL = 3
+ADJUDICATION_LEVEL = 2
 
 
 def _spacing() -> BivarPoly:
@@ -254,22 +260,20 @@ def _permutations(ctx: AlgebraContext) -> tuple[list, list]:
     return w, [_perm_inverse(p) for p in w]
 
 
-def check_augmented_relations(ctx: AlgebraContext, pmax: int = MAX_LEVEL) -> PropertyReport:
+def check_augmented_relations(ctx: AlgebraContext) -> PropertyReport:
     """The mixed exchange relations between w_a, h_a and the level generators.
 
     In the representation: w_a L^{(p)}_{b,c} = L^{(p)}_{sigma_a(b), sigma_a(c)} w_a
     for p >= 0, h_b L^{(p)}_{a,b} = L^{(p)}_{a,b} h_a, and h_c annihilates
     L^{(p)}_{a,b} on both sides for c outside {a, b} (p >= 1; the level-0
     symbol is a multiple of the unit, which no idempotent annihilates), for
-    p <= ``pmax`` in 1..MAX_LEVEL (else LimitExceeded).
+    p <= MAX_LEVEL.
 
     Decided on indices: rho(w_a) is the permutation pi_a, rho(h_c) the unit
     e_{r_c, s_c}, L^{(p)}_{b,c} the unit e_{c,b} for p >= 1 and delta_{bc} . 1
     for p = 0.  So w_a e_{c,b} = e_{pi_a c, b}, e_{x,y} w_a = e_{x, pi_a^{-1} y},
     e_{r,s} e_{t,u} = [s = t] e_{r,u}, and delta . 1 commutes with everything.
     """
-    if not 1 <= pmax <= MAX_LEVEL:
-        raise LimitExceeded(f"level {pmax} outside 1..{MAX_LEVEL}")
     n, sigma = ctx.n, ctx.sigma
     report = PropertyReport("augmented_relations")
     pi, _ = _permutations(ctx)
@@ -288,7 +292,7 @@ def check_augmented_relations(ctx: AlgebraContext, pmax: int = MAX_LEVEL) -> Pro
         (rb, sb), (ra, sa) = units[b], units[a]
         return ((rb, a) if sb == b else None) != ((b, sa) if ra == a else None)
 
-    levels = range(pmax + 1)
+    levels = range(MAX_LEVEL + 1)
     w = next(((p, a, b, c) for p in levels for a, b, c in iproduct(range(n), repeat=3)
               if w_fails(p, a, b, c)), None)
     report.add("w_exchange", w is None, witness=w)
@@ -350,26 +354,25 @@ def check_twisted_rtt(ctx: AlgebraContext) -> PropertyReport:
 # ------------------------------------------------------------- symbolic layer
 
 
-def coproduct_table(n: int, max_level: int = 3) -> dict:
-    """Delta(L^{(m)}_{a,b}) for m <= max_level, as two-slot free tensors."""
-    if not 1 <= max_level <= MAX_LEVEL:
-        raise LimitExceeded(f"level {max_level} outside 1..{MAX_LEVEL}")
+def coproduct_table(n: int) -> dict:
+    """Delta(L^{(m)}_{a,b}) for m <= COPRODUCT_LEVEL, as two-slot free tensors."""
     return {
         (m, a, b): coproduct_gen(m, a, b, n)
-        for m in range(1, max_level + 1)
+        for m in range(1, COPRODUCT_LEVEL + 1)
         for a in range(n)
         for b in range(n)
     }
 
 
-def coassociativity_report(n: int, max_level: int = 3) -> PropertyReport:
-    """(Delta (x) id) Delta = (id (x) Delta) Delta on every generator, symbolically.
+def coassociativity_report(n: int) -> PropertyReport:
+    """(Delta (x) id) Delta = (id (x) Delta) Delta on every generator of level
+    m <= COPRODUCT_LEVEL, symbolically.
 
     Decided on one (a, b) per S_n orbit at each level; the witness is the
     first failing (m, a, b).  The table keeps every generator, because a
     word's image needs each of its letters.
     """
-    table = coproduct_table(n, max_level)
+    table = coproduct_table(n)
 
     def fails(m, a, b):
         d = table[(m, a, b)]
@@ -377,30 +380,28 @@ def coassociativity_report(n: int, max_level: int = 3) -> PropertyReport:
 
     report = PropertyReport("coassociativity")
     pairs = [t for t, _ in _patterns(n, 2)]
-    w = next(((m, a, b) for m in range(1, max_level + 1) for a, b in pairs if fails(m, a, b)),
-             None)
-    report.add("coassociativity", w is None, witness=w, detail={"max_level": max_level})
+    w = next(((m, a, b) for m in range(1, COPRODUCT_LEVEL + 1) for a, b in pairs
+              if fails(m, a, b)), None)
+    report.add("coassociativity", w is None, witness=w, detail={"max_level": COPRODUCT_LEVEL})
     return report
 
 
-def antipode_series(n: int, max_level: int = MAX_LEVEL) -> tuple[dict, PropertyReport]:
+def antipode_series(n: int) -> tuple[dict, PropertyReport]:
     """Solve the antipode recursion and verify both one-sided identities vanish.
 
-    Returns the table s(L^{(m)}_{a,b}) for m <= max_level together with a
+    Returns the table s(L^{(m)}_{a,b}) for m <= MAX_LEVEL together with a
     report asserting sum_c sum_k s(L^{(k)}_{c,b}) L^{(m-k)}_{a,c} = 0 and
     sum_c sum_k L^{(k)}_{c,b} s(L^{(m-k)}_{a,c}) = 0 in the free algebra.
     The table is full; the identities are decided on one (a, b) per S_n orbit
     at each level, and a witness is the first failing (m, a, b).
     """
-    if not 1 <= max_level <= MAX_LEVEL:
-        raise LimitExceeded(f"level {max_level} outside 1..{MAX_LEVEL}")
-    table = antipode_table(n, max_level)
+    table = antipode_table(n)
     report = PropertyReport("antipode_series")
 
     def s_of(k, c, b):
         return gen(0, c, b) if k == 0 else table[(k, c, b)]
 
-    for m in range(1, max_level + 1):
+    for m in range(1, MAX_LEVEL + 1):
         w_left = w_right = None
         for (a, b), _ in _patterns(n, 2):
             left, right = {}, {}  # word -> coefficient of each side, term by term
@@ -424,10 +425,10 @@ def antipode_series(n: int, max_level: int = MAX_LEVEL) -> tuple[dict, PropertyR
 # ------------------------------------------- twisted coproduct adjudication
 
 
-def adjudicate_twisted_coproduct(ctx: AlgebraContext, max_level: int = 2) -> PropertyReport:
+def adjudicate_twisted_coproduct(ctx: AlgebraContext) -> PropertyReport:
     """Which summation range of the displayed twisted coproduct matches conjugation.
 
-    For each level m <= max_level the displayed formula
+    For each level m <= ADJUDICATION_LEVEL the displayed formula
 
         Delta_F(L^{(m)}_{a,b}) = sum_{k} sum_c L^{(k)}_{c,b} h_c (x) w_b^{-1} L^{(m-k)}_{a,c} w_c
 
@@ -438,8 +439,6 @@ def adjudicate_twisted_coproduct(ctx: AlgebraContext, max_level: int = 2) -> Pro
     recorded; the check passes when the adjudication is conclusive, i.e. each
     comparison resolves identically for every (a, b).
     """
-    if not 1 <= max_level <= 3:
-        raise LimitExceeded(f"level {max_level} outside 1..3")
     n = ctx.n
     units = [rho_basis_entry(ctx, c * n) for c in range(n)]
     w, w_rows = _permutations(ctx)
@@ -478,7 +477,7 @@ def adjudicate_twisted_coproduct(ctx: AlgebraContext, max_level: int = 2) -> Pro
     }
     report = PropertyReport("twisted_coproduct_adjudication")
     results: dict = {name: set() for name in comparisons}
-    for m in range(1, max_level + 1):
+    for m in range(1, ADJUDICATION_LEVEL + 1):
         for a in range(n):
             for b in range(n):
                 entries = sums(m, a, b)
@@ -496,5 +495,6 @@ def adjudicate_twisted_coproduct(ctx: AlgebraContext, max_level: int = 2) -> Pro
     else:
         conclusion = "no displayed range reproduces any conjugation baseline"
     report.add("adjudication", "mixed" not in outcomes.values(),
-               detail={**outcomes, "conclusion": conclusion, "max_level": max_level})
+               detail={**outcomes, "conclusion": conclusion,
+                       "max_level": ADJUDICATION_LEVEL})
     return report

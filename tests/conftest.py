@@ -687,7 +687,7 @@ def oracle_displayed_relations(n: int) -> PropertyReport:
 
 
 def oracle_coassociativity(n: int, max_level: int) -> PropertyReport:
-    table = yangian.coproduct_table(n, max_level)
+    table = yangian.coproduct_table(n)
 
     def fails(m, a, b):
         d = table[(m, a, b)]
@@ -701,7 +701,7 @@ def oracle_coassociativity(n: int, max_level: int) -> PropertyReport:
 
 
 def oracle_antipode_series(n: int, max_level: int) -> tuple[dict, PropertyReport]:
-    table = yangian.antipode_table(n, max_level)
+    table = yangian.antipode_table(n)
     report = PropertyReport("antipode_series")
 
     def s_of(k, c, b):

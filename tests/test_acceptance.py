@@ -113,7 +113,7 @@ def test_criterion_5_yangian_layer(braces_up_to_4, z4_radical_ctx):
     # (d) antipode series: displayed levels 1..3 term for term, vanishing at 4
     from ybtwist.ncpoly import gen
 
-    table, rep = antipode_series(2, 4)
+    table, rep = antipode_series(2)
     ok &= rep.ok
     for a in range(2):
         for b in range(2):
@@ -128,7 +128,7 @@ def test_criterion_5_yangian_layer(braces_up_to_4, z4_radical_ctx):
             ok &= table[(2, a, b)] == e2
             ok &= table[(3, a, b)] == e3
     # (e) the summation-range adjudication is definitive at levels <= 2
-    rep = adjudicate_twisted_coproduct(z4_radical_ctx, 2)
+    rep = adjudicate_twisted_coproduct(z4_radical_ctx)
     ok &= rep.ok
     detail = rep.check("adjudication").detail
     ok &= detail["display_1m_vs_conjugated_truncated"] is True

@@ -164,6 +164,41 @@ def test_twisted_coproduct_closed_forms(trivial2_ctx, z4_radical_ctx):
     assert d.coeffs == expected
 
 
+def test_twisted_r_cross_checks_raise(z4_radical):
+    # F^{-1} doubled is no inverse of F; with the twist formed, sigma replaced
+    # by the identity rows changes only the closed form of R^F
+    ctx = AlgebraContext(z4_radical)
+    ctx._twist_inv = {k: 2 * v for k, v in ctx._twist_inv.items()}
+    with pytest.raises(yb.CheckFailed) as exc:
+        ctx.twisted_r_matrix
+    assert (exc.value.kind, exc.value.witness) == ("twist_not_inverse", None)
+    ctx = AlgebraContext(z4_radical)
+    ctx.twist
+    ctx.sigma = tuple(tuple(range(4)) for _ in range(4))
+    with pytest.raises(yb.CheckFailed) as exc:
+        ctx.twisted_r_matrix
+    assert (exc.value.kind, exc.value.witness) == (
+        "rf_closed_form", {"key": (5, 5), "lhs": "0", "rhs": "1"})
+
+
+@pytest.mark.parametrize("form, a", [("h", 2), ("w", 1)])
+def test_twisted_coproduct_cross_check_raises(z4_radical, s3_trivial_skew, monkeypatch, form, a):
+    # one closed generator form emptied at a: building Delta_F names the
+    # generator; the w form is checked on abelian addition only
+    name = f"_twisted_{form}_closed"
+    clean = getattr(algebra, name)
+    monkeypatch.setattr(algebra, name, lambda ctx, x: {} if x == a else clean(ctx, x))
+    with pytest.raises(yb.CheckFailed) as exc:
+        AlgebraContext(z4_radical).twisted_cop
+    assert (exc.value.kind, exc.value.witness) == ("twisted_coproduct_closed_form", (form, a))
+    skew = AlgebraContext(s3_trivial_skew)
+    if form == "w":
+        assert skew.twisted_cop
+    else:
+        with pytest.raises(yb.CheckFailed):
+            skew.twisted_cop
+
+
 def test_twisted_coproduct_coassociative(z4_radical_ctx):
     ctx = z4_radical_ctx
     for i in range(ctx.dim):

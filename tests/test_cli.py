@@ -69,6 +69,18 @@ def test_config_values_must_be_integers(tmp_path, capsys):
     assert err["error"] == "parse" and err["witness"] == "universl"
 
 
+def test_empty_tables_order_zero_and_list_config_exit_2(tmp_path, capsys):
+    empty = write_json(tmp_path / "empty.json", {"add": [], "mul": []})
+    cfg = write_json(tmp_path / "cfg.json", [1, 2])
+    for argv, kind, witness in [(["verify", empty], "bad_order", 0),
+                                (["enumerate", "--order", "0"], "bad_order", 0),
+                                (["enumerate", "--order", "3", "--config", cfg], "parse", cfg)]:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)
+        assert (err["error"], err["witness"], captured.out) == (kind, witness, "")
+
+
 def test_report_bytes_are_sorted_indented_json(z4_radical_file, tmp_path, capsys):
     out = tmp_path / "report.json"
     assert main(["verify", z4_radical_file, "--level", "matrix", "--out", str(out)]) == 0

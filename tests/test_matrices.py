@@ -85,10 +85,23 @@ def test_matrix_ybe_negative_control():
     assert not yb.check_reversibility(bad)
 
 
+def test_solution_matrix_cross_check_raises(z4_radical):
+    # R^F with its first term doubled no longer represents as the solution
+    ctx = AlgebraContext(z4_radical)
+    rf = dict(ctx._twisted_r)
+    first = min(rf)
+    rf[first] *= 2
+    ctx._twisted_r = rf
+    with pytest.raises(yb.CheckFailed) as exc:
+        yb.solution_matrix(ctx)
+    assert (exc.value.kind, exc.value.witness) == ("representation_mismatch", "twisted_r")
+
+
 @pytest.mark.parametrize("entries, column", [
     ({(0, 0): 2, (1, 1): 1, (2, 2): 1, (3, 3): 1}, 0),
     ({(0, 0): 1, (1, 0): 1, (2, 2): 1, (3, 3): 1}, 0),
-], ids=["entry_2", "two_in_a_column"])
+    ({(0, 0): 1, (1, 1): 1, (2, 2): 1}, 3),
+], ids=["entry_2", "two_in_a_column", "empty_column"])
 def test_non_combinatorial_matrix_is_rejected(entries, column):
     # the matrix checks take a combinatorial solution: one 1 in every column
     m = ExactMatrix(4, entries)

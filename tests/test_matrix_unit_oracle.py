@@ -29,8 +29,7 @@ from ybtwist.yangian import adjudicate_twisted_coproduct, check_augmented_relati
 ROUTES = {
     "rho_homomorphism": (yb.rho_is_homomorphism, oracle_rho_homomorphism),
     "augmented_relations": (check_augmented_relations, oracle_augmented_relations),
-    "adjudication": (lambda ctx: adjudicate_twisted_coproduct(ctx, 2),
-                     lambda ctx: oracle_adjudication(ctx, 2)),
+    "adjudication": (adjudicate_twisted_coproduct, lambda ctx: oracle_adjudication(ctx, 2)),
 }
 
 
@@ -119,7 +118,7 @@ def test_transposed_eval_images_adjudication_matches_oracle(contexts, monkeypatc
     # the index route reads the evaluation images at call time, like its oracle;
     # transposed images break the displayed k=1..m range on most contexts
     monkeypatch.setattr(yangian, "_eval_image", partial(yangian._eval_image, transpose=True))
-    reports = [adjudicate_twisted_coproduct(ctx, 2) for ctx in contexts]
+    reports = [adjudicate_twisted_coproduct(ctx) for ctx in contexts]
     for ctx, report in zip(contexts, reports):
         assert report == oracle_adjudication(ctx, 2), (ctx.brace.add.table, ctx.brace.mul.table)
     assert sum(not r.ok for r in reports) > len(contexts) // 2
@@ -208,7 +207,7 @@ def test_off_diagonal_level0_images_adjudication_matches_oracle(contexts, monkey
     assert all(rho_basis_entry(ctx, c * ctx.n) == (c, c) for ctx in contexts for c in range(ctx.n))
     monkeypatch.setattr(yangian, "_eval_image", images)
     for ctx in contexts:
-        report = adjudicate_twisted_coproduct(ctx, 2)
+        report = adjudicate_twisted_coproduct(ctx)
         assert report == oracle_adjudication(ctx, 2), (ctx.brace.add.table, ctx.brace.mul.table)
         detail = report.check("adjudication").detail
         if ctx.n > 1:
@@ -221,6 +220,6 @@ def test_uninverted_twist_adjudication_matches_oracle(z3_squared_brace, monkeypa
     # the columns must go through the inverse of F^{-1}'s map, not through F's
     ctx = AlgebraContext(z3_squared_brace)
     monkeypatch.setattr(ctx, "_twist_inv", ctx._twist)
-    report = adjudicate_twisted_coproduct(ctx, 2)
+    report = adjudicate_twisted_coproduct(ctx)
     assert report == oracle_adjudication(ctx, 2)
     assert report.check("adjudication").detail["display_1m_vs_conjugated_truncated"] == "mixed"

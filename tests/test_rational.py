@@ -57,6 +57,23 @@ def test_poly_integer_coefficients_stay_integers():
     assert half.scale(2) == p
 
 
+def test_slot_product_adds_exponents_and_concatenates_words():
+    # one kernel behind both products: keys combine slot by slot, left then right
+    assert (U * U * V) * (U + V) == BivarPoly({(3, 1): 1, (2, 2): 1})
+    assert (U + V) * (U - V) + V * V == U * U
+    x, y = gen(1, 0, 1), gen(2, 1, 0)
+    assert x * y == NCTensor(1, {(((1, 0, 1), (2, 1, 0)),): 1})
+    assert x * y != y * x
+    s, t = NCTensor(2, {(((1, 0, 1),), ()): 2}), NCTensor(2, {(((2, 1, 0),), ((1, 1, 1),)): 3})
+    assert s * t == NCTensor(2, {(((1, 0, 1), (2, 1, 0)), ((1, 1, 1),)): 6})
+    # equal products of different terms add up, and cancelled ones are pruned
+    assert (x + y) * (x + y) - x * x - y * y == x * y + y * x
+    assert ((x + y) * (x - y)).coeffs.keys() == {(w,) for w in [
+        ((1, 0, 1), (1, 0, 1)), ((2, 1, 0), (1, 0, 1)), ((1, 0, 1), (2, 1, 0)),
+        ((2, 1, 0), (2, 1, 0))]}
+    assert ((U + V) * (U - V)).coeffs == {(2, 0): 1, (0, 2): -1}
+
+
 def test_exact_matrix_product_prunes_cancelled_polys():
     # (u 1 + P)(u 1 - P) = (u^2 - 1) 1 on the 2x2 flip: off-diagonal terms cancel
     ident, swap = [0, 1], [1, 0]

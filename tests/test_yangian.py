@@ -95,19 +95,6 @@ def test_n_only_checks_refuse_n_below_one_and_accept_one(check):
     assert check(1).ok
 
 
-@pytest.mark.parametrize("pmax", [-1, 0, yangian.MAX_LEVEL + 1])
-def test_augmented_relations_refuse_levels_outside_range(z4_radical_ctx, pmax):
-    # pmax = -1 passed w_exchange and h_transport vacuously while h_annihilation
-    # still checked level 1
-    with pytest.raises(yb.LimitExceeded):
-        check_augmented_relations(z4_radical_ctx, pmax)
-
-
-def test_augmented_relations_accept_the_range_ends(z4_radical_ctx):
-    assert check_augmented_relations(z4_radical_ctx, 1).ok
-    assert check_augmented_relations(z4_radical_ctx, yangian.MAX_LEVEL).ok
-
-
 def test_defining_relations_corrupted_rep():
     report = check_defining_relations(2, 2, 2, transpose=True)
     assert not report.ok
@@ -177,7 +164,7 @@ def test_twisted_rtt_all_braces_up_to_3(braces_up_to_4):
 
 def test_coproduct_displays():
     n = 2
-    table = coproduct_table(n, 3)
+    table = coproduct_table(n)
     one = NCTensor.one(1)
     for a in range(n):
         for b in range(n):
@@ -203,12 +190,12 @@ def test_symbolic_tables_match_term_by_term_sums(n):
         for a in range(n):
             for b in range(n):
                 assert coproduct_gen(m, a, b, n) == oracle_coproduct_gen(m, a, b, n)
-    assert antipode_table(n, 4) == oracle_antipode_table(n, 4)
+    assert antipode_table(n) == oracle_antipode_table(n, 4)
 
 
 def test_coassociativity_symbolic():
-    assert coassociativity_report(2, 3).ok
-    assert coassociativity_report(3, 2).ok
+    assert coassociativity_report(2).ok
+    assert coassociativity_report(3).ok
 
 
 def _displayed_coproduct(m, a, b, n):
@@ -225,7 +212,7 @@ def _displayed_coproduct(m, a, b, n):
 def test_tensor_coproduct_multiplies_letter_images(n):
     # Delta is an algebra homomorphism: a word of two or three letters maps to
     # the product of its letters' coproducts, alone and beside another slot
-    table = coproduct_table(n, 2)
+    table = coproduct_table(n)
     top = n - 1
     words = [((1, 0, top), (2, top, 0)), ((2, 0, 0), (1, top, 0), (1, 0, top))]
     other = gen(1, top, 0) + 3 * NCTensor.one(1)
@@ -246,14 +233,14 @@ def test_tensor_coproduct_multiplies_letter_images(n):
 def test_coassociativity_witness_is_first(monkeypatch):
     # a coproduct that fails on every generator must report the first one
     monkeypatch.setattr(yangian, "tensor_coproduct", lambda d, slot, table: slot)
-    report = coassociativity_report(2, 3)
+    report = coassociativity_report(2)
     assert not report.ok
     assert report.checks[0].witness == (1, 0, 0)
 
 
 def test_antipode_displays():
     n = 2
-    table, report = antipode_series(n, 3)
+    table, report = antipode_series(n)
     assert report.ok
     for a in range(n):
         for b in range(n):
@@ -272,10 +259,33 @@ def test_antipode_displays():
 
 
 def test_antipode_identities_vanish_at_level_4():
-    _, report = antipode_series(2, 4)
+    _, report = antipode_series(2)
     assert report.ok
     assert report.check("left_identity_level4").passed
     assert report.check("right_identity_level4").passed
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_antipode_series_witnesses_a_corrupted_entry(n, monkeypatch):
+    # s(L^{(2)}_{0,1}) plus L^{(2)}_{0,1}: the left identity carries the extra
+    # term times L^{(m-2)}_{a,0}, so it fails at b = 1 from level 2 on; the
+    # right one carries L^{(m-2)}_{1,b} times it, so it fails at a = 0, and from
+    # level 3 first at b = 0
+    clean = yangian.antipode_table
+
+    def corrupted(n):
+        table = clean(n)
+        table[(2, 0, 1)] = table[(2, 0, 1)] + gen(2, 0, 1)
+        return table
+
+    monkeypatch.setattr(yangian, "antipode_table", corrupted)
+    _, report = antipode_series(n)
+    assert [(c.name, c.witness) for c in report.checks] == [
+        ("left_identity_level1", None), ("right_identity_level1", None),
+        ("left_identity_level2", (2, 0, 1)), ("right_identity_level2", (2, 0, 1)),
+        ("left_identity_level3", (3, 0, 1)), ("right_identity_level3", (3, 0, 0)),
+        ("left_identity_level4", (4, 0, 1)), ("right_identity_level4", (4, 0, 0)),
+    ]
 
 
 def test_counit_of_generators():
@@ -286,7 +296,7 @@ def test_counit_of_generators():
     n = 2
     for a in range(n):
         for b in range(n):
-            d = coproduct_table(n, 2)[(2, a, b)]
+            d = coproduct_table(n)[(2, a, b)]
             picked = NCTensor(1)
             for (w1, w2), c in d.coeffs.items():
                 if w1 == ():
@@ -298,7 +308,7 @@ def test_counit_of_generators():
 
 
 def test_adjudication_is_definitive_on_z4_radical(z4_radical_ctx):
-    report = adjudicate_twisted_coproduct(z4_radical_ctx, 2)
+    report = adjudicate_twisted_coproduct(z4_radical_ctx)
     assert report.ok
     detail = report.check("adjudication").detail
     assert detail["display_1m_vs_conjugated_truncated"] is True
@@ -309,7 +319,7 @@ def test_adjudication_is_definitive_on_z4_radical(z4_radical_ctx):
 
 
 def test_adjudication_trivial_brace(trivial2_ctx):
-    report = adjudicate_twisted_coproduct(trivial2_ctx, 2)
+    report = adjudicate_twisted_coproduct(trivial2_ctx)
     assert report.ok
     detail = report.check("adjudication").detail
     # even with the identity twist the two display ranges differ, and only the
@@ -322,7 +332,7 @@ def test_adjudication_degenerate_order_one():
     # at order 1 the single idempotent is the identity, so the k=0 display term
     # coincides with the conjugated k=0 coproduct term and both pairings match
     b1 = yb.trivial_brace(1)
-    report = adjudicate_twisted_coproduct(yb.algebra_from_brace(b1), 2)
+    report = adjudicate_twisted_coproduct(yb.algebra_from_brace(b1))
     detail = report.check("adjudication").detail
     assert detail["display_0m_vs_conjugated_standard"] is True
     assert detail["display_1m_vs_conjugated_truncated"] is True

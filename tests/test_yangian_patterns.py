@@ -113,14 +113,14 @@ def test_displayed_relations_read_the_level0_image(n, monkeypatch):
 def test_coassociativity_matches_oracle(n, failing, monkeypatch):
     if failing:
         monkeypatch.setattr(yangian, "tensor_coproduct", lambda d, slot, table: slot)
-    report = coassociativity_report(n, 3)
+    report = coassociativity_report(n)
     assert report == oracle_coassociativity(n, 3)
     assert report.ok is not failing
 
 
 @pytest.mark.parametrize("n", NS)
 def test_antipode_series_matches_oracle(n):
-    assert antipode_series(n, 4) == oracle_antipode_series(n, 4)
+    assert antipode_series(n) == oracle_antipode_series(n, 4)
 
 
 # ------------------------------------------------- S_n equivariance (the premise)
@@ -150,7 +150,7 @@ def test_eval_images_are_equivariant(n):
 
 @pytest.mark.parametrize("n", NS)
 def test_coproduct_and_antipode_are_equivariant(n):
-    table = antipode_table(n, 4)
+    table = antipode_table(n)
     for pi in _perms(n):
         for m, a, b in product(range(1, 5), range(n), range(n)):
             assert _relabelled(coproduct_gen(m, a, b, n), pi) == coproduct_gen(m, pi[a], pi[b], n)
