@@ -69,7 +69,9 @@ class AlgebraContext:
     back at the context), and one per-basis table for each structure map -- ``cop``
     (Delta), ``twisted_cop`` (Delta_F), ``eps`` (the counit), ``s`` (the
     antipode) and ``s_twisted`` (the twisted antipode).  Entry i of a table is
-    the image of e_i as {tuple of basis indices: multiplicity}.  Also lazy,
+    the image of e_i as {tuple of basis indices: multiplicity}; ``s_twisted``
+    is U s U^{-1} (Drinfeld's formula, which holds because F is a 2-cocycle),
+    so every table is defined on every skew brace.  Also lazy,
     F_{12,3} = (Delta (x) id)(F) formed in place and the closed-form F_{1,23}
     (``_f_12_3``, ``_f_1_23``), and the two families of shared 3-leg products
     of the module docstring, as tuples of dicts: ``_fusion`` (of R) and
@@ -235,19 +237,18 @@ class AlgebraContext:
 
     @cached_property
     def s_twisted(self) -> list[dict]:
-        """The antipode of the twisted structure, defined for braces only.
+        """The antipode of the twisted structure, s~(x) = U s(x) U^{-1}.
 
-        On generators: s~(h_a) = h_{a^{-1}} (inverse in (X, o)) and
-        s~(w_a) = sum_b h_b w^{-1}_{tau_{b^{-1}}(a)}, extended anti-homomorphically.
+        F is a 2-cocycle, so Drinfeld's formula holds on every skew brace:
+        U = m(id (x) s)(F) and U^{-1} = m(s (x) id)(F^{-1}).  The table is two
+        batches, U on the left of the whole table ``s``, then U^{-1} on the
+        right of every row.
         """
-        if not self.is_brace:
-            raise ValidationFailure("not_a_brace", None, "twisted antipode requires abelian addition")
-        n, inv, tau = self.n, self.circle_inv, self.tau
-        s_w = [{(b * n + inv[tau[inv[b]][g]],): 1 for b in range(n)} for g in range(n)]
-        s_h = [{(inv[a] * n,): 1} for a in range(n)]
-        # s~(h_a w_g) = s~(w_g) s~(h_a): row g, entry a of the batch is e_{a n + g}
-        rows = list(_leg_products(self, s_w, s_h, (0,), True))
-        return [rows[g].get(a, {}) for a in range(n) for g in range(n)]
+        u = _multiplied(self, _on_slot(self._twist, 1, self.s))
+        u_inv = _multiplied(self, _on_slot(self._twist_inv, 0, self.s))
+        u_s = next(_leg_products(self, [u], self.s, (0,), True))
+        rows = [u_s.get(i, {}) for i in range(self.dim)]
+        return [p.get(0, {}) for p in _leg_products(self, rows, [u_inv], (0,), True)]
 
     # --------------------------------------------------------------- sanity
 
@@ -433,7 +434,7 @@ def twisted_coproduct(x: TensorElement) -> TensorElement:
 
 
 def twisted_antipode(x: TensorElement) -> TensorElement:
-    """The twisted antipode s~, from the table ``ctx.s_twisted`` (braces only)."""
+    """The twisted antipode s~ = U s U^{-1}, from the table ``ctx.s_twisted``."""
     return TensorElement(x.ctx, 1, _on_slot(_one_leg(x).coeffs, 0, x.ctx.s_twisted))
 
 
@@ -560,6 +561,17 @@ def map_slot(t: TensorElement, slot: int, table: list[dict]) -> TensorElement:
 # ------------------------------------------------------------- verifications
 
 
+def _multiplied(ctx: AlgebraContext, t: dict) -> dict:
+    """m: the two slots of each key of the two-leg t multiplied through ``prod``,
+    as a pruned one-leg dict."""
+    dim, prod = ctx.dim, ctx.prod
+    out: dict = {}
+    for (p, q), c in t.items():
+        if (k := prod[p * dim + q]) >= 0:
+            out[(k,)] = out.get((k,), 0) + c
+    return _prune(out)
+
+
 def _homomorphism_witness(ctx: AlgebraContext, table: list[dict]) -> tuple[int, int] | None:
     # The first (i, j) in row-major order, over all dim^2 pairs, with
     # table(e_i) table(e_j) != table(e_i e_j); e_i e_j is a basis element or
@@ -579,8 +591,8 @@ def _homomorphism_witness(ctx: AlgebraContext, table: list[dict]) -> tuple[int, 
 def verify_hopf_axioms(ctx: AlgebraContext, twisted: bool = False) -> PropertyReport:
     """Check the bialgebra and antipode axioms on the whole basis.
 
-    With twisted=True the checks run for (Delta_F, eps, s~), which requires a
-    brace (abelian addition); otherwise for (Delta, eps, s).
+    With twisted=True the checks run for (Delta_F, eps, s~), on every skew
+    brace; otherwise for (Delta, eps, s).
 
     ``coproduct_homomorphism`` compares Delta(e_i) Delta(e_j) with
     Delta(e_i e_j) on all dim^2 pairs, as one batch of ``_leg_products``: every
@@ -590,10 +602,11 @@ def verify_hopf_axioms(ctx: AlgebraContext, twisted: bool = False) -> PropertyRe
     ``_on_slot``: coassociativity compares the row's images under the coproduct
     table at slots 0 and 1, the counit law each slot's image under ``eps`` with
     e_i, and the antipode law multiplies the two slots of each slot's image
-    under the antipode table through ``prod`` and compares the result with
-    eps(e_i) 1.  Coefficients are pruned before comparison, and each witness
-    is the first failing i (the first failing (i, j) in row-major order for
-    the bialgebra axiom).
+    under the antipode table (``_multiplied``, the slot product m that also
+    forms U and U^{-1} of s~) and compares the result with eps(e_i) 1.
+    Coefficients are pruned before comparison, and each witness is the first
+    failing i (the first failing (i, j) in row-major order for the bialgebra
+    axiom).
     """
     label = "twisted" if twisted else "untwisted"
     report = PropertyReport(f"hopf_axioms_{label}")
@@ -613,19 +626,10 @@ def verify_hopf_axioms(ctx: AlgebraContext, twisted: bool = False) -> PropertyRe
 
     # m (s (x) id) Delta(e_i) = m (id (x) s) Delta(e_i) = eps(e_i) 1, with 1 = sum_a h_a
     s_table = ctx.s_twisted if twisted else ctx.s
-    n, dim, prod = ctx.n, ctx.dim, ctx.prod
-
-    def multiplied(t: dict) -> dict:
-        # m: the two slots of each key multiplied through ``prod``
-        out: dict = {}
-        for (p, q), c in t.items():
-            if (k := prod[p * dim + q]) >= 0:
-                out[(k,)] = out.get((k,), 0) + c
-        return _prune(out)
-
+    n = ctx.n
     targets = [{(a * n,): e for a in range(n)} if (e := image.get((), 0)) != 0 else {} for image in eps]
     w = next((i for i, row in enumerate(table)
-              if any(multiplied(_on_slot(row, slot, s_table)) != targets[i] for slot in (0, 1))), None)
+              if any(_multiplied(ctx, _on_slot(row, slot, s_table)) != targets[i] for slot in (0, 1))), None)
     report.add("antipode", w is None, witness=w)
     return report
 

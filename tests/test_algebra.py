@@ -227,11 +227,21 @@ def test_element_maps_reject_other_orders(z4_radical_ctx, name):
     assert (exc.value.kind, exc.value.witness) == ("order_mismatch", (2, 1))
 
 
-def test_twisted_antipode_requires_brace(s3_trivial_skew):
-    ctx = yb.algebra_from_brace(s3_trivial_skew)
-    with pytest.raises(yb.ValidationFailure) as exc:
-        yb.twisted_antipode(ctx.one())
-    assert exc.value.kind == "not_a_brace"
+def test_twisted_antipode_holds_on_nonabelian_addition(s3_trivial_skew, order6_nonabelian):
+    # m(s~ (x) id) Delta_F(x) = m(id (x) s~) Delta_F(x) = eps(x) 1 on every basis
+    # element, term by term through the public element maps
+    for brace in (s3_trivial_skew, order6_nonabelian):
+        ctx = yb.algebra_from_brace(brace)
+        assert not ctx.is_brace
+        zero = ctx.element({})
+        for i in range(ctx.dim):
+            x = ctx.basis_element(i)
+            terms = [(ctx.basis_element(p), ctx.basis_element(q), c)
+                     for (p, q), c in yb.twisted_coproduct(x).coeffs.items()]
+            left = sum((c * (yb.twisted_antipode(p) * q) for p, q, c in terms), zero)
+            right = sum((c * (p * yb.twisted_antipode(q)) for p, q, c in terms), zero)
+            unit = yb.counit(x) * ctx.one()
+            assert (left, right) == (unit, unit), (brace.n, i)
 
 
 def test_twist_conditions(trivial2_ctx, z4_radical_ctx):

@@ -64,9 +64,7 @@ def test_hopf_axioms_match_oracle(hopf_subjects, twisted):
     for ctx in hopf_subjects:
         report = outcome(verify_hopf_axioms, ctx, twisted)
         assert report == outcome(oracle_hopf_axioms, ctx, twisted), ctx.brace.mul.table
-        # the twisted antipode is defined for braces only
-        assert (report.ok if ctx.is_brace or not twisted
-                else report == ("ValidationFailure", "not_a_brace", None))
+        assert report.ok, (ctx.brace.mul.table, report.failures())
 
 
 @pytest.mark.parametrize("twisted", [False, True])
@@ -158,7 +156,8 @@ def test_universal_suite_leg_product_calls(z6_brace, monkeypatch):
     # the two families save four joins a context: R13 once for both fusion
     # sides, and the 3-fold recursion's first bracketing and its two exchange
     # products read from the cocycle family's F12 F_{12,3}, R12 F123 and
-    # R23 F123
+    # R23 F123.  The twisted antipode s~ = U s U^{-1} is two joins, U on the left
+    # of the table s, then U^{-1} on the right of every row
     calls = []
     kernel = algebra._leg_products
 
@@ -169,7 +168,7 @@ def test_universal_suite_leg_product_calls(z6_brace, monkeypatch):
     monkeypatch.setattr(algebra, "_leg_products", counting)
     checks = universal_suite(z6_brace, 6)
     assert all(c["status"] == "pass" for c in checks if c["status"] != "info")
-    assert len(calls) == 19
+    assert len(calls) == 20
 
 
 def test_exploratory_quasitriangularity_entry_is_run_and_timed(order6_nonabelian, monkeypatch):
