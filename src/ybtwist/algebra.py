@@ -86,7 +86,6 @@ class AlgebraContext:
         ybmap = derive_sigma_tau(brace)
         self.ybmap = ybmap
         self.sigma = ybmap.sigma
-        self.tau = ybmap.tau
         self.sigma_inv = tuple(_perm_inverse(row) for row in self.sigma)
         self.circle = brace.mul.table
         self.circle_inv = brace.mul.inverses
@@ -400,35 +399,34 @@ def _twisted_h_closed(ctx: AlgebraContext, a: int) -> dict:
 
 
 def _twisted_w_closed(ctx: AlgebraContext, a: int) -> dict:
-    # Delta_F(w_a) = sum_b w_a h_b (x) w_{tau_b(a)}; w_a h_b = h_{sigma_a(b)} w_a
-    n = ctx.n
+    # Delta_F(w_a) = sum_b h_x w_a (x) w_{x^{-1} o a o b} with x = sigma_a(b): the
+    # second subscript is the Guarnieri-Vendramin tau_b(a), so no addition is read
+    n, circle = ctx.n, ctx.circle
     coeffs = {}
     for b in range(n):
-        first = ctx.sigma[a][b] * n + a
-        tau_ba = ctx.tau[b][a]
+        x = ctx.sigma[a][b]
+        tau_ba = circle[ctx.circle_inv[x]][circle[a][b]]
         for c in range(n):
-            coeffs[(first, c * n + tau_ba)] = 1
+            coeffs[(x * n + a, c * n + tau_ba)] = 1
     return coeffs
 
 
 def _check_twisted_closed_forms(ctx: AlgebraContext, table: list[dict]) -> None:
-    # The h-generator form holds for every skew brace; the w-generator form
-    # relies on sigma_a(b) o tau_b(a) = a o b, hence on abelian addition.
+    """Raise CheckFailed at the first generator (h_a, then w_a, for each a) where
+    the Delta_F table leaves its closed form; both forms hold on every skew brace."""
     for a in range(ctx.n):
         if table[a * ctx.n] != _twisted_h_closed(ctx, a):
             raise CheckFailed("twisted_coproduct_closed_form", ("h", a))
-    if ctx.is_brace:
-        for a in range(ctx.n):
-            if _on_slot(ctx.w(a).coeffs, 0, table) != _twisted_w_closed(ctx, a):
-                raise CheckFailed("twisted_coproduct_closed_form", ("w", a))
+        if _on_slot(ctx.w(a).coeffs, 0, table) != _twisted_w_closed(ctx, a):
+            raise CheckFailed("twisted_coproduct_closed_form", ("w", a))
 
 
 def twisted_coproduct(x: TensorElement) -> TensorElement:
     """Delta_F(x) = F Delta(x) F^{-1}, from the table ``ctx.twisted_cop``.
 
     Building that table cross-checks the conjugation against the closed
-    generator forms (for every skew brace on h_a; additionally on w_a when
-    addition is abelian); a mismatch raises CheckFailed.
+    generator forms on h_a and on w_a, both decided on every skew brace; a
+    mismatch raises CheckFailed.
     """
     return TensorElement(x.ctx, 2, _on_slot(_one_leg(x).coeffs, 0, x.ctx.twisted_cop))
 
@@ -635,7 +633,8 @@ def verify_hopf_axioms(ctx: AlgebraContext, twisted: bool = False) -> PropertyRe
 
 
 def is_cocommutative(ctx: AlgebraContext) -> bool:
-    """True iff Delta = Delta^op on every basis element (holds for abelian addition)."""
+    """True iff Delta = Delta^op on every basis element, which holds exactly
+    when addition is abelian."""
     return all(image == {(q, p): c for (p, q), c in image.items()} for image in ctx.cop)
 
 

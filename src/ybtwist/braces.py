@@ -151,8 +151,8 @@ def check_brace_identities(brace: SkewBrace) -> PropertyReport:
       (ii)  sigma_a(sigma_b(c)) = sigma_{a o b}(c)
       (iii) a o (b + c) = a o b - a + a o c
       (iv)  sigma_a(0) = 0, tau_0(a) = a, sigma_0(a) = a, tau_a(0) = 0
-      (v)   a o b = sigma_a(b) o tau_b(a)   (required only for abelian +;
-            otherwise its outcome is reported informationally)
+      (v)   a o b = sigma_a(b) o tau_b(a) exactly where a + a o b = a o b + a,
+            decided on every skew brace (so (v) itself holds iff + is abelian)
     """
     m = derive_sigma_tau(brace)
     n, s, t = brace.n, m.sigma, m.tau
@@ -187,18 +187,14 @@ def check_brace_identities(brace: SkewBrace) -> PropertyReport:
     )
     report.add("neutral_values", w is None, witness=w)
 
+    # By (i), (v) holds at (a, b) exactly when a and a o b commute under +.
     w = next(
         ((a, b) for a in range(n) for b in range(n)
-         if circle(a, b) != circle(s[a][b], t[b][a])),
+         if (circle(a, b) == circle(s[a][b], t[b][a]))
+         != (plus(a, circle(a, b)) == plus(circle(a, b), a))),
         None,
     )
-    if brace.is_brace:
-        report.add("abelian_circle_factorization", w is None, witness=w)
-    else:
-        report.add(
-            "circle_factorization_reported", True,
-            detail={"holds": w is None, "note": "addition is nonabelian; reported only"},
-        )
+    report.add("circle_factorization", w is None, witness=w)
     return report
 
 

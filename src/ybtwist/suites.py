@@ -117,7 +117,8 @@ def map_suite(brace: SkewBrace) -> list[dict]:
     _run(checks, "map.braid", "(r x 1)(1 x r)(r x 1) = (1 x r)(r x 1)(1 x r)",
          lambda: braces.check_braid(m))
     _run(checks, "map.properties",
-         "sigma_a(b) o tau_b(a) = -a + a o b + a ; sigma_a sigma_b = sigma_{a o b} ; neutral values",
+         "sigma_a(b) o tau_b(a) = -a + a o b + a ; sigma_a sigma_b = sigma_{a o b} ; neutral values ; "
+         "a o b = sigma_a(b) o tau_b(a) iff a + a o b = a o b + a",
          lambda: braces.check_brace_identities(brace))
     _info(checks, "map.involutive", "r(r(a, b)) = (a, b) [reported, never asserted]",
           lambda: {"holds": braces.is_involutive(m)})
@@ -178,9 +179,8 @@ def universal_suite(brace: SkewBrace, ceiling: int = UNIVERSAL_CEILING,
          lambda: algebra.verify_universal_ybe(ctx))
     _run(checks, "universal.hopf", "coproduct/counit/antipode axioms, untwisted",
          lambda: algebra.verify_hopf_axioms(ctx))
-    if brace.is_brace:
-        _run(checks, "universal.cocommutativity", "Delta^op = Delta for abelian addition",
-             lambda: algebra.is_cocommutative(ctx))
+    _run(checks, "universal.cocommutativity", "Delta^op = Delta iff addition is abelian",
+         lambda: algebra.is_cocommutative(ctx) == brace.is_brace)
     _run(checks, "universal.hopf_twisted", "coproduct/counit/antipode axioms, twisted",
          lambda: algebra.verify_hopf_axioms(ctx, twisted=True))
     if brace.is_brace:

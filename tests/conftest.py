@@ -879,9 +879,11 @@ def skew_braces_up_to_6():
     return {n: yb.enumerate_braces(n, skew=True) for n in range(1, 7)}
 
 
-def _contexts(braces):
+@pytest.fixture(scope="session")
+def all_contexts(skew_braces_up_to_6):
+    """Every context of orders 1-6: 219, 80 of them with non-abelian addition."""
     out = []
-    for b in braces:
+    for b in (b for bs in skew_braces_up_to_6.values() for b in bs):
         try:
             out.append(yb.algebra_from_brace(b))
         except yb.ValidationFailure:
@@ -890,10 +892,10 @@ def _contexts(braces):
 
 
 @pytest.fixture(scope="session")
-def contexts(skew_braces_up_to_6):
+def contexts(all_contexts):
     """Every context of orders 1-5 and 24 seeded order-6 ones, 12 with non-abelian addition."""
-    small = _contexts(b for n in range(1, 6) for b in skew_braces_up_to_6[n])
-    six = _contexts(skew_braces_up_to_6[6])
+    small = [c for c in all_contexts if c.n < 6]
+    six = [c for c in all_contexts if c.n == 6]
     rng = random.Random(17)
     sample = (rng.sample([c for c in six if c.is_brace], 12)
               + rng.sample([c for c in six if not c.is_brace], 12))

@@ -101,14 +101,33 @@ def test_corrupted_sigma_rejected_by_builder():
     assert exc.value.kind == "sigma_not_bijective"
 
 
-def test_brace_theorem_properties(trivial2, z4_radical, braces_up_to_4):
+def test_brace_theorem_properties(trivial2, z4_radical, skew_braces_up_to_6):
+    # Every identity holds wherever tau derives.  Identity (v) is decided from the
+    # raw tables on all 299: with tau_b(a) = sigma^{-1}_{sigma_a(b)}(a), formed here
+    # with no bijectivity check, a o b = sigma_a(b) o tau_b(a) exactly where
+    # a + a o b = a o b + a, so (v) holds everywhere iff addition is abelian.
     for b in (trivial2, z4_radical):
         assert yb.check_brace_identities(b).ok
-    for bs in braces_up_to_4.values():
+    derived = 0
+    for bs in skew_braces_up_to_6.values():
         for b in bs:
-            report = yb.check_brace_identities(b)
-            assert report.ok
-            assert report.check("abelian_circle_factorization").passed
+            n, add, mul = b.n, b.add.table, b.mul.table
+            neg = [add[a].index(0) for a in range(n)]
+            sigma = [[add[neg[a]][mul[a][c]] for c in range(n)] for a in range(n)]
+            pairs = [(a, c) for a in range(n) for c in range(n)]
+            factors = [mul[a][c] == mul[sigma[a][c]][sigma[sigma[a][c]].index(a)] for a, c in pairs]
+            commutes = [add[a][mul[a][c]] == add[mul[a][c]][a] for a, c in pairs]
+            assert factors == commutes, (add, mul)
+            assert all(factors) == all(add[a][c] == add[c][a] for a, c in pairs)
+            try:
+                report = yb.check_brace_identities(b)
+            except yb.ValidationFailure as exc:
+                assert exc.kind == "tau_not_bijective"
+                continue
+            derived += 1
+            assert report.ok, (add, mul, report.failures())
+            assert report.check("circle_factorization").passed
+    assert derived == 219
 
 
 @pytest.mark.parametrize("n,count", [(1, 1), (2, 1), (3, 1), (4, 10)])
@@ -216,16 +235,29 @@ def test_order6_brace_with_nonabelian_multiplication(z6_brace):
     assert yb.is_involutive(m)
 
 
-def test_s3_trivial_skew_brace(s3_trivial_skew):
-    assert not s3_trivial_skew.is_brace
-    m = yb.derive_sigma_tau(s3_trivial_skew)
+def test_s3_trivial_skew_brace(s3_trivial_skew, monkeypatch):
+    brace = s3_trivial_skew
+    assert not brace.is_brace
+    m = yb.derive_sigma_tau(brace)
     assert yb.check_braid(m).ok  # the flip
-    report = yb.check_brace_identities(s3_trivial_skew)
+    report = yb.check_brace_identities(brace)
     for name in ("circle_of_pair", "sigma_composition", "distributivity", "neutral_values"):
         assert report.check(name).passed
-    # sigma = tau = id here, so the factorization compares a o b with b o a:
-    # it fails precisely because the addition is nonabelian, and is only reported
-    assert report.check("circle_factorization_reported").detail["holds"] is False
+    # sigma = tau = id here, so (v) compares a o b with b o a: it fails, and
+    # exactly where a and a o b do not commute, which circle_factorization decides
+    assert report.check("circle_factorization").passed
+    circle, plus = brace.circle, brace.plus
+    failing = [(a, b) for a in range(6) for b in range(6)
+               if circle(a, b) != circle(m.sigma[a][b], m.tau[b][a])]
+    assert failing
+    for a, b in failing:
+        assert plus(a, circle(a, b)) != plus(circle(a, b), a), (a, b)
+    # the GV tau_b(a) = b^{-1} o a o b satisfies (v) at every pair, so there the
+    # equivalence fails first at the least pair where a and a o b do not commute
+    monkeypatch.setattr(braces, "derive_sigma_tau", lambda b: yb.YBMap(b.n, *oracle_gv_tau(b)))
+    witness = yb.check_brace_identities(brace).check("circle_factorization").witness
+    assert witness == min((a, b) for a in range(6) for b in range(6)
+                          if plus(a, circle(a, b)) != plus(circle(a, b), a))
 
 
 def test_s3_opposite_skew_brace_degenerate_tau(s3_table):

@@ -321,7 +321,7 @@ def test_check_names_are_a_stable_contract(monkeypatch):
         "map.braid": ("braid", ["braid"]),
         "map.properties": ("brace_identities", [
             "circle_of_pair", "sigma_composition", "distributivity", "neutral_values",
-            "abelian_circle_factorization"]),
+            "circle_factorization"]),
         "matrix.rho_homomorphism": ("rho_homomorphism", ["homomorphism"]),
         "matrix.ybe": ("matrix_ybe", ["ybe"]),
         "matrix.nfold_twist": ("matrix_nfold_twist_k4", [

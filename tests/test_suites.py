@@ -22,10 +22,18 @@ def test_universal_ceiling_skips_the_level_in_one_entry(z3_squared_brace):
         "status": "skipped", "millis": 0, "witness": "order 9 above universal ceiling 4"}]
 
 
-def test_a_check_returning_false_fails_without_witness(z4_radical, monkeypatch):
+def test_a_check_returning_false_fails_without_witness(z4_radical, s3_trivial_skew, monkeypatch):
     checks: list = []
     assert _run(checks, "x", "anchor", lambda: False) is None
     assert checks[0]["status"] == "fail" and "witness" not in checks[0]
-    monkeypatch.setattr(algebra, "is_cocommutative", lambda ctx: False)
-    entry = next(c for c in universal_suite(z4_radical) if c["name"] == "universal.cocommutativity")
-    assert entry["status"] == "fail" and "witness" not in entry
+
+    def cocommutativity(brace):
+        return next(c for c in universal_suite(brace, 6) if c["name"] == "universal.cocommutativity")
+
+    # Delta^op = Delta is decided against abelian addition: it passes on both kinds
+    # of addition, and fails on each when is_cocommutative says the opposite
+    assert cocommutativity(z4_radical)["status"] == cocommutativity(s3_trivial_skew)["status"] == "pass"
+    for brace, wrong in ((z4_radical, False), (s3_trivial_skew, True)):
+        monkeypatch.setattr(algebra, "is_cocommutative", lambda ctx, wrong=wrong: wrong)
+        entry = cocommutativity(brace)
+        assert entry["status"] == "fail" and "witness" not in entry

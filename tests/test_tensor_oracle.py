@@ -19,8 +19,10 @@ against images written from the brace's own tables: the pairs b + c = a of
 its addition, the test a = 0, and sigma, the inverse of o and negation, each
 found by scanning the group tables.  The Delta_F and s~ tables are checked
 row by row against products of those images and of F and F^{-1}, each
-written from the brace tables: s~ = U s U^{-1} on every context, and also the
-closed form through the Guarnieri-Vendramin tau where addition is abelian.
+written from the brace tables: Delta_F(w_a) also against its closed form
+through the Guarnieri-Vendramin tau on every context, and s~ = U s U^{-1} on
+every context, and against the closed form through that tau where addition
+is abelian.
 """
 
 from __future__ import annotations
@@ -286,13 +288,29 @@ def twist_terms(brace) -> tuple[dict, dict]:
 
 
 def test_twisted_cop_rows_are_conjugated_coproducts(contexts):
-    # Delta_F(e_i) = F Delta(e_i) F^{-1}, one basis element at a time
+    # Delta_F(e_i) = F Delta(e_i) F^{-1}, one basis element at a time; and on every
+    # generator w_a = sum_c h_c w_a, F (w_a (x) w_a) F^{-1} is the closed form
+    # sum_b h_x w_a (x) w_{tau_b(a)}, x = sigma_a(b), with the GV tau
+    assert sum(not ctx.is_brace for ctx in contexts) == 12
     for ctx in contexts:
+        n = ctx.n
         cop, _, _ = basis_images(ctx.brace)
         f, f_inv = twist_terms(ctx.brace)
         for i, row in enumerate(ctx.twisted_cop):
             expected = naive_mul(ctx, naive_mul(ctx, f, dict.fromkeys(cop[i], 1)), f_inv)
             assert row == expected, (ctx.n, i)
+        sigma, tau = oracle_gv_tau(ctx.brace)
+        for a in range(n):
+            w_cop = {key: 1 for c in range(n) for key in cop[c * n + a]}
+            assert w_cop == {(b * n + a, c * n + a): 1 for b in range(n) for c in range(n)}
+            conjugated = naive_mul(ctx, naive_mul(ctx, f, w_cop), f_inv)
+            gv_form = {(sigma[a][b] * n + a, c * n + tau[b][a]): 1 for b in range(n) for c in range(n)}
+            assert conjugated == gv_form, (ctx.n, a)
+            library: dict = {}
+            for c in range(n):
+                for key, v in ctx.twisted_cop[c * n + a].items():
+                    library[key] = library.get(key, 0) + v
+            assert library == gv_form, (ctx.n, a)
 
 
 def test_s_twisted_rows_are_antipode_products(contexts):

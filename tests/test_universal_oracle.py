@@ -290,8 +290,8 @@ def _seen(report, *names) -> bool:
     return all(not (c := report.check(name)).passed and c.witness is not None for name in names)
 
 
-def test_negative_controls_fail_on_every_context(skew_braces_up_to_6):
-    contexts = conftest._contexts(b for n in range(2, 7) for b in skew_braces_up_to_6[n])
+def test_negative_controls_fail_on_every_context(all_contexts):
+    contexts = [ctx for ctx in all_contexts if ctx.n > 1]
     assert len(contexts) == 218
     ybe_failures = 0
     for ctx in contexts:
