@@ -9,8 +9,8 @@ library.
 Work that more than one entry needs is decided once and reused: a brace's
 ``AlgebraContext`` once per ``run_suites`` call, by the first level that needs
 it, and the n-only yangian checks once per order in a verify run.  A reused
-entry keeps its own name and anchor, has the first run's status, witness and
-detail, and carries ``"millis": 0`` and ``"reused": true``.
+entry keeps its own name and anchor, has the first run's status and witness,
+and carries ``"millis": 0`` and ``"reused": true``.
 """
 
 from __future__ import annotations
@@ -81,8 +81,8 @@ def _once(store: dict | None, key, fn):
 def _run_once(checks: list[dict], store: dict | None, key, name: str, anchor: str, fn):
     """``_run`` over ``_once``: a reused entry gets ``millis`` 0 and ``"reused": True``.
 
-    It is decided from the stored value or exception, so its status, witness
-    and detail are those of the first run.
+    It is decided from the stored value or exception, so its status and
+    witness are those of the first run.
     """
     reused = store is not None and key in store
     result = _run(checks, name, anchor, lambda: _once(store, key, fn))
@@ -94,15 +94,6 @@ def _run_once(checks: list[dict], store: dict | None, key, name: str, anchor: st
 def _skip(checks: list[dict], name: str, anchor: str, reason: str) -> None:
     checks.append({"name": name, "anchor": anchor, "status": "skipped",
                    "millis": 0, "witness": reason})
-
-
-def _info(checks: list[dict], name: str, anchor: str, fn) -> None:
-    """A reported, never asserted entry: ``fn`` runs through ``_run``, so it is
-    timed and an error it raises is a fail entry, and what it returns when it
-    passes is the entry's detail."""
-    detail = _run(checks, name, anchor, fn)
-    if detail is not None:
-        checks[-1]["detail"] = detail
 
 
 def map_suite(brace: SkewBrace) -> list[dict]:
@@ -120,8 +111,8 @@ def map_suite(brace: SkewBrace) -> list[dict]:
          "sigma_a(b) o tau_b(a) = -a + a o b + a ; sigma_a sigma_b = sigma_{a o b} ; neutral values ; "
          "a o b = sigma_a(b) o tau_b(a) iff a + a o b = a o b + a",
          lambda: braces.check_brace_identities(brace))
-    _info(checks, "map.involutive", "r(r(a, b)) = (a, b) [reported, never asserted]",
-          lambda: {"holds": braces.is_involutive(m)})
+    _run(checks, "map.involutive", "r(r(a, b)) = (a, b)",
+         lambda: braces.is_involutive(m))
     return checks
 
 
@@ -183,14 +174,10 @@ def universal_suite(brace: SkewBrace, ceiling: int = UNIVERSAL_CEILING,
          lambda: algebra.is_cocommutative(ctx) == brace.is_brace)
     _run(checks, "universal.hopf_twisted", "coproduct/counit/antipode axioms, twisted",
          lambda: algebra.verify_hopf_axioms(ctx, twisted=True))
-    if brace.is_brace:
-        _run(checks, "universal.quasitriangularity",
-             "R Delta_F = Delta_F^op R ; fusion identities ; counit laws",
-             lambda: algebra.verify_quasitriangularity(ctx))
-    else:
-        _info(checks, "universal.quasitriangularity",
-              "R Delta_F = Delta_F^op R ; fusion identities ; counit laws [exploratory]",
-              lambda: {c.name: c.passed for c in algebra.verify_quasitriangularity(ctx).checks})
+    _run(checks, "universal.quasitriangularity",
+         "R Delta_F(e_i) = Delta_F^op(e_i) R iff Delta(e_i) = Delta^op(e_i) ; "
+         "fusion identities iff addition is abelian ; counit laws",
+         lambda: algebra.verify_quasitriangularity(ctx))
     _run(checks, "universal.nfold_twist",
          "three-fold twist: recursion = closed form; exchange via R",
          lambda: algebra.nfold_twist(ctx, 3)[1])

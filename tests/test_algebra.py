@@ -227,7 +227,7 @@ def test_twisted_antipode_holds_on_nonabelian_addition(s3_trivial_skew, order6_n
     # element, term by term through the public element maps
     for brace in (s3_trivial_skew, order6_nonabelian):
         ctx = yb.algebra_from_brace(brace)
-        assert not ctx.is_brace
+        assert not ctx.brace.is_brace
         zero = ctx.element({})
         for i in range(ctx.dim):
             x = ctx.basis_element(i)
@@ -311,7 +311,7 @@ def test_hopf_axiom_suites(trivial2_ctx, z4_radical_ctx):
 def test_cocommutative_iff_abelian_addition(z4_radical_ctx, all_contexts):
     # Delta^op = Delta exactly when addition is abelian, on every context of orders 1-6;
     # abelian addition is read off the raw table
-    assert (len(all_contexts), sum(not ctx.is_brace for ctx in all_contexts)) == (219, 80)
+    assert (len(all_contexts), sum(not ctx.brace.is_brace for ctx in all_contexts)) == (219, 80)
     for ctx in all_contexts:
         add = ctx.brace.add.table
         abelian = all(add[a][b] == add[b][a] for a in range(ctx.n) for b in range(ctx.n))

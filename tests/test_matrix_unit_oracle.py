@@ -43,7 +43,7 @@ def outcome(fn, *args, **kwargs):
 
 def test_sample_covers_both_additions(contexts):
     assert len(contexts) == 19 + 24
-    assert sum(not c.is_brace for c in contexts) == 12
+    assert sum(not c.brace.is_brace for c in contexts) == 12
 
 
 @pytest.mark.parametrize("name", sorted(ROUTES))

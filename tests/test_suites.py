@@ -3,8 +3,10 @@ catalog of orders up to 6 never takes."""
 
 from __future__ import annotations
 
-from ybtwist import algebra
-from ybtwist.suites import _run, matrix_suite, universal_suite
+from conftest import oracle_gv_tau
+from ybtwist import algebra, braces
+from ybtwist.braces import YBMap
+from ybtwist.suites import _run, map_suite, matrix_suite, universal_suite
 
 
 def test_order9_skips_the_matrix_nfold_twist(z3_squared_brace):
@@ -37,3 +39,17 @@ def test_a_check_returning_false_fails_without_witness(z4_radical, s3_trivial_sk
         monkeypatch.setattr(algebra, "is_cocommutative", lambda ctx, wrong=wrong: wrong)
         entry = cocommutativity(brace)
         assert entry["status"] == "fail" and "witness" not in entry
+
+
+def test_map_involutive_is_decided(z4_radical, s3_trivial_skew, monkeypatch):
+    # r_inv is involutive wherever tau derives, so the entry passes on both kinds
+    # of addition; the Guarnieri-Vendramin map is involutive iff addition is
+    # abelian, so given it the entry still passes on Z4 and fails on S3
+    def involutive(brace):
+        entry = next(c for c in map_suite(brace) if c["name"] == "map.involutive")
+        return entry["status"], entry.get("witness"), entry.get("detail")
+
+    assert involutive(z4_radical) == involutive(s3_trivial_skew) == ("pass", None, None)
+    monkeypatch.setattr(braces, "derive_sigma_tau", lambda brace: YBMap(brace.n, *oracle_gv_tau(brace)))
+    assert involutive(z4_radical) == ("pass", None, None)
+    assert involutive(s3_trivial_skew) == ("fail", None, None)
