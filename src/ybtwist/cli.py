@@ -1,8 +1,9 @@
 """Command-line interface: enumerate, verify, solution, report-merge.
 
-All output is UTF-8 JSON with sorted keys.  Exit codes: 0 when every
-executed (non-skipped) check passes, 1 when some check fails, 2 on invalid
-input or usage.
+All output is UTF-8 JSON with sorted keys and a two-space indent, byte-equal
+to ``json.dumps(obj, sort_keys=True, indent=2)`` plus a newline.  Exit codes:
+0 when every executed (non-skipped) check passes, 1 when some check fails, 2
+on invalid input or usage.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
+from functools import cache
+from json.encoder import encode_basestring_ascii
 
 from . import jsonio, suites
 from .algebra import AlgebraContext
@@ -20,12 +23,41 @@ from .groups import DEFAULT_CEILING
 from .matrices import solution_matrix
 
 
+#: every scalar but a string, through json's C encoder (float repr, NaN, Infinity)
+_scalar = json.JSONEncoder().encode
+
+
+def _indented(obj, pad: str = "") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)`` for ``obj`` at indent ``pad``,
+    each container joined once.  A dict key that is not a str raises TypeError
+    (json would coerce it; no output holds one)."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        body = (",\n" + inner).join(encode_basestring_ascii(k) + ": " + _indented(v, inner)
+                                    for k, v in sorted(obj.items()))
+        return f"{{\n{inner}{body}\n{pad}}}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if all(type(v) is int for v in obj):  # a group-table row; bool is no int here
+            body = (",\n" + inner).join(map(int.__repr__, obj))
+        else:
+            body = (",\n" + inner).join(_indented(v, inner) for v in obj)
+        return f"[\n{inner}{body}\n{pad}]"
+    return _scalar(obj)
+
+
 def _emit(obj, out_path: str | None) -> None:
-    # streamed chunk by chunk, so a large report is never held as one string
+    # the whole text is built before the file is opened, so an object the
+    # writer rejects never truncates an existing --out
+    text = _indented(obj) + "\n"
     try:
         with open(out_path, "w", encoding="utf-8") if out_path else nullcontext(sys.stdout) as fh:
-            json.dump(obj, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+            fh.write(text)
     except OSError as exc:  # a missing directory, a directory, a full device
         raise ValidationFailure("output", out_path, f"cannot write {out_path or 'stdout'}: {exc}") from exc
 
@@ -144,6 +176,7 @@ def cmd_report_merge(args) -> int:
     return 0 if totals["fail"] == 0 else 1
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ybtwist",
@@ -157,33 +190,32 @@ def build_parser() -> argparse.ArgumentParser:
                    help="Allow nonabelian additive groups (default: braces only).")
     p.add_argument("--out", help="Write the catalog JSON here (count prints either way).")
     p.add_argument("--config", help="JSON file overriding ceilings, e.g. {\"enumeration\": 5}.")
-    p.set_defaults(fn=cmd_enumerate)
 
     p = sub.add_parser("verify", help="Run verification suites over a brace or catalog file.")
     p.add_argument("file")
     p.add_argument("--level", choices=[*suites.LEVELS, "all"], default="all")
     p.add_argument("--out", help="Write the report JSON here instead of stdout.")
     p.add_argument("--config", help="JSON file overriding ceilings.")
-    p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("solution", help="Emit the induced solution as map tables or a matrix.")
     p.add_argument("file")
     p.add_argument("--format", choices=["map", "matrix"], default="map")
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_solution)
 
     p = sub.add_parser("report-merge", help="Merge verification reports into one.")
     p.add_argument("files", nargs="+")
     p.add_argument("--out")
-    p.set_defaults(fn=cmd_report_merge)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # looked up by name on each call, not held by the cached parser, so a
+    # wrapped or patched cmd_* function is the one that runs
+    command = {"enumerate": cmd_enumerate, "verify": cmd_verify, "solution": cmd_solution,
+               "report-merge": cmd_report_merge}[args.command]
     try:
-        return args.fn(args)
+        return command(args)
     except (ValidationFailure, LimitExceeded) as exc:
         kind = getattr(exc, "kind", "limit_exceeded")
         witness = getattr(exc, "witness", None)

@@ -50,7 +50,8 @@ from .rational import BivarPoly
 from .reports import PropertyReport
 
 #: the levels each check covers: the defining relations at p, m <= MAX_LEVEL
-#: by default, the augmented relations and the antipode series at levels
+#: by default, the augmented relations (scanned at p = 0 and 1, which stand
+#: for every p <= MAX_LEVEL) and the antipode series at levels
 #: 1..MAX_LEVEL, the coproduct table and its coassociativity at
 #: 1..COPRODUCT_LEVEL, and the twisted-coproduct adjudication at
 #: 1..ADJUDICATION_LEVEL
@@ -273,6 +274,10 @@ def check_augmented_relations(ctx: AlgebraContext) -> PropertyReport:
     e_{r_c, s_c}, L^{(p)}_{b,c} the unit e_{c,b} for p >= 1 and delta_{bc} . 1
     for p = 0.  So w_a e_{c,b} = e_{pi_a c, b}, e_{x,y} w_a = e_{x, pi_a^{-1} y},
     e_{r,s} e_{t,u} = [s = t] e_{r,u}, and delta . 1 commutes with everything.
+
+    Only p = 0 and p = 1 are scanned: every level p >= 1 has the same image
+    e_{c,b}, and each relation reads p only as p == 0, so levels 2..MAX_LEVEL
+    repeat level 1 and the first failing p >= 1 is p = 1.
     """
     n, sigma = ctx.n, ctx.sigma
     report = PropertyReport("augmented_relations")
@@ -292,7 +297,7 @@ def check_augmented_relations(ctx: AlgebraContext) -> PropertyReport:
         (rb, sb), (ra, sa) = units[b], units[a]
         return ((rb, a) if sb == b else None) != ((b, sa) if ra == a else None)
 
-    levels = range(MAX_LEVEL + 1)
+    levels = (0, 1)  # p = 0, and p = 1 for every p in 1..MAX_LEVEL
     w = next(((p, a, b, c) for p in levels for a, b, c in iproduct(range(n), repeat=3)
               if w_fails(p, a, b, c)), None)
     report.add("w_exchange", w is None, witness=w)

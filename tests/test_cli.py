@@ -5,15 +5,16 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import os
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ybtwist as yb
-from ybtwist import jsonio
-from ybtwist.cli import main
+from ybtwist import cli, jsonio
+from ybtwist.cli import _emit, _indented, main
 from conftest import CONTEXT_ENTRIES, N_ONLY, Z4_RADICAL_MUL_ROWS, cyclic_rows
 
 
@@ -90,6 +91,80 @@ def test_report_bytes_are_sorted_indented_json(z4_radical_file, tmp_path, capsys
     assert main(["verify", z4_radical_file, "--level", "map"]) == 0
     text = capsys.readouterr().out
     assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+
+
+_STRINGS = st.text() | st.sampled_from(["", '"', "\\", "\x00\x1f\x7f", 'a"b\\c\nd\t', "é ü", "\u2028",
+                                         "\U0001d11e", "\ud800"])
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats() | _STRINGS
+            | st.sampled_from([-0.0, 0.0, 1.0, 1e16, 1e-7, math.nan, math.inf, -math.inf]))
+_JSON = st.recursive(_SCALARS, lambda kids: st.lists(kids) | st.lists(kids).map(tuple)
+                     | st.dictionaries(_STRINGS, kids), max_leaves=25)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON)
+@example([True, 2])
+@example([1, False, 3])
+@example({"rows": [[0, 1], [1, 0]], "b": [[], {}, [[]], [{}]], "": ()})
+@example([-0.0, 1e16, 1e-7, math.nan, math.inf, -math.inf, None])
+def test_indented_writer_equals_json_dumps(obj):
+    assert _indented(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("obj", [{1: "x"}, {"a": {None: 1}}, {"a": [{True: 0}]}, {"a": {1.5: 0}}])
+def test_indented_writer_rejects_non_str_keys(obj):
+    # json.dumps would coerce these keys to strings; no command emits one, so
+    # the writer refuses it rather than carry json's coercion rules
+    with pytest.raises(TypeError):
+        _indented(obj)
+
+
+def test_each_command_writes_json_dumps_of_its_object(z4_radical_file, tmp_path, capsys, monkeypatch):
+    # the bytes of every command are json.dumps of the very object it built,
+    # tuples and float millis included, not of a re-parse of the file
+    seen = []
+    monkeypatch.setattr(cli, "_emit", lambda obj, out_path: (seen.append(obj), _emit(obj, out_path)))
+    opposite = write_json(tmp_path / "opp.json",  # S_3 and its opposite group: map.derive fails
+                          {"n": 6, "add": S3_ADD_ROWS, "mul": [list(col) for col in zip(*S3_ADD_ROWS)]})
+    runs = [(["enumerate", "--order", "4", "--skew"], 0),
+            (["verify", opposite, "--level", "all"], 1),
+            (["verify", z4_radical_file, "--level", "map"], 0),
+            (["solution", z4_radical_file, "--format", "map"], 0),
+            (["solution", z4_radical_file, "--format", "matrix"], 0)]
+    outs = []
+    for i, (argv, code) in enumerate(runs):
+        outs.append(tmp_path / f"out{i}.json")
+        assert main([*argv, "--out", str(outs[-1])]) == code
+    outs.append(tmp_path / "merged.json")
+    assert main(["report-merge", str(outs[1]), str(outs[2]), "--out", str(outs[-1])]) == 1
+    capsys.readouterr()
+    assert len(seen) == len(outs) == 6
+    for obj, out in zip(seen, outs):
+        assert out.read_bytes() == (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()
+    failing = [c for c in seen[1]["subjects"][0]["checks"] if c["status"] == "fail"]
+    assert failing and failing[0].get("witness") is not None
+    assert any(c["status"] == "skipped" for c in seen[1]["subjects"][0]["checks"])
+    assert any(type(c.get("millis")) is float for c in seen[1]["subjects"][0]["checks"])
+
+
+@pytest.mark.parametrize("bad", [{1: "x"}, {"a": object()}, {"a": [1, {2, 3}]}])
+def test_rejected_object_leaves_out_untouched(bad, tmp_path):
+    # the text is built before --out is opened, so a failed write truncates nothing
+    out = tmp_path / "report.json"
+    out.write_text("previous contents\n", encoding="utf-8")
+    with pytest.raises(TypeError):
+        _emit(bad, str(out))
+    assert out.read_text(encoding="utf-8") == "previous contents\n"
+
+
+def test_parser_is_built_once_and_runs_the_current_command(monkeypatch, capsys):
+    # the parser is cached, but the command function is looked up on each call,
+    # so a wrapped one (the benchmark's tracer) still runs
+    assert main(["enumerate", "--order", "1"]) == 0
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setattr(cli, "cmd_enumerate", lambda args: 7)
+    assert main(["enumerate", "--order", "1"]) == 7
+    capsys.readouterr()
 
 
 def test_verify_trivial_all_green(trivial2_file, tmp_path, capsys):

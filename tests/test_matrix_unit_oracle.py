@@ -179,6 +179,56 @@ def test_swapped_unit_ends_match_oracle(contexts, monkeypatch, end):
         monkeypatch.undo()
 
 
+def _corrupted_sigma(ctx):
+    # the last two entries of sigma_{n-1} swapped, as in the bijective control above
+    bad = [list(row) for row in ctx.sigma]
+    bad[-1][-2], bad[-1][-1] = bad[-1][-1], bad[-1][-2]
+    return tuple(tuple(r) for r in bad)
+
+
+def _swapped_source(ctx):
+    # the source ends of h_1 and h_2 swapped, as in the unit-ends control above
+    bad = list(ctx.source)
+    bad[ctx.n], bad[2 * ctx.n] = bad[2 * ctx.n], bad[ctx.n]
+    return bad
+
+
+@pytest.mark.parametrize("corrupt", [None, ("sigma", _corrupted_sigma, 2),
+                                     ("source", _swapped_source, 3)])
+def test_augmented_levels_above_one_repeat_level_one(contexts, monkeypatch, corrupt):
+    # check_augmented_relations scans p = 0 and p = 1 only; its oracle multiplies
+    # the evaluation images of each level, and must give the same report
+    # (witnesses included) at every pmax in 1..MAX_LEVEL, on every context of
+    # orders 1-4, whole or corrupted
+    failed = 0
+    for ctx in (c for c in contexts if c.n <= 4):
+        if corrupt is not None:
+            attr, make, min_n = corrupt
+            if ctx.n < min_n:
+                continue
+            monkeypatch.setattr(ctx, attr, make(ctx))
+        report = check_augmented_relations(ctx)
+        for pmax in range(1, yangian.MAX_LEVEL + 1):
+            assert oracle_augmented_relations(ctx, pmax) == report, (pmax, ctx.brace.mul.table)
+        assert all(c.passed or c.witness[0] <= 1 for c in report.checks)
+        failed += not report.ok
+        monkeypatch.undo()
+    assert (failed == 0) == (corrupt is None)
+
+
+def test_augmented_corrupted_sigma_at_every_level(z4_radical):
+    # sigma_1 no longer a permutation: w_exchange fails at p = 0, where the
+    # oracle at every pmax finds the same first witness
+    ctx = yb.algebra_from_brace(z4_radical)
+    bad = [list(row) for row in ctx.sigma]
+    bad[1] = [0, 1, 2, 1]
+    ctx.sigma = tuple(tuple(r) for r in bad)
+    report = check_augmented_relations(ctx)
+    assert not report.check("w_exchange").passed
+    assert all(oracle_augmented_relations(ctx, pmax) == report
+               for pmax in range(1, yangian.MAX_LEVEL + 1))
+
+
 @pytest.mark.parametrize("image", [ExactMatrix(4, {}), ExactMatrix(4, {(0, 0): 1, (1, 1): 1})])
 def test_image_that_is_not_a_matrix_unit_is_rejected(z4_radical_ctx, image):
     ctx = z4_radical_ctx
